@@ -1,0 +1,176 @@
+// Golden outputs: pinned digests of SampleAlignD::align over a matrix of
+// local aligner x p x rank mode x ancestor/polish, plus the exact per-stage
+// byte accounting of every run. Any change that moves an output byte or a
+// reported wire byte fails here. The input family is small (N=40, L=120) so
+// the matrix also runs under the sanitizer presets.
+//
+// When a change is *meant* to alter outputs, each failure prints the
+// replacement table row.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cli/commands.hpp"
+#include "core/sample_align_d.hpp"
+#include "msa/alignment.hpp"
+#include "util/stable_hash.hpp"
+#include "workload/rose.hpp"
+
+namespace salign::core {
+namespace {
+
+const std::vector<bio::Sequence>& family() {
+  static const std::vector<bio::Sequence> seqs = workload::rose_sequences(
+      {.num_sequences = 40, .average_length = 120, .relatedness = 3000,
+       .seed = 2008});
+  return seqs;
+}
+
+struct GoldenRow {
+  const char* name;
+  /// "" selects the pipeline's default MiniMuscle; otherwise a
+  /// cli::make_aligner name.
+  const char* aligner;
+  int p;
+  RankMode mode;
+  bool ancestor;
+  bool polish;
+  /// StableHash of the aligned-FASTA text, hex.
+  const char* digest;
+  /// Nonzero stages only, space-separated
+  /// "<index in PipelineStats::stages>:<total_bytes>/<max_bytes_per_rank>".
+  const char* bytes;
+};
+
+std::string aligned_fasta(const msa::Alignment& aln) {
+  std::ostringstream os;
+  msa::write_aligned_fasta(os, aln);
+  return os.str();
+}
+
+std::string digest_of(const std::string& text) {
+  util::StableHash h;
+  h.update(text.data(), text.size());
+  return h.digest128().hex();
+}
+
+std::string byte_table(const PipelineStats& stats) {
+  std::string out;
+  for (std::size_t s = 0; s < stats.stages.size(); ++s) {
+    const StageStats& st = stats.stages[s];
+    if (st.total_bytes == 0 && st.max_bytes_per_rank == 0) continue;
+    if (!out.empty()) out += ' ';
+    out += std::to_string(s) + ':' + std::to_string(st.total_bytes) + '/' +
+           std::to_string(st.max_bytes_per_rank);
+  }
+  return out;
+}
+
+constexpr RankMode kG = RankMode::Globalized;
+constexpr RankMode kL = RankMode::LocalOnly;
+
+// clang-format off
+const GoldenRow kGolden[] = {
+    {"muscle_p1", "muscle", 1, kG, true, false,
+     "c275311687041d408b5ea2071927804d", ""},
+    {"muscle_p4", "muscle", 4, kG, true, false,
+     "db7b3d783cc9e90cb6dbd76f1b8307f1", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:421/142 15:453/453 17:4322/1659"},
+    {"muscle_refine_p1", "muscle-refine", 1, kG, true, false,
+     "3bd2b480b0268de08d39e09c751486f6", ""},
+    {"muscle_refine_p4", "muscle-refine", 4, kG, true, false,
+     "499203078ce79c4dea9e6c6306c98de3", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:421/142 15:447/447 17:4285/1635"},
+    {"muscle_fast_p1", "muscle-fast", 1, kG, true, false,
+     "c275311687041d408b5ea2071927804d", ""},
+    {"muscle_fast_p4", "muscle-fast", 4, kG, true, false,
+     "5025aea1ecaee5e995341491e46cb6a7", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:423/143 15:450/450 17:4301/1647"},
+    {"clustalw_p1", "clustalw", 1, kG, true, false,
+     "201f96346ee34e0bd621552b1ba363b2", ""},
+    {"clustalw_p4", "clustalw", 4, kG, true, false,
+     "166660e450297be2383bcf0766be15a9", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:429/146 15:462/462 17:4521/1669"},
+    {"tcoffee_p1", "tcoffee", 1, kG, true, false,
+     "80da1bae52500c7e2a0ed153d2f686a9", ""},
+    {"tcoffee_p4", "tcoffee", 4, kG, true, false,
+     "a4668b77e6738ebad91265fc6065ccf9", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:413/140 15:438/438 17:4326/1646"},
+    {"nwnsi_p1", "nwnsi", 1, kG, true, false,
+     "3cf7ca71d755effe8aa7fc787ba0796d", ""},
+    {"nwnsi_p4", "nwnsi", 4, kG, true, false,
+     "dedafa3b1db9beabc46b1517f66d33af", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:418/142 15:450/450 17:4307/1657"},
+    {"fftnsi_p1", "fftnsi", 1, kG, true, false,
+     "3cf7ca71d755effe8aa7fc787ba0796d", ""},
+    {"fftnsi_p4", "fftnsi", 4, kG, true, false,
+     "dedafa3b1db9beabc46b1517f66d33af", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:418/142 15:450/450 17:4307/1657"},
+    {"probcons_p1", "probcons", 1, kG, true, false,
+     "cc9608706cca37e8de9d4cdb27d00b9a", ""},
+    {"probcons_p4", "probcons", 4, kG, true, false,
+     "e81f0fe67465713bba3dbabcad93103c", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:392/143 15:438/438 17:5450/2237"},
+    {"minimuscle_p2_global_ancestor", "", 2, kG, true, false,
+     "7d0e51968de598952b504e54d009e744", "3:270/138 6:12/12 8:12/12 10:2156/1704 13:144/144 15:157/157 17:1966/1966"},
+    {"minimuscle_p2_global_blockdiag", "", 2, kG, false, false,
+     "70b6b205eda2152c4756bbdc49f2e80b", "3:270/138 6:12/12 8:12/12 10:2156/1704 17:1814/1814"},
+    {"minimuscle_p2_local_ancestor", "", 2, kL, true, false,
+     "07ee8c1d8c448bc95cf23cfed2fb2e30", "6:12/12 8:12/12 10:4162/2798 13:147/147 15:156/156 17:1892/1892"},
+    {"minimuscle_p2_local_blockdiag", "", 2, kL, false, false,
+     "80be9b0bf7aa2488249cdd6bd9ea17a1", "6:12/12 8:12/12 10:4162/2798 17:1741/1741"},
+    {"minimuscle_p3_global_ancestor", "", 3, kG, true, false,
+     "06be992f4315a7d095ec1bd95ad55ac9", "3:1654/570 6:40/20 8:40/40 10:4744/1721 13:281/144 15:294/294 17:4090/2093"},
+    {"minimuscle_p3_global_blockdiag", "", 3, kG, false, false,
+     "a0b50b5be009e025b9c13445c759fc2f", "3:1654/570 6:40/20 8:40/40 10:4744/1721 17:3800/1950"},
+    {"minimuscle_p3_local_ancestor", "", 3, kL, true, false,
+     "23e3db2940c11314404a9d4be4bb36c9", "6:40/20 8:40/40 10:5380/2049 13:281/144 15:292/292 17:3489/1932"},
+    {"minimuscle_p3_local_blockdiag", "", 3, kL, false, false,
+     "1c3aec517f3879da1dccaa3f85a6e31b", "6:40/20 8:40/40 10:5380/2049 17:3212/1790"},
+    {"minimuscle_p4_global_ancestor", "", 4, kG, true, false,
+     "db7b3d783cc9e90cb6dbd76f1b8307f1", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:421/142 15:453/453 17:4322/1659"},
+    {"minimuscle_p4_global_blockdiag", "", 4, kG, false, false,
+     "16a1b0d5a0f188e52072783a6ed059fd", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 17:3885/1513"},
+    {"minimuscle_p4_local_ancestor", "", 4, kL, true, false,
+     "cbea2738e48ecc8865eb9fe43851378d", "6:84/28 8:84/84 10:5415/1584 13:426/144 15:444/444 17:4863/1972"},
+    {"minimuscle_p4_local_blockdiag", "", 4, kL, false, false,
+     "4dbc5e3fa36e0909f25b914b054bd83c", "6:84/28 8:84/84 10:5415/1584 17:4437/1826"},
+    {"minimuscle_p4_global_ancestor_polish", "", 4, kG, true, true,
+     "4fbf35dec40c1ec78b2d7864017799a7", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:421/142 15:453/453 17:4322/1659"},
+};
+// clang-format on
+
+class GoldenOutputsTest : public ::testing::TestWithParam<GoldenRow> {};
+
+TEST_P(GoldenOutputsTest, DigestAndWireBytesArePinned) {
+  const GoldenRow& row = GetParam();
+  SampleAlignDConfig cfg;
+  cfg.num_procs = row.p;
+  cfg.rank_mode = row.mode;
+  cfg.ancestor_refinement = row.ancestor;
+  cfg.polish_divergent = row.polish;
+  if (*row.aligner != '\0')
+    cfg.local_aligner = cli::make_aligner(row.aligner, 1);
+
+  PipelineStats stats;
+  const msa::Alignment aln = SampleAlignD(cfg).align(family(), &stats);
+  const std::string digest = digest_of(aligned_fasta(aln));
+  const std::string bytes = byte_table(stats);
+
+  EXPECT_EQ(digest, row.digest);
+  EXPECT_EQ(bytes, row.bytes);
+  if (digest != row.digest || bytes != row.bytes) {
+    ADD_FAILURE() << "actual row: {\"" << row.name << "\", \"" << row.aligner
+                  << "\", " << row.p << ", "
+                  << (row.mode == kG ? "kG" : "kL") << ", "
+                  << (row.ancestor ? "true" : "false") << ", "
+                  << (row.polish ? "true" : "false") << ",\n     \"" << digest
+                  << "\", \"" << bytes << "\"},";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, GoldenOutputsTest, ::testing::ValuesIn(kGolden),
+    [](const ::testing::TestParamInfo<GoldenRow>& info) {
+      return std::string(info.param.name);
+    });
+
+}  // namespace
+}  // namespace salign::core
