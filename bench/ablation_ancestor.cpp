@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md §4): what does the global-ancestor tweak buy?
+// Ablation B: what does the global-ancestor tweak buy?
 //
 // The paper's Fig. 2 argues the ancestor-constrained profile alignment is
 // what turns p independent bucket alignments into one coherent global MSA.

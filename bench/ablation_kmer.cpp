@@ -1,4 +1,4 @@
-// Ablation C (DESIGN.md §4): sensitivity to the k-mer size and the sample
+// Ablation C: sensitivity to the k-mer size and the sample
 // count k' (the paper's k, default p-1).
 //
 // The paper fixes k-mer parameters implicitly (via MUSCLE's distance) and

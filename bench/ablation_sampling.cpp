@@ -1,4 +1,4 @@
-// Ablation A (DESIGN.md §4): why regular sampling?
+// Ablation A: why regular sampling?
 //
 // The paper justifies regular sampling over alternatives (e.g. Huang &
 // Chow) with three arguments: distribution independence, ~equal ordered

@@ -14,7 +14,7 @@ namespace salign::bench {
 /// paper's N by `SALIGN_BENCH_SCALE` (default: the per-bench value chosen so
 /// the binary finishes in about a minute on two cores). Shapes — speedup
 /// curves, rank distributions, quality orderings — are scale-stable, which
-/// is what EXPERIMENTS.md compares against the paper.
+/// is what the benches compare against the paper.
 inline double scale(double default_scale) {
   if (const char* env = std::getenv("SALIGN_BENCH_SCALE")) {
     const double v = std::atof(env);
@@ -48,7 +48,7 @@ inline void banner(const char* title, const char* paper_ref, double factor) {
 /// speedups are bounded by ~p^2 in the quadratic-dominated regime; this
 /// projection applies the paper's own exponents to our measured max bucket
 /// (which includes the real redistribution imbalance), reproducing the
-/// published shape from the same run (see EXPERIMENTS.md, Figs. 4-6).
+/// published shape from the same run (Figs. 4-6).
 inline double paper_model_speedup(std::size_t n, std::size_t max_bucket,
                                   double avg_len) {
   const auto fn = [avg_len](double w) {

@@ -3,9 +3,9 @@
 // 800). The paper reports times dropping sharply with p (e.g. 20000
 // sequences in ~25 s on 16 processors).
 //
-// Substitution note (DESIGN.md §2): the container has 2 cores, not 16
+// Substitution note: a bench host has far fewer cores than the paper had
 // nodes, so two times are reported per cell:
-//   wall    — host wall-clock with p runtime threads (oversubscribed);
+//   wall    — host wall-clock with p concurrent ranks (oversubscribed);
 //   modeled — per-stage max rank CPU time + Beowulf/GigE wire model, i.e.
 //             the dedicated-cluster makespan the paper measures.
 // The modeled column is the one whose *shape* (sharp drop, diminishing

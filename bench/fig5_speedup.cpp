@@ -58,7 +58,7 @@ int main() {
   std::printf("\n%s\n", t.to_string().c_str());
   std::printf(
       "paper claim: superlinear speedup; curves dip at p=16 for N<=10000.\n"
-      "reading the two speedup columns (EXPERIMENTS.md, Fig. 5):\n"
+      "reading the two speedup columns:\n"
       " - measured: our MiniMuscle is the efficient O(w^2 + wL^2) pipeline,\n"
       "   so speedup is bounded by ~p^2 in the quadratic regime and grows\n"
       "   with N (granularity knee at p>=12 for the small sets);\n"

@@ -3,7 +3,7 @@
 // vs number of processors. Paper landmark: sequential MUSCLE took ~23 h on
 // one cluster node; Sample-Align-D took 9.82 min on 16 — a 142x speedup.
 //
-// The genome is synthetic here (GenomeSimulator; DESIGN.md §2): same N,
+// The genome is synthetic here (GenomeSimulator): same N,
 // length distribution and gene-family structure as the real proteome, which
 // are the drivers of alignment cost and k-mer rank structure.
 

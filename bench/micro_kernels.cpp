@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the kernels behind the paper's
 // §3 cost table: k-mer rank computation, pairwise DP, profile alignment,
-// guide-tree construction, and the communication runtime. These back the
+// guide-tree construction, and the PSRS bucket partition. These back the
 // per-stage constants of the cluster cost model.
 
 #include <benchmark/benchmark.h>
@@ -27,7 +27,6 @@
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "msa/progressive.hpp"
-#include "par/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
@@ -504,34 +503,6 @@ void BM_MiniMuscleEndToEnd(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MiniMuscleEndToEnd)->Arg(16)->Arg(32)->Arg(64)->Complexity();
-
-void BM_CommAllToAll(benchmark::State& state) {
-  const int p = 8;
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    par::Cluster cluster(p);
-    cluster.run([&](par::Communicator& comm) {
-      std::vector<par::Bytes> out(p, par::Bytes(bytes, 0x5A));
-      benchmark::DoNotOptimize(comm.all_to_all(std::move(out)));
-    });
-  }
-  state.SetBytesProcessed(state.iterations() * p * (p - 1) * bytes);
-}
-BENCHMARK(BM_CommAllToAll)->Arg(1024)->Arg(65536);
-
-void BM_CommBroadcast(benchmark::State& state) {
-  const int p = 8;
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    par::Cluster cluster(p);
-    cluster.run([&](par::Communicator& comm) {
-      par::Bytes payload;
-      if (comm.rank() == 0) payload.assign(bytes, 0x5A);
-      benchmark::DoNotOptimize(comm.broadcast(0, std::move(payload)));
-    });
-  }
-}
-BENCHMARK(BM_CommBroadcast)->Arg(1024)->Arg(65536);
 
 void BM_PsrsPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -5,7 +5,7 @@
 // benchmarks to evaluate next, noting that "these benchmarks are not
 // designed to access the quality of the alignments produced in a
 // distributed manner". This bench implements that evaluation with the
-// library's simulated suites (DESIGN.md §2):
+// library's simulated suites:
 //   - BAliBASE-like: five structural categories (RV1-RV5 analogues), scored
 //     on core blocks (Q and TC restricted to the core-column mask);
 //   - SABmark-like: superfamily + twilight tiers, scored on full

@@ -69,7 +69,7 @@ int main() {
              util::fmt("%.6f", std::sqrt(var_wrt_central))});
   std::printf("%s\n", t.to_string().c_str());
 
-  std::printf("shape checks (see EXPERIMENTS.md):\n");
+  std::printf("shape checks:\n");
   std::printf("  globalized mean > centralized mean: %s\n",
               sg.mean() > sc.mean() ? "yes (matches paper)" : "NO");
   std::printf("  maxima within 10%% of each other:    %s\n",

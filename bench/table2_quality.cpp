@@ -6,7 +6,7 @@
 //   NWNSI 0.615, FFTNSI 0.591, CLUSTALW 0.563.
 //
 // PREFAB itself ships structure-derived references; we substitute
-// exact-history references from the evolver (DESIGN.md §2). The shape to
+// exact-history references from the evolver. The shape to
 // reproduce: refined MUSCLE at the top, consistency/iterative methods in the
 // middle band, CLUSTALW below them, and Sample-Align-D comparable to
 // CLUSTALW — the paper's own observation that domain decomposition on sets

@@ -9,7 +9,7 @@
 #include "align/engine/batch.hpp"
 #include "align/engine/pair_batch.hpp"
 #include "align/global.hpp"
-#include "par/cluster.hpp"
+#include "util/thread_pool.hpp"
 
 namespace salign::align {
 
@@ -73,7 +73,7 @@ util::SymmetricMatrix<double> pairwise_distance_matrix(
     const std::function<double(std::size_t, std::size_t)>& fn) {
   util::SymmetricMatrix<double> d(n, 0.0);
   const std::size_t pairs = n == 0 ? 0 : n * (n - 1) / 2;
-  par::parallel_for(
+  util::parallel_for(
       pairs,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
@@ -263,7 +263,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
     const std::vector<PairTask> tasks =
         plan_block(seqs, base, count, batch_cap, batch_lanes);
     std::vector<PairDistanceStats> task_stats(tasks.size());
-    par::parallel_for(
+    util::parallel_for(
         tasks.size(),
         [&](std::size_t begin, std::size_t end) {
           // One inter-pair kernel per worker chunk: its score table and
@@ -298,7 +298,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
 
   // Phase 1: self-scores (the normalization scale), one batch per row.
   std::vector<float> self(n, 0.0F);
-  par::parallel_for(
+  util::parallel_for(
       n,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -314,7 +314,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
   // worker ~half the triangle; interleaving cheap and expensive rows
   // (r -> r/2 from the bottom, n-1-r/2 from the top) balances every chunk
   // while each (i, j) cell still has exactly one writer.
-  par::parallel_for(
+  util::parallel_for(
       n,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {

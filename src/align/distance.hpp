@@ -58,7 +58,7 @@ inline constexpr double kMaxGuideTreeDistance = 5.0;
     std::size_t p);
 
 /// Deterministic threaded all-pairs driver: fills d(i, j) = fn(i, j) for
-/// every j < i (diagonal stays 0) via par::parallel_for over the linear
+/// every j < i (diagonal stays 0) via util::parallel_for over the linear
 /// pair index. `fn` must be thread-safe and independent per pair — it may
 /// write per-pair side state (e.g. a preallocated posterior slot), but
 /// nothing shared across pairs; each pair then has exactly one writer and
@@ -88,7 +88,7 @@ struct PairDistanceStats {
 struct PairDistanceOptions {
   /// Band half-width of the pairwise DP (0 = full global alignment).
   std::size_t band = 0;
-  /// par::parallel_for width of the pair loop (1 = serial). Results are
+  /// util::parallel_for width of the pair loop (1 = serial). Results are
   /// bit-identical for any value.
   unsigned threads = 1;
   /// Also compute one local (Smith–Waterman) alignment per pair — the
@@ -126,7 +126,7 @@ using PairVisitor = std::function<void(std::size_t i, std::size_t j,
     const PairVisitor& visit = {});
 
 struct ScoreDistanceOptions {
-  /// par::parallel_for width over matrix rows (1 = serial; deterministic
+  /// util::parallel_for width over matrix rows (1 = serial; deterministic
   /// for any value).
   unsigned threads = 1;
   engine::Backend backend = engine::default_backend();

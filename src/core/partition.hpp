@@ -8,9 +8,9 @@ namespace salign::core {
 
 /// Regular-sampling partition machinery (Shi & Schaeffer, JPDC 1992) — the
 /// SampleSort-derived heart of Sample-Align-D. The pipeline keys sequences
-/// by k-mer rank; a plain parallel sample sort over doubles (sample_sort.hpp)
-/// reuses the same functions, which is how the tests validate the bucket
-/// bound independently of the biology.
+/// by k-mer rank; the tests drive the same functions over plain doubles,
+/// which validates the bucket bound and ordering independently of the
+/// biology.
 
 /// Chooses `count` evenly spaced samples from an ascending key list
 /// (the paper's "choose p-1 evenly spaced samples from the locally sorted

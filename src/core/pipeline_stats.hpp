@@ -47,7 +47,7 @@ struct StageStats {
 
 /// End-to-end instrumentation of one pipeline run.
 ///
-/// Two notions of time are reported (DESIGN.md §2):
+/// Two notions of time are reported:
 ///  - wall_seconds: host wall-clock of the run (threads oversubscribe the
 ///    host's cores, so this undersells large p on small machines);
 ///  - modeled_seconds(): per-stage max rank CPU time + modeled wire time,

@@ -15,8 +15,9 @@
 #include "msa/muscle_like.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
-#include "par/cluster.hpp"
+#include "par/serialize.hpp"
 #include "util/artifact_cache.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace salign::core {
@@ -26,9 +27,6 @@ namespace {
 using align::EditOp;
 using bio::Sequence;
 using msa::Alignment;
-using par::ByteReader;
-using par::Bytes;
-using par::ByteWriter;
 using stage::RankedPartition;
 using stage::RankedRef;
 
@@ -140,13 +138,12 @@ class RunStats {
 };
 
 /// Runs fn(rank) for every rank concurrently — one deterministic chunk per
-/// rank, the staged executor's stand-in for the former thread-per-rank
-/// cluster — charging each rank's CPU and wall time to `stage`. fn must
-/// write only to per-rank slots; chunk geometry never depends on
-/// scheduling, so neither do outputs.
+/// rank, the staged executor's stand-in for p cluster nodes — charging each
+/// rank's CPU and wall time to `stage`. fn must write only to per-rank
+/// slots; chunk geometry never depends on scheduling, so neither do outputs.
 void for_each_rank(RunStats& rs, int stage, int p,
                    const std::function<void(int)>& fn) {
-  par::parallel_for(
+  util::parallel_for(
       static_cast<std::size_t>(p),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
@@ -168,11 +165,25 @@ void sort_refs(std::vector<RankedRef>& refs) {
   });
 }
 
-Bytes encode_ops(std::span<const EditOp> ops) {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(ops.size()));
-  for (EditOp op : ops) w.u8(static_cast<std::uint8_t>(op));
-  return w.take();
+// ---- Wire sizes of the pipeline's own message framings -------------------
+//
+// Messages are modeled, not encoded: each is charged the bytes its encoding
+// would occupy. The par:: codecs size domain values (par::wire_size); these
+// constants cover the fields the pipeline frames itself.
+
+constexpr std::uint64_t kCountBytes = 4;  ///< u32 element count
+constexpr std::uint64_t kKeyBytes = 8;    ///< f64 rank key or pivot
+constexpr std::uint64_t kIndexBytes = 8;  ///< u64 input position
+
+/// A u32 count followed by that many f64 keys (pivot candidates, pivots).
+std::uint64_t keys_wire_size(std::size_t keys) {
+  return kCountBytes + kKeyBytes * keys;
+}
+
+/// A glue path: a blob (u32 length prefix) holding a u32 op count and one
+/// u8 per edit op.
+std::uint64_t ops_wire_size(std::span<const EditOp> ops) {
+  return kCountBytes + kCountBytes + ops.size();  // length, count, ops
 }
 
 // ---- Glue on the global-ancestor coordinate system ------------------------
@@ -570,26 +581,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     const std::vector<std::uint64_t> sample_flat = runner.run(
         "sample-exchange", 5,
         [&] {
-          // Send side: each rank serializes its contribution; the all-gather
-          // charges own-payload × (p-1) per rank.
-          std::vector<Bytes> msgs(up);
+          // The all-gather charges each rank its own sample list × (p-1).
           for_each_rank(rs, kSampleExchange, p, [&](int r) {
             const auto ur = static_cast<std::size_t>(r);
-            ByteWriter w;
-            par::write_sequences(w, seqs_of_indices(sample_idx[ur]));
-            msgs[ur] = w.take();
-            rs.add_bytes(kSampleExchange, r, msgs[ur].size() * (up - 1));
-          });
-          // Receive side: every rank decodes all p payloads (identical
-          // results; the work is charged per rank as on the cluster).
-          for_each_rank(rs, kSampleExchange, p, [&](int) {
-            std::vector<Sequence> all;
-            for (const Bytes& b : msgs) {
-              ByteReader rd(b);
-              std::vector<Sequence> part = par::read_sequences(rd);
-              all.insert(all.end(), std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-            }
+            rs.add_bytes(kSampleExchange, r,
+                         par::wire_size(seqs_of_indices(sample_idx[ur])) *
+                             (up - 1));
           });
           std::vector<std::uint64_t> flat;
           for (const auto& list : sample_idx)
@@ -643,30 +640,16 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           keys.reserve(cur[ur].size());
           for (const RankedRef& item : cur[ur]) keys.push_back(item.rank);
           cands[ur] = regular_samples(keys, up - 1);
-          ByteWriter w;
-          w.u32(static_cast<std::uint32_t>(cands[ur].size()));
-          for (double c : cands[ur]) w.f64(c);
-          rs.add_bytes(kPivotGather, r, r == 0 ? 0 : w.size());
+          rs.add_bytes(kPivotGather, r,
+                       r == 0 ? 0 : keys_wire_size(cands[ur].size()));
         });
         std::vector<double> chosen;
-        Bytes pivot_msg;
         rs.timed_root(kPivotSelect, [&] {
           std::vector<double> all;
           for (const auto& c : cands) all.insert(all.end(), c.begin(), c.end());
           chosen = choose_pivots(std::move(all), p);
-          ByteWriter pw;
-          pw.u32(static_cast<std::uint32_t>(chosen.size()));
-          for (double v : chosen) pw.f64(v);
-          pivot_msg = pw.take();
-          rs.add_bytes(kPivotBcast, 0, pivot_msg.size() * (up - 1));
-        });
-        // Receive side of the broadcast.
-        for_each_rank(rs, kPivotBcast, p, [&](int) {
-          ByteReader rd{std::span<const std::uint8_t>(pivot_msg)};
-          const std::uint32_t k = rd.u32();
-          std::vector<double> got;
-          got.reserve(k);
-          for (std::uint32_t i = 0; i < k; ++i) got.push_back(rd.f64());
+          rs.add_bytes(kPivotBcast, 0,
+                       keys_wire_size(chosen.size()) * (up - 1));
         });
         return chosen;
       },
@@ -681,22 +664,15 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         std::vector<RankedPartition> send(up, RankedPartition(up));
         for_each_rank(rs, kBucketPartition, p, [&](int r) {
           const auto ur = static_cast<std::size_t>(r);
-          std::vector<ByteWriter> writers(up);
-          std::vector<std::uint32_t> counts(up, 0);
-          for (const RankedRef& item : cur[ur])
-            ++counts[bucket_of(item.rank, pivots)];
-          for (std::size_t d = 0; d < up; ++d) writers[d].u32(counts[d]);
+          // Each of the p-1 outgoing messages opens with its item count;
+          // an item travels as (u64 index, f64 rank, sequence).
+          std::uint64_t sent = kCountBytes * (up - 1);
           for (const RankedRef& item : cur[ur]) {
             const std::size_t d = bucket_of(item.rank, pivots);
-            writers[d].u64(item.index);
-            writers[d].f64(item.rank);
-            par::write_sequence(writers[d], seqs[item.index]);
+            if (d != ur)
+              sent += kIndexBytes + kKeyBytes +
+                      par::wire_size(seqs[item.index]);
             send[ur][d].push_back(item);
-          }
-          std::uint64_t sent = 0;
-          for (std::size_t d = 0; d < up; ++d) {
-            const Bytes b = writers[d].take();
-            if (d != ur) sent += b.size();
           }
           rs.add_bytes(kRedistribute, r, sent);
         });
@@ -749,13 +725,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
                   config_.consensus);
           });
           for_each_rank(rs, kAncestorGather, p, [&](int r) {
-            ByteWriter w;
-            par::write_sequence(w, ancestors[static_cast<std::size_t>(r)]);
-            rs.add_bytes(kAncestorGather, r, r == 0 ? 0 : w.size());
+            const auto ur = static_cast<std::size_t>(r);
+            rs.add_bytes(kAncestorGather, r,
+                         r == 0 ? 0 : par::wire_size(ancestors[ur]));
           });
           Sequence global("global_ancestor", std::vector<std::uint8_t>{},
                           bio::AlphabetKind::AminoAcid);
-          Bytes ga_msg;
           rs.timed_root(kAncestorAlign, [&] {
             std::vector<Sequence> present;
             for (const Sequence& a : ancestors)
@@ -771,15 +746,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
               global = msa::consensus_sequence(anc_aln, "global_ancestor",
                                                config_.consensus);
             }
-            ByteWriter gw;
-            par::write_sequence(gw, global);
-            ga_msg = gw.take();
-            rs.add_bytes(kAncestorBcast, 0, ga_msg.size() * (up - 1));
-          });
-          // Receive side of the broadcast.
-          for_each_rank(rs, kAncestorBcast, p, [&](int) {
-            ByteReader rd{std::span<const std::uint8_t>(ga_msg)};
-            (void)par::read_sequence(rd);
+            rs.add_bytes(kAncestorBcast, 0, par::wire_size(global) * (up - 1));
           });
           return global;
         },
@@ -819,11 +786,10 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         [&] {
           for_each_rank(rs, kGlueGather, p, [&](int r) {
             const auto ur = static_cast<std::size_t>(r);
-            ByteWriter w;
-            par::write_alignment(w, locals[ur]);
-            const Bytes ops_bytes = encode_ops(paths[ur]);
-            w.bytes(ops_bytes);
-            rs.add_bytes(kGlueGather, r, r == 0 ? 0 : w.size());
+            rs.add_bytes(kGlueGather, r,
+                         r == 0 ? 0
+                                : par::wire_size(locals[ur]) +
+                                      ops_wire_size(paths[ur]));
           });
           Alignment reordered;
           rs.timed_root(kGlue, [&] {
@@ -841,9 +807,9 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "glue", 15,
         [&] {
           for_each_rank(rs, kGlueGather, p, [&](int r) {
-            ByteWriter w;
-            par::write_alignment(w, locals[static_cast<std::size_t>(r)]);
-            rs.add_bytes(kGlueGather, r, r == 0 ? 0 : w.size());
+            const auto ur = static_cast<std::size_t>(r);
+            rs.add_bytes(kGlueGather, r,
+                         r == 0 ? 0 : par::wire_size(locals[ur]));
           });
           Alignment reordered;
           rs.timed_root(kGlue, [&] {

@@ -39,11 +39,11 @@ namespace salign::core {
 /// The run executes as an explicit typed stage graph (core/stage): every
 /// paper step above is a named stage whose output is a serializable,
 /// content-hashed artifact. A stage's per-rank work runs concurrently (one
-/// worker per simulated processor, drawn from the shared thread pool, as the
-/// former in-process cluster runtime did), and rank-to-rank communication is
-/// deterministic data movement at stage boundaries — serialized through the
-/// same par:: codecs as before, so `PipelineStats` byte accounting is
-/// unchanged and still reports both wall time and the modeled
+/// worker per simulated processor, drawn from the shared thread pool), and
+/// rank-to-rank communication is deterministic data movement at stage
+/// boundaries. Messages are modeled, not encoded: each is charged the bytes
+/// the par:: codecs would write for it (par::wire_size), so `PipelineStats`
+/// reports wire volume alongside wall time and the modeled
 /// dedicated-cluster makespan.
 ///
 /// The stage graph is what makes runs resumable: with

@@ -16,7 +16,7 @@ namespace salign::kmer {
 /// (max 1.448, mean 0.72) only fit the negated natural log — which is exactly
 /// Edgar's k-mer *distance* transform d = -ln(0.1 + F) (NAR 2004) that the
 /// paper cites for the rank definition. We therefore implement the negated
-/// form; see EXPERIMENTS.md ("Table 1") for the full justification.
+/// form.
 /// R ranges in [-ln(1.1), -ln(0.1)] ~ [-0.0953, 2.3026]; low rank means
 /// similar-to-everything, high rank means divergent.
 [[nodiscard]] double rank_from_mean_similarity(double mean_similarity);

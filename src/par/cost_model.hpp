@@ -9,10 +9,10 @@ namespace salign::par {
 /// uses the coarse-grained model of [20, 16, 2] — per-message start-up cost
 /// plus unit time per byte — and that is exactly what this struct encodes.
 ///
-/// The model turns the runtime's measured byte counts into wire seconds so
+/// The model turns the pipeline's per-stage byte counts into wire seconds so
 /// that the scalability figures can be reproduced on a machine with fewer
-/// cores than the paper had nodes (see DESIGN.md §2): modeled time =
-/// max over ranks of measured per-rank compute + modeled communication.
+/// cores than the paper had nodes: modeled time = max over ranks of
+/// measured per-rank compute + modeled communication.
 struct ClusterCostModel {
   /// Per-message start-up (software + switch latency). ~50 us is typical
   /// for TCP-over-GigE of that era.
@@ -27,8 +27,8 @@ struct ClusterCostModel {
   }
 
   /// Flat-tree broadcast of `bytes` from one root to p-1 destinations
-  /// (the runtime's broadcast posts p-1 messages; we charge them serially
-  /// at the root's NIC, which is the conservative coarse-grained choice).
+  /// (p-1 point-to-point messages, charged serially at the root's NIC,
+  /// which is the conservative coarse-grained choice).
   [[nodiscard]] double broadcast(std::uint64_t bytes, int p) const {
     return static_cast<double>(p - 1) * p2p(bytes);
   }

@@ -15,6 +15,10 @@ bio::Sequence read_sequence(ByteReader& r) {
   return bio::Sequence(std::move(id), std::move(codes), kind);
 }
 
+std::size_t wire_size(const bio::Sequence& s) {
+  return 1 + 4 + s.id().size() + 4 + s.size();  // kind, id, codes
+}
+
 void write_sequences(ByteWriter& w, std::span<const bio::Sequence> seqs) {
   w.u32(static_cast<std::uint32_t>(seqs.size()));
   for (const auto& s : seqs) write_sequence(w, s);
@@ -27,6 +31,12 @@ std::vector<bio::Sequence> read_sequences(ByteReader& r) {
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_sequence(r));
   return out;
+}
+
+std::size_t wire_size(std::span<const bio::Sequence> seqs) {
+  std::size_t n = 4;  // count
+  for (const auto& s : seqs) n += wire_size(s);
+  return n;
 }
 
 void write_alignment(ByteWriter& w, const msa::Alignment& a) {
@@ -47,6 +57,13 @@ msa::Alignment read_alignment(ByteReader& r) {
     out[i].cells = r.bytes();
   }
   return msa::Alignment(std::move(out), kind);
+}
+
+std::size_t wire_size(const msa::Alignment& a) {
+  std::size_t n = 1 + 4;  // kind, row count
+  for (std::size_t r = 0; r < a.num_rows(); ++r)
+    n += 4 + a.row(r).id.size() + 4 + a.row(r).cells.size();
+  return n;
 }
 
 }  // namespace salign::par

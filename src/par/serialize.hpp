@@ -12,9 +12,9 @@
 
 namespace salign::par {
 
-/// Message payload: a flat byte vector. All inter-rank data crosses this
-/// boundary — ranks never share pointers, mirroring MPI's separate address
-/// spaces (and making the byte counts the cost model charges for exact).
+/// Encoded payload: a flat byte vector. Checkpoint artifacts and cache
+/// entries are stored in this form. The pipeline's modeled messages are
+/// never encoded; their byte counts come from the codecs' wire_size.
 using Bytes = std::vector<std::uint8_t>;
 
 /// Little-endian append-only writer.
@@ -37,19 +37,20 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
-  // resize+memcpy instead of insert(end, b, b+n): GCC 12 at -O2 expands the
-  // iterator-range insert into a copy whose pointer args it flags with a
-  // -Wnonnull false positive, fatal under -Werror.
+  // Zero-fill then memcpy instead of insert(end, b, b+n) or resize(): once
+  // a caller inlines every write, GCC 12 at -O2/-O3 flags the iterator-range
+  // insert with -Wnonnull and resize()'s fill with -Warray-bounds, both
+  // false positives and fatal under -Werror.
   void raw(const void* p, std::size_t n) {
     if (n == 0) return;
     const std::size_t old = buf_.size();
-    buf_.resize(old + n);
+    buf_.insert(buf_.end(), n, std::uint8_t{0});
     std::memcpy(buf_.data() + old, p, n);
   }
   Bytes buf_;
 };
 
-/// Bounds-checked reader over a received payload.
+/// Bounds-checked reader over an encoded payload.
 class ByteReader {
  public:
   /// Non-owning view; the caller keeps `data` alive for the reader's
@@ -57,7 +58,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   /// Owning overload: adopts the payload so that readers constructed
-  /// straight from a temporary — `ByteReader r(comm.recv(...))` — are safe.
+  /// straight from a temporary — `ByteReader r(load_payload())` — are safe.
   /// Without this, the span constructor would bind to the destroyed
   /// temporary (C++20 span's range constructor does not reject rvalues).
   explicit ByteReader(Bytes&& payload)
@@ -144,14 +145,20 @@ class ByteReader {
 };
 
 // ---- Domain-type codecs -------------------------------------------------
+//
+// Each wire_size overload returns the bytes the matching writer appends,
+// without encoding: the pipeline charges its modeled messages this way.
 
 void write_sequence(ByteWriter& w, const bio::Sequence& s);
 [[nodiscard]] bio::Sequence read_sequence(ByteReader& r);
+[[nodiscard]] std::size_t wire_size(const bio::Sequence& s);
 
 void write_sequences(ByteWriter& w, std::span<const bio::Sequence> seqs);
 [[nodiscard]] std::vector<bio::Sequence> read_sequences(ByteReader& r);
+[[nodiscard]] std::size_t wire_size(std::span<const bio::Sequence> seqs);
 
 void write_alignment(ByteWriter& w, const msa::Alignment& a);
 [[nodiscard]] msa::Alignment read_alignment(ByteReader& r);
+[[nodiscard]] std::size_t wire_size(const msa::Alignment& a);
 
 }  // namespace salign::par

@@ -96,7 +96,7 @@ class Budget {
 };
 
 /// The budget of the currently running pipeline, if any. Worker loops
-/// (par::parallel_for chunks, guide-tree merge scheduling) poll this so
+/// (util::parallel_for chunks, guide-tree merge scheduling) poll this so
 /// cancellation crosses thread-pool threads without plumbing a parameter
 /// through every call chain. Null when no budget is active — the common
 /// case, one relaxed atomic load.

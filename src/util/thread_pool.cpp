@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -9,6 +10,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/budget.hpp"
 
 namespace salign::util {
 
@@ -131,6 +134,40 @@ void ThreadPool::run(unsigned extra_workers,
   job->done_cv.wait(job_lock, [&] { return job->started == job->finished; });
   if (caller_error) std::rethrow_exception(caller_error);
   if (job->error) std::rethrow_exception(job->error);
+}
+
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  unsigned threads) {
+  if (n == 0) return;
+  const unsigned workers =
+      std::min<unsigned>(threads == 0 ? 1 : threads,
+                         static_cast<unsigned>(n));
+  if (workers <= 1) {
+    util::poll_budget("parallel_for");
+    fn(0, n);
+    return;
+  }
+  // Chunk geometry is a pure function of (n, workers) — never of how many
+  // pool threads actually show up — so callers that rely on deterministic
+  // chunk boundaries get the same ranges for any pool load. Chunks are
+  // claimed from a shared counter by the caller plus up to workers-1 shared
+  // pool threads; the caller alone finishes the loop when the pool is busy.
+  const std::size_t chunk = (n + workers - 1) / workers;
+  std::atomic<unsigned> next{0};
+  util::ThreadPool::shared().run(workers - 1, [&] {
+    for (unsigned w = next.fetch_add(1, std::memory_order_relaxed);
+         w < workers; w = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t begin = static_cast<std::size_t>(w) * chunk;
+      const std::size_t end = std::min(n, begin + chunk);
+      if (begin >= end) break;
+      // Cooperative cancellation boundary: a deadline/cancel stops workers
+      // before their next chunk; the exception unwinds through the pool's
+      // rethrow path like any worker failure.
+      util::poll_budget("parallel_for chunk");
+      fn(begin, end);
+    }
+  });
 }
 
 unsigned default_threads() {

@@ -53,6 +53,17 @@ class ThreadPool {
   unsigned max_workers_;
 };
 
+/// Static-partition parallel map over [0, n): OpenMP-style worksharing for
+/// intra-rank loops (distance matrices, per-sequence ranking). Runs inline
+/// when threads <= 1 or n is tiny; otherwise draws workers from the shared
+/// util::ThreadPool (no per-call thread spawns), with the calling thread
+/// always participating. Chunk boundaries depend only on (n, threads), so
+/// outputs are deterministic for any pool load. `fn(begin, end)` must be
+/// thread-safe on disjoint ranges.
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  unsigned threads);
+
 /// Default worker count for "auto" thread knobs: the host's hardware
 /// concurrency, capped at kDefaultThreadCap (beyond the cap the in-process
 /// cluster ranks multiply against per-rank threads and memory-bandwidth-

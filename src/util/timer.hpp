@@ -39,11 +39,10 @@ class Stopwatch {
 
 /// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID).
 ///
-/// The cluster runtime oversubscribes host cores with one thread per
-/// simulated rank; wall-clock per-rank timings would be inflated by
-/// scheduler contention. CPU time measures the work a rank actually did,
-/// which is what the cluster cost model charges as "dedicated node" compute
-/// (see DESIGN.md §2).
+/// Simulated ranks run concurrently on shared host cores, so wall-clock
+/// per-rank timings would be inflated by scheduler contention. CPU time
+/// measures the work a rank actually did, which is what the cluster cost
+/// model charges as "dedicated node" compute.
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}

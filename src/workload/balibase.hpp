@@ -13,7 +13,7 @@ namespace salign::workload {
 /// (Thompson, Plewniak & Poch, Bioinformatics 1999). The paper's §5 names
 /// BAliBASE as the next quality benchmark to evaluate on; no public copy is
 /// bundled here, so the generator builds families with the same structural
-/// stress patterns and exact-history references (DESIGN.md §2).
+/// stress patterns and exact-history references.
 enum class BalibaseCategory {
   Equidistant,  ///< RV1x: roughly equidistant sequences, identity ladder
   Orphan,       ///< RV2: one tight family plus up to three distant orphans

@@ -20,10 +20,10 @@ struct PrefabCase {
 ///
 /// PREFAB (Edgar 2004) couples structure-alignment-derived references with
 /// sets of ~20-50 sequences of varying divergence; the paper scores Q on it
-/// (its Table 2). We substitute exact-history references from the evolver
-/// (DESIGN.md §2): sets of 20-30 sequences spanning low to high divergence,
-/// whose true alignments are recorded rather than inferred, so Q orderings
-/// between methods are preserved without annotation noise.
+/// (its Table 2). We substitute exact-history references from the evolver:
+/// sets of 20-30 sequences spanning low to high divergence, whose true
+/// alignments are recorded rather than inferred, so Q orderings between
+/// methods are preserved without annotation noise.
 struct PrefabParams {
   std::size_t num_cases = 24;
   std::size_t min_sequences = 20;

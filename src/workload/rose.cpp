@@ -10,7 +10,7 @@ std::vector<bio::Sequence> rose_sequences(const RoseParams& params) {
   ep.root_length = params.average_length;
   // Calibration: relatedness 800 (the paper's setting) lands the k-mer rank
   // distribution in the paper's regime — mean ~0.9, max ~1.45 (Table 1 /
-  // Fig. 3). See EXPERIMENTS.md, "workload calibration".
+  // Fig. 3).
   ep.mean_branch_distance = params.relatedness / 4500.0;
   ep.indel_rate = 0.02;
   ep.record_reference = false;

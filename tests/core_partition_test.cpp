@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/partition.hpp"
-#include "core/sample_sort.hpp"
 #include "util/rng.hpp"
 
 namespace salign::core {
@@ -112,20 +111,10 @@ TEST(BucketHistogram, CountsAllKeys) {
 
 // ---- the PSRS 2N/p bound (the paper's §3 guarantee) --------------------------------
 
-class PsrsBoundTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PsrsBoundTest, NoBucketExceedsTwiceShare) {
-  const int p = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(p) * 7 + 1);
-  const std::size_t n = 4000;
-  // Distinct keys (the bound's precondition): a shuffled permutation.
-  std::vector<double> keys(n);
-  for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i);
-  for (std::size_t i = n; i > 1; --i)
-    std::swap(keys[i - 1], keys[rng.below(i)]);
-
-  // Emulate the distributed selection: split into p blocks, locally sort,
-  // regular-sample each, pool, choose pivots.
+/// The distributed pivot selection, run sequentially: split the keys into p
+/// blocks, sort each, regular-sample p-1 keys per block, pool, choose.
+std::vector<double> psrs_pivots(const std::vector<double>& keys, int p) {
+  const std::size_t n = keys.size();
   const std::size_t chunk = (n + static_cast<std::size_t>(p) - 1) /
                             static_cast<std::size_t>(p);
   std::vector<double> pooled;
@@ -139,64 +128,68 @@ TEST_P(PsrsBoundTest, NoBucketExceedsTwiceShare) {
         regular_samples(local, static_cast<std::size_t>(p - 1));
     pooled.insert(pooled.end(), samples.begin(), samples.end());
   }
-  const auto pivots = choose_pivots(std::move(pooled), p);
+  return choose_pivots(std::move(pooled), p);
+}
+
+/// Distinct keys (the 2N/p bound's precondition): a shuffled permutation.
+std::vector<double> distinct_keys(int p) {
+  util::Rng rng(static_cast<std::uint64_t>(p) * 7 + 1);
+  const std::size_t n = 4000;
+  std::vector<double> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<double>(i);
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  return keys;
+}
+
+/// Heavy skew: 80% of the keys share one value.
+std::vector<double> duplicate_heavy_keys() {
+  util::Rng rng(99);
+  std::vector<double> keys;
+  for (int i = 0; i < 2000; ++i)
+    keys.push_back(rng.chance(0.8) ? 7.0 : rng.uniform(0, 100));
+  return keys;
+}
+
+class PsrsBoundTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PsrsBoundTest, NoBucketExceedsTwiceShare) {
+  const int p = GetParam();
+  const std::vector<double> keys = distinct_keys(p);
+  const auto pivots = psrs_pivots(keys, p);
   const auto hist = bucket_histogram(keys, pivots);
   ASSERT_EQ(hist.size(), static_cast<std::size_t>(p));
-  const double share = static_cast<double>(n) / p;
+  const double share = static_cast<double>(keys.size()) / p;
   for (std::size_t b = 0; b < hist.size(); ++b)
     EXPECT_LE(static_cast<double>(hist[b]), 2.0 * share + 1.0)
         << "bucket " << b << " with p=" << p;
 }
 
-INSTANTIATE_TEST_SUITE_P(Ps, PsrsBoundTest, ::testing::Values(2, 4, 8, 16));
-
-// ---- parallel sample sort ------------------------------------------------------------
-
-class SampleSortTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SampleSortTest, EqualsStdSortOnRandomData) {
+TEST_P(PsrsBoundTest, BucketsAreOrderedAndCoverEveryKey) {
   const int p = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(p) * 13 + 5);
-  std::vector<double> data(3000);
-  for (auto& x : data) x = rng.uniform(-100, 100);
-  std::vector<double> expect = data;
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(parallel_sample_sort(std::move(data), p), expect);
+  for (const std::vector<double>& keys :
+       {distinct_keys(p), duplicate_heavy_keys()}) {
+    const auto pivots = psrs_pivots(keys, p);
+    std::vector<std::vector<double>> buckets(static_cast<std::size_t>(p));
+    for (double k : keys) buckets.at(bucket_of(k, pivots)).push_back(k);
+    // Every key in bucket b is <= every key in any later bucket, so the
+    // sorted buckets concatenate to the sorted input.
+    std::vector<double> joined;
+    for (auto& bucket : buckets) {
+      std::sort(bucket.begin(), bucket.end());
+      if (!joined.empty() && !bucket.empty()) {
+        EXPECT_LE(joined.back(), bucket.front()) << "p=" << p;
+      }
+      joined.insert(joined.end(), bucket.begin(), bucket.end());
+    }
+    std::vector<double> expect = keys;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(joined, expect) << "p=" << p;
+  }
 }
 
-TEST_P(SampleSortTest, HandlesDuplicatesAndSkew) {
-  const int p = GetParam();
-  util::Rng rng(99);
-  std::vector<double> data;
-  // Heavy skew: 80% of keys identical.
-  for (int i = 0; i < 2000; ++i)
-    data.push_back(rng.chance(0.8) ? 7.0 : rng.uniform(0, 100));
-  std::vector<double> expect = data;
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(parallel_sample_sort(std::move(data), p), expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ps, SampleSortTest, ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(SampleSort, TinyInputs) {
-  EXPECT_TRUE(parallel_sample_sort({}, 4).empty());
-  EXPECT_EQ(parallel_sample_sort({3.0}, 4), (std::vector<double>{3.0}));
-  EXPECT_EQ(parallel_sample_sort({2.0, 1.0}, 8),
-            (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(SampleSort, AlreadySortedAndReversed) {
-  std::vector<double> asc(500);
-  for (std::size_t i = 0; i < asc.size(); ++i)
-    asc[i] = static_cast<double>(i);
-  std::vector<double> desc(asc.rbegin(), asc.rend());
-  EXPECT_EQ(parallel_sample_sort(desc, 4), asc);
-  EXPECT_EQ(parallel_sample_sort(asc, 4), asc);
-}
-
-TEST(SampleSort, InvalidPThrows) {
-  EXPECT_THROW((void)parallel_sample_sort({1.0}, 0), std::invalid_argument);
-}
+INSTANTIATE_TEST_SUITE_P(Ps, PsrsBoundTest,
+                         ::testing::Values(2, 3, 4, 8, 16));
 
 }  // namespace
 }  // namespace salign::core

@@ -24,7 +24,6 @@
 #include "msa/progressive.hpp"
 #include "msa/tcoffee_like.hpp"
 #include "msa/tree_schedule.hpp"
-#include "par/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/rose.hpp"
@@ -57,7 +56,7 @@ std::string fingerprint(const Alignment& a) {
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   for (unsigned threads : {1U, 2U, 3U, 8U, 64U}) {
     std::vector<std::atomic<int>> hits(1000);
-    par::parallel_for(
+    util::parallel_for(
         hits.size(),
         [&](std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) ++hits[i];
@@ -69,11 +68,11 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 
 TEST(ThreadPool, NestedParallelForCompletes) {
   std::atomic<int> total{0};
-  par::parallel_for(
+  util::parallel_for(
       8,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i)
-          par::parallel_for(
+          util::parallel_for(
               16, [&](std::size_t b2, std::size_t e2) {
                 total += static_cast<int>(e2 - b2);
               },

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
 #include <thread>
@@ -460,6 +461,30 @@ TEST(DefaultThreads, NeverReturnsZero) {
   EXPECT_LE(default_threads(), kDefaultThreadCap);
   EXPECT_EQ(default_threads(),
             default_threads_for(std::thread::hardware_concurrency()));
+}
+
+// ---- parallel_for ------------------------------------------------------------
+
+TEST(ParallelFor, CoversAllIndicesOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for(1000, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  }, 4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ZeroItemsNoCall) {
+  bool called = false;
+  parallel_for(0, [&](std::size_t, std::size_t) { called = true; }, 4);
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelFor, SingleThreadRunsInline) {
+  std::vector<int> hits(10, 0);
+  parallel_for(10, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) ++hits[i];
+  }, 1);
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 // ---- clamp_trace_cells ------------------------------------------------------

@@ -353,9 +353,8 @@ class Linter {
 
   void check_exit_codes() {
     static const std::regex nonzero_return(R"(\breturn\s+([1-9][0-9]*)\s*;)");
-    // Qualified forms only: a bare `abort(` is usually a member function
-    // (par::MessageBoard::abort), and this codebase std::-qualifies libc
-    // calls everywhere.
+    // Qualified forms only: a bare `abort(` may be a member function, and
+    // this codebase std::-qualifies libc calls everywhere.
     static const std::regex raw_exit(
         R"(std::(exit|abort|_Exit|quick_exit)\s*\()");
     for (const auto& f : files_) {
