@@ -67,6 +67,29 @@ void BM_KmerRankCentralized(benchmark::State& state) {
 }
 BENCHMARK(BM_KmerRankCentralized)->Arg(32)->Arg(64)->Arg(128)->Complexity();
 
+// The stage-1 k-mer distance matrix of a 1000x300 rose family at 1 and 4
+// workers. pairs_per_second is computed against wall time measured here
+// (rate counters divide by the bench thread's CPU time, which is blind to
+// pool workers), so the /1-vs-/4 ratio is the pair-chunking speedup.
+void BM_KmerDistanceMatrix(benchmark::State& state) {
+  const auto seqs = seqs_cache(1000, 300);
+  const auto threads = static_cast<unsigned>(state.range(0));
+  const double pairs =
+      static_cast<double>(seqs.size() * (seqs.size() - 1) / 2);
+  double wall = 0.0;
+  for (auto _ : state) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(kmer::distance_matrix(seqs, {}, threads));
+    wall += watch.seconds();
+  }
+  state.counters["pairs_per_second"] =
+      wall > 0.0 ? static_cast<double>(state.iterations()) * pairs / wall
+                 : 0.0;
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_KmerDistanceMatrix)->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 /// Reports DP throughput for a pairwise kernel: google-benchmark divides the
 /// accumulated cell count by elapsed time, so BENCH JSON entries carry a
 /// directly comparable "cells_per_second" figure.

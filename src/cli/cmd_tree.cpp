@@ -37,7 +37,7 @@ ArgParser make_parser() {
   p.option("k", "len", "0",
            "k-mer length for --dist kmer (0 = library default)");
   p.option("threads", "n", "1",
-           "worker threads of the kimura/score distance pass "
+           "worker threads of the distance pass "
            "(0 = auto: hardware concurrency, capped)");
   p.option("out", "file", "", "write the Newick string here instead of stdout");
   p.flag("weights", "also print CLUSTALW-style leaf weights");
@@ -80,7 +80,7 @@ int run_tree(std::span<const std::string> args, std::ostream& out,
       kmer::KmerParams kp;
       const auto k = static_cast<std::size_t>(p.get_int("k", 0, 32));
       if (k > 0) kp.k = k;
-      d = kmer::distance_matrix(seqs, kp);
+      d = kmer::distance_matrix(seqs, kp, threads);
     } else {
       const bio::SubstitutionMatrix& m = bio::SubstitutionMatrix::blosum62();
       const bio::GapPenalties gaps = m.default_gaps();

@@ -504,6 +504,14 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     for (const RankedRef& ref : part) out.push_back(seqs[ref.index]);
     return out;
   };
+  const auto profiles_of = [&](const std::vector<RankedRef>& part) {
+    std::vector<kmer::KmerProfile> out;
+    out.reserve(part.size());
+    for (const RankedRef& ref : part)
+      out.push_back(kmer::KmerProfile::from_sequence(seqs[ref.index],
+                                                     config_.kmer));
+    return out;
+  };
   const auto seqs_of_indices = [&](const std::vector<std::uint64_t>& idx) {
     std::vector<Sequence> out;
     out.reserve(idx.size());
@@ -533,8 +541,8 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         RankedPartition out = blocks;
         for_each_rank(rs, kLocalRank, p, [&](int r) {
           auto& part = out[static_cast<std::size_t>(r)];
-          const std::vector<double> ranks =
-              kmer::centralized_ranks(seqs_of(part), config_.kmer);
+          const std::vector<kmer::KmerProfile> prof = profiles_of(part);
+          const std::vector<double> ranks = kmer::ranks_against(prof, prof);
           for (std::size_t i = 0; i < part.size(); ++i)
             part[i].rank = ranks[i];
         });
@@ -601,15 +609,16 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "global-rank", 6,
         [&] {
           RankedPartition out = cur;
+          // Every rank holds the same k*p samples, so their profiles are
+          // built once and shared read-only.
+          const std::vector<kmer::KmerProfile> ref =
+              kmer::build_profiles(samples, config_.kmer);
           for_each_rank(rs, kGlobalRank, p, [&](int r) {
-            const std::vector<kmer::KmerProfile> ref =
-                kmer::build_profiles(samples, config_.kmer);
-            for (RankedRef& item : out[static_cast<std::size_t>(r)]) {
-              const kmer::KmerProfile prof = kmer::KmerProfile::from_sequence(
-                  seqs[item.index], config_.kmer);
-              item.rank = kmer::rank_from_mean_similarity(
-                  kmer::mean_similarity(prof, ref));
-            }
+            auto& part = out[static_cast<std::size_t>(r)];
+            const std::vector<double> ranks =
+                kmer::ranks_against(profiles_of(part), ref);
+            for (std::size_t i = 0; i < part.size(); ++i)
+              part[i].rank = ranks[i];
           });
           return out;
         },

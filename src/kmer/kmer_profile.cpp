@@ -8,16 +8,12 @@ namespace salign::kmer {
 
 namespace {
 
-/// One-level dense count tables are used while the packed k-mer space fits
-/// in this many slots (256 Ki ids = 1 MiB of scratch).
-constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
-
-/// Larger spaces count through a two-level table: a top-level directory of
-/// block handles over lazily-assigned blocks of 2^kBlockBits counts. Only
-/// blocks that actually receive a k-mer are allocated (at most one per
-/// window), so uncompressed amino-acid spaces up to 2^32 ids cost a few
-/// megabytes of persistent directory plus O(windows) block scratch instead
-/// of the sort fallback's O(W log W) time.
+/// Spaces past kDenseTableLimit count through a two-level table: a
+/// top-level directory of block handles over lazily-assigned blocks of
+/// 2^kBlockBits counts. Only blocks that actually receive a k-mer are
+/// allocated (at most one per window), so uncompressed amino-acid spaces
+/// up to 2^32 ids cost a few megabytes of persistent directory plus
+/// O(windows) block scratch instead of the sort fallback's O(W log W) time.
 constexpr int kBlockBits = 12;  // 4096 counts (16 KiB) per block
 
 /// Two-level scratch: persists thread-locally across calls like the
@@ -117,6 +113,7 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
   }
 
   KmerProfile p;
+  p.id_space_ = space;
   p.length_ = seq.size();
   p.k_ = params.k;
   if (seq.size() < k) return p;
@@ -203,14 +200,7 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
   return p;
 }
 
-// Cache-line aligned: the merge loop below is the hot loop of the serial
-// k-mer distance matrix, and its speed depends on its offset within 32-byte
-// instruction-fetch windows. On a 4-vCPU Xeon host (rose N=1000, L=300) it
-// ran 15-20% slower starting 16 or 48 bytes past a 64-byte boundary than at
-// 0 or 32; pinning the alignment keeps that speed independent of how much
-// unrelated code the linker places before it.
-[[gnu::aligned(64)]] double KmerProfile::similarity(
-    const KmerProfile& other) const {
+double KmerProfile::similarity(const KmerProfile& other) const {
   if (k_ != other.k_)
     throw std::invalid_argument("KmerProfile: mismatched k");
   const std::size_t min_len = std::min(length_, other.length_);

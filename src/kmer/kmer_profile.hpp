@@ -29,6 +29,13 @@ struct KmerParams {
 /// into a dense table instead of being sorted.
 [[nodiscard]] int packed_kmer_bits(const bio::Alphabet& alpha);
 
+/// k-mer id spaces of at most this many ids (256 Ki = 1 MiB of uint32
+/// slots) count and score through one-level dense tables indexed by id:
+/// every default fits (compressed amino k = 4 is 2^16 ids, DNA k <= 9).
+/// Larger spaces count through a two-level table or a sort and score
+/// through KmerProfile::similarity's sorted merge.
+inline constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
+
 /// How from_sequence turns the rolled k-mer id stream into sorted counts.
 /// kAuto picks kDense (one-level table for small id spaces, a two-level
 /// lazily-allocated block table for large ones); kSort is the O(W log W)
@@ -51,12 +58,17 @@ class KmerProfile {
                                    KmerCountMode mode = KmerCountMode::kAuto);
 
   /// Fraction of common k-mers r(x, y) in [0, 1]. Sequences shorter than k
-  /// yield 0 (no shared k-mer evidence).
+  /// yield 0 (no shared k-mer evidence). A sorted merge of the two count
+  /// vectors: the single-pair API, and the oracle of the batched dense
+  /// kernel behind kmer_rank.hpp's set-level scores.
   [[nodiscard]] double similarity(const KmerProfile& other) const;
 
   /// Residue length of the originating sequence.
   [[nodiscard]] std::size_t length() const { return length_; }
   [[nodiscard]] int k() const { return k_; }
+  /// Size of the id space the counts are drawn from (2^(bits*k) for
+  /// bit-packed ids, |alphabet|^k for base-N ids); every id is below it.
+  [[nodiscard]] std::uint64_t id_space() const { return id_space_; }
   /// Number of distinct k-mers.
   [[nodiscard]] std::size_t distinct() const { return counts_.size(); }
   [[nodiscard]] std::span<const std::pair<std::uint32_t, std::uint32_t>>
@@ -66,6 +78,7 @@ class KmerProfile {
 
  private:
   std::vector<std::pair<std::uint32_t, std::uint32_t>> counts_;
+  std::uint64_t id_space_ = 0;
   std::size_t length_ = 0;
   int k_ = 0;
 };

@@ -39,14 +39,21 @@ namespace salign::kmer {
     std::span<const bio::Sequence> seqs,
     std::span<const bio::Sequence> samples, const KmerParams& params);
 
-/// Same, but with pre-built profiles (the pipeline reuses profiles across
-/// phases to avoid recounting).
+/// Same, but with pre-built profiles (the pipeline builds the sample
+/// profiles once for every rank). Element i is
+/// rank_from_mean_similarity(mean_similarity(seqs[i], refs)), bit for bit:
+/// each seqs[i] is scattered once into a dense k-mer table and every ref
+/// probes it, summed in ref order.
 [[nodiscard]] std::vector<double> ranks_against(
     std::span<const KmerProfile> seqs, std::span<const KmerProfile> refs);
 
-/// Pairwise k-mer distance matrix d = 1 - r, the guide-tree input used by
-/// the MUSCLE-style aligner's first iteration.
+/// Pairwise k-mer distance matrix d = 1 - r, the guide-tree input of the
+/// MUSCLE- and MAFFT-style aligners' first iteration. Pairs are scored by
+/// the same dense-table kernel as ranks_against and split evenly over
+/// `threads` workers (util::parallel_for); every entry equals
+/// 1 - KmerProfile::similarity bit for bit, for any thread count.
 [[nodiscard]] util::SymmetricMatrix<double> distance_matrix(
-    std::span<const bio::Sequence> seqs, const KmerParams& params);
+    std::span<const bio::Sequence> seqs, const KmerParams& params,
+    unsigned threads = 1);
 
 }  // namespace salign::kmer

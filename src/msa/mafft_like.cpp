@@ -107,7 +107,7 @@ Alignment MafftAligner::align(std::span<const bio::Sequence> seqs) const {
   if (seqs.size() == 1) return Alignment::from_sequence(seqs[0]);
 
   const util::SymmetricMatrix<double> kd =
-      kmer::distance_matrix(seqs, options_.kmer);
+      kmer::distance_matrix(seqs, options_.kmer, options_.threads);
   const GuideTree tree = GuideTree::upgma(kd);
 
   ProgressiveOptions po;

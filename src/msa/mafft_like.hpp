@@ -22,9 +22,10 @@ struct MafftOptions {
   /// k-mer distance parameters of the guide-tree stage (MAFFT counts
   /// 6-mers; on our compressed alphabet k = 4 gives a comparable space).
   kmer::KmerParams kmer{};
-  /// Worker threads of the progressive merge schedule (1 = serial; the FFT
-  /// band provider is pure, so concurrent merges are safe). Any value
-  /// produces bit-identical alignments.
+  /// Worker threads (1 = serial) of the k-mer distance pass and the
+  /// progressive merge schedule (the FFT band provider is pure, so
+  /// concurrent merges are safe). Any value produces bit-identical
+  /// alignments.
   unsigned threads = 1;
 };
 

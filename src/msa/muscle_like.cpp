@@ -181,7 +181,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
           return align::score_distance_matrix(seqs, *matrix_,
                                               matrix_->default_gaps(), sdo);
         }
-        return kmer::distance_matrix(seqs, options_.kmer);
+        return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
       },
       write_distance_matrix, read_distance_matrix);
   GuideTree tree =

@@ -31,9 +31,9 @@ struct MuscleOptions {
   /// The paper's large-N timings quote MUSCLE "without refinement", so the
   /// pipeline default keeps this at 0 and the quality benches turn it on.
   int refine_passes = 0;
-  /// Worker threads (1 = serial) of every parallel pass: the stage-1 score
-  /// distances (kScore mode), the stage-2 induced-Kimura distance matrix,
-  /// and both progressive merge schedules. Any value produces bit-identical
+  /// Worker threads (1 = serial) of every parallel pass: the stage-1 k-mer
+  /// or score distances, the stage-2 induced-Kimura distance matrix, and
+  /// both progressive merge schedules. Any value produces bit-identical
   /// alignments.
   unsigned threads = 1;
   /// Serve/store per-phase artifacts (distance matrices, guide trees, both

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "kmer/kmer_profile.hpp"
@@ -321,6 +322,130 @@ TEST(KmerDistanceMatrix, RelatedCloserThanUnrelated) {
       Sequence("c", "WYVTSRQPNMLKIHGFEDCA")};  // reversed
   const auto d = distance_matrix(seqs, KmerParams{2, false});
   EXPECT_LT(d(0, 1), d(0, 2));
+}
+
+// ---- dense scoring kernel vs the sorted merge -------------------------------------
+//
+// distance_matrix and the rank functions score through a dense-table kernel
+// (or the merge, for id spaces past kDenseTableLimit). Their doubles must be
+// bit-identical to nested loops over the single-pair merge, for every
+// thread count, alphabet and id encoding.
+
+struct KernelCase {
+  const char* name;
+  bio::AlphabetKind kind;
+  KmerParams params;
+};
+
+const KernelCase kKernelCases[] = {
+    {"dna k=6", bio::AlphabetKind::Dna, KmerParams{6, false}},
+    {"dna k=9 (table at the limit)", bio::AlphabetKind::Dna,
+     KmerParams{9, false}},
+    {"compressed amino k=4", bio::AlphabetKind::AminoAcid, KmerParams{}},
+    {"amino k=2", bio::AlphabetKind::AminoAcid, uncompressed(2)},
+    {"amino k=5 (merge)", bio::AlphabetKind::AminoAcid, uncompressed(5)},
+    {"amino k=7 (base-N ids, merge)", bio::AlphabetKind::AminoAcid,
+     uncompressed(7)},
+};
+
+// n seeded sequences: mutated copies of one ancestor (so pairs share
+// k-mers, with scattered wildcards), plus some shorter than k and some
+// made of wildcards only.
+std::vector<Sequence> kernel_set(bio::AlphabetKind kind, int k, std::size_t n,
+                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  const bio::Alphabet& alpha = bio::Alphabet::get(kind);
+  const auto letters = static_cast<std::uint64_t>(alpha.letters());
+  const auto uk = static_cast<std::uint64_t>(k);
+  std::vector<std::uint8_t> ancestor(40 + rng.below(80));
+  for (auto& c : ancestor) c = static_cast<std::uint8_t>(rng.below(letters));
+  std::vector<Sequence> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint8_t> codes;
+    if (i % 7 == 3) {
+      codes.resize(rng.below(uk));  // shorter than k, possibly empty
+      for (auto& c : codes) c = static_cast<std::uint8_t>(rng.below(letters));
+    } else if (i % 7 == 5) {
+      codes.assign(uk + rng.below(12), alpha.wildcard());
+    } else {
+      codes.assign(ancestor.begin(),
+                   ancestor.end() - static_cast<std::ptrdiff_t>(rng.below(20)));
+      for (auto& c : codes) {
+        const std::uint64_t roll = rng.below(100);
+        if (roll < 15) c = static_cast<std::uint8_t>(rng.below(letters));
+        else if (roll < 17) c = alpha.wildcard();
+      }
+    }
+    out.emplace_back("s", std::move(codes), kind);
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+std::vector<double> merge_ranks(std::span<const KmerProfile> seqs,
+                                std::span<const KmerProfile> refs) {
+  std::vector<double> out;
+  for (const KmerProfile& x : seqs)
+    out.push_back(rank_from_mean_similarity(mean_similarity(x, refs)));
+  return out;
+}
+
+TEST(KmerDenseKernel, MatchesMergeBitForBit) {
+  std::uint64_t seed = 0xD15;
+  for (const KernelCase& c : kKernelCases) {
+    for (const std::size_t n : {0, 1, 2, 3, 37}) {
+      const std::vector<Sequence> seqs =
+          kernel_set(c.kind, c.params.k, n, ++seed);
+      const std::vector<KmerProfile> prof = build_profiles(seqs, c.params);
+
+      // Lower triangle, diagonal included, row by row.
+      std::vector<double> want;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j)
+          want.push_back(1.0 - prof[i].similarity(prof[j]));
+        want.push_back(0.0);
+      }
+      for (const unsigned threads : {1U, 2U, 3U, 4U, 7U}) {
+        const auto d = distance_matrix(seqs, c.params, threads);
+        ASSERT_EQ(d.size(), n);
+        std::vector<double> got;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j <= i; ++j) got.push_back(d(i, j));
+        EXPECT_TRUE(same_bits(got, want))
+            << c.name << " n=" << n << " threads=" << threads;
+      }
+
+      // Every third sequence as the sample (empty for n = 0).
+      std::vector<Sequence> samples;
+      std::vector<KmerProfile> sample_prof;
+      for (std::size_t i = 0; i < n; i += 3) {
+        samples.push_back(seqs[i]);
+        sample_prof.push_back(prof[i]);
+      }
+      EXPECT_TRUE(same_bits(centralized_ranks(seqs, c.params),
+                            merge_ranks(prof, prof)))
+          << c.name << " n=" << n;
+      EXPECT_TRUE(same_bits(globalized_ranks(seqs, samples, c.params),
+                            merge_ranks(prof, sample_prof)))
+          << c.name << " n=" << n;
+      EXPECT_TRUE(same_bits(ranks_against(prof, {}), merge_ranks(prof, {})))
+          << c.name << " n=" << n;
+    }
+  }
+}
+
+TEST(KmerDenseKernel, MismatchedKThrows) {
+  const Sequence s("s", "ACDEFGHIKL");
+  const std::vector<KmerProfile> k3{
+      KmerProfile::from_sequence(s, uncompressed(3))};
+  const std::vector<KmerProfile> k4{
+      KmerProfile::from_sequence(s, uncompressed(4))};
+  EXPECT_THROW((void)ranks_against(k3, k4), std::invalid_argument);
 }
 
 }  // namespace
