@@ -108,6 +108,10 @@ const GoldenRow kGolden[] = {
      "cc9608706cca37e8de9d4cdb27d00b9a", ""},
     {"probcons_p4", "probcons", 4, kG, true, false,
      "e81f0fe67465713bba3dbabcad93103c", "3:4998/1302 6:84/28 8:84/84 10:4804/1584 13:392/143 15:438/438 17:5450/2237"},
+    {"minimuscle_p1", "", 1, kG, true, false,
+     "c275311687041d408b5ea2071927804d", ""},
+    {"minimuscle_p1_polish", "", 1, kG, true, true,
+     "d4eca4c2b15b325145763f585101efc2", ""},
     {"minimuscle_p2_global_ancestor", "", 2, kG, true, false,
      "7d0e51968de598952b504e54d009e744", "3:270/138 6:12/12 8:12/12 10:2156/1704 13:144/144 15:157/157 17:1966/1966"},
     {"minimuscle_p2_global_blockdiag", "", 2, kG, false, false,
