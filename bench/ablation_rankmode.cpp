@@ -93,8 +93,7 @@ int main() {
       const msa::Alignment a = core::SampleAlignD(cfg).align(w.seqs, &stats);
       std::uint64_t exchange_bytes = 0;
       for (const auto& s : stats.stages)
-        if (s.name == std::string("sample exchange"))
-          exchange_bytes = s.total_bytes;
+        if (s.name == "sample-exchange") exchange_bytes = s.total_bytes();
       t.add_row({w.name,
                  mode == core::RankMode::Globalized ? "globalized (paper)"
                                                     : "local-only [34]",

@@ -20,10 +20,18 @@ double StageStats::max_wall_seconds() const {
   return m;
 }
 
-double StageStats::comm_seconds(const par::ClusterCostModel& model,
-                                int p) const {
+const char* pattern_name(CommPattern pattern) {
   switch (pattern) {
-    case CommPattern::None: return 0.0;
+    case CommPattern::Gather: return "gather";
+    case CommPattern::Broadcast: return "broadcast";
+    case CommPattern::AllGather: return "allgather";
+    case CommPattern::AllToAll: return "alltoall";
+  }
+  return "?";
+}
+
+double CommLeg::seconds(const par::ClusterCostModel& model, int p) const {
+  switch (pattern) {
     case CommPattern::Gather: return model.gather(max_bytes_per_rank, p);
     case CommPattern::Broadcast: return model.broadcast(max_bytes_per_rank, p);
     case CommPattern::AllGather:
@@ -35,16 +43,29 @@ double StageStats::comm_seconds(const par::ClusterCostModel& model,
   return 0.0;
 }
 
-std::uint64_t PipelineStats::total_bytes() const {
+std::uint64_t StageStats::total_bytes() const {
   std::uint64_t t = 0;
-  for (const auto& s : stages) t += s.total_bytes;
+  for (const CommLeg& leg : legs) t += leg.total_bytes;
   return t;
 }
 
-double PipelineStats::total_compute_seconds() const {
+double StageStats::comm_seconds(const par::ClusterCostModel& model,
+                                int p) const {
   double t = 0.0;
-  for (const auto& s : stages) t += s.max_seconds();
+  for (const CommLeg& leg : legs) t += leg.seconds(model, p);
   return t;
+}
+
+std::uint64_t PipelineStats::total_bytes() const {
+  std::uint64_t t = 0;
+  for (const auto& s : stages) t += s.total_bytes();
+  return t;
+}
+
+std::uint64_t PipelineStats::resumed_stages() const {
+  std::uint64_t n = 0;
+  for (const auto& s : stages) n += s.resumed ? 1 : 0;
+  return n;
 }
 
 double PipelineStats::modeled_seconds(const par::ClusterCostModel& model) const {
@@ -65,34 +86,39 @@ double PipelineStats::load_factor() const {
 
 std::string PipelineStats::summary() const {
   const par::ClusterCostModel model;
-  util::Table table(
-      {"stage", "max rank s", "max wall s", "comm s (model)", "bytes"});
+  util::Table table({"stage", "step", "source", "artifact B", "stage s",
+                     "max rank s", "max wall s", "legs (total/max B)",
+                     "comm s (model)"});
   for (const auto& s : stages) {
-    table.add_row({s.name, util::fmt("%.4f", s.max_seconds()),
+    std::string legs;
+    for (const CommLeg& leg : s.legs) {
+      if (!legs.empty()) legs += ' ';
+      legs += std::string(pattern_name(leg.pattern)) + ' ' +
+              std::to_string(leg.total_bytes) + '/' +
+              std::to_string(leg.max_bytes_per_rank);
+    }
+    table.add_row({s.name,
+                   s.paper_step > 0 ? std::to_string(s.paper_step) : "-",
+                   s.resumed ? "resumed" : "computed",
+                   std::to_string(s.artifact_bytes),
+                   util::fmt("%.4f", s.seconds),
+                   util::fmt("%.4f", s.max_seconds()),
                    util::fmt("%.4f", s.max_wall_seconds()),
-                   util::fmt("%.6f", s.comm_seconds(model, num_procs)),
-                   std::to_string(s.total_bytes)});
+                   legs.empty() ? "-" : legs,
+                   util::fmt("%.6f", s.comm_seconds(model, num_procs))});
   }
   std::ostringstream os;
   os << "Sample-Align-D pipeline: N=" << num_sequences << " p=" << num_procs
      << " threads/rank=" << threads << '\n'
-     << table.to_string() << "buckets:";
+     << table.to_string() << resumed_stages() << " of " << stages.size()
+     << " stages resumed from checkpoint\n"
+     << "buckets:";
   for (std::size_t b : bucket_sizes) os << ' ' << b;
   os << "  (load factor " << util::fmt("%.2f", load_factor()) << ", bound 2.0)"
      << '\n'
      << "wall " << util::fmt("%.3f", wall_seconds) << " s; modeled cluster "
      << util::fmt("%.3f", modeled_seconds(model)) << " s; total "
      << total_bytes() << " bytes on the wire\n";
-  if (!artifacts.empty()) {
-    util::Table art({"stage artifact", "step", "bytes", "source", "s"});
-    for (const auto& a : artifacts) {
-      art.add_row({a.name, a.paper_step > 0 ? std::to_string(a.paper_step) : "-",
-                   std::to_string(a.bytes), a.resumed ? "resumed" : "computed",
-                   util::fmt("%.4f", a.seconds)});
-    }
-    os << art.to_string() << resumed_stages << " of " << artifacts.size()
-       << " stages resumed from checkpoint\n";
-  }
   if (!aligner_phases.empty()) {
     util::Table ph({"aligner phase", "wall s", "runs", "cache hits"});
     for (const auto& a : aligner_phases) {

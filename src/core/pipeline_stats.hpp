@@ -8,22 +8,42 @@
 
 namespace salign::core {
 
-/// Communication pattern of a pipeline stage (drives the cost model).
+/// Collective pattern of one communication leg (drives the cost model).
 enum class CommPattern : std::uint8_t {
-  None,       ///< pure computation
   Gather,     ///< all ranks -> root
   Broadcast,  ///< root -> all ranks
   AllGather,  ///< all ranks -> all ranks (same payload)
   AllToAll,   ///< personalized exchange
 };
 
-/// Timing/volume record of one pipeline stage.
+/// Lower-case name of a pattern ("gather", "broadcast", "allgather",
+/// "alltoall"), as --stats prints it.
+[[nodiscard]] const char* pattern_name(CommPattern pattern);
+
+/// One collective a stage performs, with the bytes it puts on the wire.
+struct CommLeg {
+  CommPattern pattern = CommPattern::Gather;
+  std::uint64_t total_bytes = 0;         ///< sent by all ranks
+  std::uint64_t max_bytes_per_rank = 0;  ///< sent by the busiest rank
+
+  /// Modeled wire time of this leg on the given interconnect.
+  [[nodiscard]] double seconds(const par::ClusterCostModel& model,
+                               int p) const;
+};
+
+/// One stage the StageRunner ran or resumed: its artifact provenance, the
+/// time its ranks computed and the messages they sent.
 struct StageStats {
-  std::string name;
-  CommPattern pattern = CommPattern::None;
+  std::string name;   ///< the runner's stage name ("local-rank", ...)
+  int paper_step = 0; ///< first of the paper's steps 1-15 covered (0: polish)
+  std::uint64_t artifact_bytes = 0;  ///< serialized artifact size
+  bool resumed = false;  ///< loaded from the checkpoint, not computed
+  double seconds = 0.0;  ///< wall time to compute (or load) the artifact
   /// Per-rank CPU seconds the rank's own thread spent computing in this
-  /// stage (shared-pool workers a threaded stage borrows are not included —
-  /// wall time below is what shows their effect).
+  /// stage, summed over the stage's segments; root-only segments charge
+  /// rank 0. Shared-pool workers a threaded stage borrows are not included
+  /// — wall time below is what shows their effect. A single-rank run
+  /// charges wall seconds here. All zero when the stage was resumed.
   std::vector<double> rank_seconds;
   /// Per-rank wall-clock seconds of the stage. For compute stages run with
   /// SampleAlignDConfig::threads > 1 this is what shrinks; the per-stage
@@ -31,36 +51,17 @@ struct StageStats {
   /// seconds between a threads=1 and a threads=t run of the same input
   /// (PipelineStats::threads records which one this is).
   std::vector<double> rank_wall_seconds;
-  /// Communication volume: max bytes sent by any rank in this stage.
-  std::uint64_t max_bytes_per_rank = 0;
-  /// Total bytes sent by all ranks in this stage.
-  std::uint64_t total_bytes = 0;
+  /// The stage's collectives in the order it performed them (none when the
+  /// stage only computes, or was resumed).
+  std::vector<CommLeg> legs;
 
   [[nodiscard]] double max_seconds() const;
   [[nodiscard]] double max_wall_seconds() const;
-
-  /// Modeled wire time of this stage's communication on the given
-  /// interconnect.
+  /// Bytes all legs of this stage put on the wire.
+  [[nodiscard]] std::uint64_t total_bytes() const;
+  /// Modeled wire time of all legs of this stage.
   [[nodiscard]] double comm_seconds(const par::ClusterCostModel& model,
                                     int p) const;
-};
-
-/// End-to-end instrumentation of one pipeline run.
-///
-/// Two notions of time are reported:
-///  - wall_seconds: host wall-clock of the run (threads oversubscribe the
-///    host's cores, so this undersells large p on small machines);
-///  - modeled_seconds(): per-stage max rank CPU time + modeled wire time,
-///    i.e. the makespan on a dedicated p-node cluster — the quantity the
-///    paper's Figs. 4-6 plot.
-/// Checkpoint/cache provenance of one stage artifact (mirrors the
-/// stage::ArtifactRecord the run produced, without the digests).
-struct StageArtifactStats {
-  std::string name;
-  int paper_step = 0;
-  std::uint64_t bytes = 0;   ///< serialized artifact size
-  bool resumed = false;      ///< loaded from the checkpoint, not computed
-  double seconds = 0.0;      ///< wall time to compute (or load) it
 };
 
 /// One sequential-aligner phase aggregated across all buckets of the run.
@@ -71,6 +72,16 @@ struct AlignerPhaseSummary {
   std::uint64_t cache_hits = 0;
 };
 
+/// End-to-end instrumentation of one pipeline run: one row per stage the
+/// StageRunner ran or resumed, in execution order.
+///
+/// Two notions of time are reported:
+///  - wall_seconds: host wall-clock of the run (threads oversubscribe the
+///    host's cores, so this undersells large p on small machines);
+///  - modeled_seconds(): the sum over stages of the slowest rank's compute
+///    seconds plus the modeled wire time of the stage's legs, i.e. the
+///    makespan on a dedicated p-node cluster — the quantity the paper's
+///    Figs. 4-6 plot.
 struct PipelineStats {
   int num_procs = 0;
   /// Worker threads each rank's local work was allowed to use
@@ -86,11 +97,6 @@ struct PipelineStats {
   std::vector<std::size_t> bucket_sizes;
   double wall_seconds = 0.0;
 
-  /// Stage artifacts in execution order (filled when the run checkpointed
-  /// or resumed; empty otherwise).
-  std::vector<StageArtifactStats> artifacts;
-  /// Number of stages served from the checkpoint instead of recomputed.
-  std::uint64_t resumed_stages = 0;
   /// Per-phase breakdown of the sequential aligner runs (default aligner
   /// only; filled when the pipeline owns the phase recorder).
   std::vector<AlignerPhaseSummary> aligner_phases;
@@ -102,7 +108,8 @@ struct PipelineStats {
   std::vector<std::string> quarantine_notes;
 
   [[nodiscard]] std::uint64_t total_bytes() const;
-  [[nodiscard]] double total_compute_seconds() const;
+  /// Number of stages served from the checkpoint instead of recomputed.
+  [[nodiscard]] std::uint64_t resumed_stages() const;
   [[nodiscard]] double modeled_seconds(const par::ClusterCostModel& model =
                                            par::ClusterCostModel{}) const;
   /// Largest bucket relative to the perfect share N/p (1.0 = perfectly

@@ -1,7 +1,6 @@
 #include "core/sample_align_d.hpp"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -30,132 +29,102 @@ using msa::Alignment;
 using stage::RankedPartition;
 using stage::RankedRef;
 
-// ---- Stage catalogue ------------------------------------------------------
-
-enum Stage : int {
-  kLocalRank = 0,
-  kLocalSort,
-  kSampleSelect,
-  kSampleExchange,
-  kGlobalRank,
-  kGlobalSort,
-  kPivotGather,
-  kPivotSelect,
-  kPivotBcast,
-  kBucketPartition,
-  kRedistribute,
-  kLocalAlign,
-  kAncestorExtract,
-  kAncestorGather,
-  kAncestorAlign,
-  kAncestorBcast,
-  kTweak,
-  kGlueGather,
-  kGlue,
-  kPolish,
-  kNumStages,
-};
-
-struct StageInfo {
-  const char* name;
-  CommPattern pattern;
-};
-
-constexpr std::array<StageInfo, kNumStages> kStageInfo{{
-    {"local k-mer rank", CommPattern::None},
-    {"local sort", CommPattern::None},
-    {"sample selection", CommPattern::None},
-    {"sample exchange", CommPattern::AllGather},
-    {"globalized k-mer rank", CommPattern::None},
-    {"sort by global rank", CommPattern::None},
-    {"pivot candidate gather", CommPattern::Gather},
-    {"pivot selection (root)", CommPattern::None},
-    {"pivot broadcast", CommPattern::Broadcast},
-    {"bucket partition", CommPattern::None},
-    {"sequence redistribution", CommPattern::AllToAll},
-    {"local alignment", CommPattern::None},
-    {"ancestor extraction", CommPattern::None},
-    {"ancestor gather", CommPattern::Gather},
-    {"global ancestor alignment (root)", CommPattern::None},
-    {"global ancestor broadcast", CommPattern::Broadcast},
-    {"ancestor profile tweak", CommPattern::None},
-    {"glue gather", CommPattern::Gather},
-    {"glue (root)", CommPattern::None},
-    {"divergent polish (root)", CommPattern::None},
-}};
-
 /// Per-(stage, rank) accounting of the staged executor: CPU seconds of the
 /// worker that ran the rank's segment (immune to host oversubscription, but
 /// blind to shared-pool workers a threaded local aligner borrows), wall
-/// seconds, and bytes the rank would send on a real cluster. Resumed stages
-/// never execute their compute, so their slots stay zero — reflecting that
-/// no work was done.
+/// seconds, and the collectives a real cluster would run. The StageRunner
+/// knows nothing of ranks or bytes; a segment belongs to the stage being
+/// computed, which is record number runner.records().size() (the runner
+/// appends a stage's record once its compute returns), so row i pairs with
+/// record i. Resumed stages never execute their compute, so their rows stay
+/// zero — reflecting that no work was done.
 class RunStats {
  public:
-  explicit RunStats(int p) {
-    for (auto& v : cpu_) v.assign(static_cast<std::size_t>(p), 0.0);
-    for (auto& v : wall_) v.assign(static_cast<std::size_t>(p), 0.0);
-    for (auto& v : bytes_) v.assign(static_cast<std::size_t>(p), 0);
-  }
+  RunStats(const stage::StageRunner& runner, int p)
+      : runner_(&runner), p_(static_cast<std::size_t>(p)) {}
 
-  void add_time(int stage, int rank, double cpu, double wall) {
-    cpu_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        cpu;
-    wall_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        wall;
-  }
-  void add_bytes(int stage, int rank, std::uint64_t bytes) {
-    bytes_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        bytes;
+  /// Runs fn(rank) for every rank concurrently — one deterministic chunk
+  /// per rank, the staged executor's stand-in for p cluster nodes — timing
+  /// each as that rank's segment. fn must write only to per-rank slots;
+  /// chunk geometry never depends on scheduling, so neither do outputs.
+  void for_each_rank(const std::function<void(int)>& fn) {
+    StageStats& row = current();
+    util::parallel_for(
+        p_,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t r = begin; r < end; ++r)
+            timed(row, r, [&] { fn(static_cast<int>(r)); });
+        },
+        static_cast<unsigned>(p_));
   }
 
   /// Root-only segment (pivot selection, global-ancestor alignment, glue,
-  /// polish) charged to rank 0.
+  /// polish), charged to rank 0.
   template <typename Fn>
-  void timed_root(int stage, Fn&& fn) {
-    util::ThreadCpuTimer cpu;
-    util::Stopwatch watch;
-    fn();
-    add_time(stage, 0, cpu.seconds(), watch.seconds());
+  void at_root(Fn&& fn) {
+    timed(current(), 0, fn);
   }
 
-  void export_to(PipelineStats& stats) const {
-    for (int s = 0; s < kNumStages; ++s) {
-      auto& st = stats.stages[static_cast<std::size_t>(s)];
-      st.rank_seconds = cpu_[static_cast<std::size_t>(s)];
-      st.rank_wall_seconds = wall_[static_cast<std::size_t>(s)];
-      for (std::uint64_t b : bytes_[static_cast<std::size_t>(s)]) {
-        st.total_bytes += b;
-        st.max_bytes_per_rank = std::max(st.max_bytes_per_rank, b);
-      }
+  /// Records one collective of the current stage from the bytes each rank
+  /// sends in it.
+  void add_leg(CommPattern pattern, std::span<const std::uint64_t> sent) {
+    CommLeg leg{pattern, 0, 0};
+    for (std::uint64_t b : sent) {
+      leg.total_bytes += b;
+      leg.max_bytes_per_rank = std::max(leg.max_bytes_per_rank, b);
     }
+    current().legs.push_back(leg);
+  }
+
+  /// One row per runner record, in execution order: the record's
+  /// provenance plus this accounting.
+  [[nodiscard]] std::vector<StageStats> take_stages() {
+    const std::vector<stage::ArtifactRecord>& records = runner_->records();
+    std::vector<StageStats> out = std::move(rows_);
+    out.resize(records.size(), empty_row());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].name = records[i].name;
+      out[i].paper_step = records[i].paper_step;
+      out[i].artifact_bytes = records[i].bytes;
+      out[i].resumed = records[i].resumed;
+      out[i].seconds = records[i].seconds;
+    }
+    return out;
   }
 
  private:
-  std::array<std::vector<double>, kNumStages> cpu_{};
-  std::array<std::vector<double>, kNumStages> wall_{};
-  std::array<std::vector<std::uint64_t>, kNumStages> bytes_{};
-};
+  [[nodiscard]] StageStats empty_row() const {
+    StageStats row;
+    row.rank_seconds.assign(p_, 0.0);
+    row.rank_wall_seconds.assign(p_, 0.0);
+    return row;
+  }
 
-/// Runs fn(rank) for every rank concurrently — one deterministic chunk per
-/// rank, the staged executor's stand-in for p cluster nodes — charging each
-/// rank's CPU and wall time to `stage`. fn must write only to per-rank
-/// slots; chunk geometry never depends on scheduling, so neither do outputs.
-void for_each_rank(RunStats& rs, int stage, int p,
-                   const std::function<void(int)>& fn) {
-  util::parallel_for(
-      static_cast<std::size_t>(p),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          util::ThreadCpuTimer cpu;
-          util::Stopwatch watch;
-          fn(static_cast<int>(r));
-          rs.add_time(stage, static_cast<int>(r), cpu.seconds(),
-                      watch.seconds());
-        }
-      },
-      static_cast<unsigned>(p));
-}
+  /// The row of the stage being computed. Called before any segment starts,
+  /// never from inside one, so rows_ only grows single-threaded.
+  StageStats& current() {
+    const std::size_t i = runner_->records().size();
+    if (rows_.size() <= i) rows_.resize(i + 1, empty_row());
+    return rows_[i];
+  }
+
+  template <typename Fn>
+  void timed(StageStats& row, std::size_t rank, Fn&& fn) {
+    util::ThreadCpuTimer cpu;
+    util::Stopwatch watch;
+    fn();
+    const double wall = watch.seconds();
+    // A single rank runs undisturbed on the host, so its wall time *is* the
+    // dedicated-node time (and avoids the coarse granularity some
+    // containers give CLOCK_THREAD_CPUTIME_ID).
+    row.rank_seconds[rank] += p_ == 1 ? wall : cpu.seconds();
+    row.rank_wall_seconds[rank] += wall;
+  }
+
+  const stage::StageRunner* runner_;
+  std::size_t p_;
+  std::vector<StageStats> rows_;
+};
 
 void sort_refs(std::vector<RankedRef>& refs) {
   std::sort(refs.begin(), refs.end(), [](const RankedRef& a,
@@ -387,20 +356,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
                                           : owned_phase_stats_.get();
   if (phase_rec != nullptr) phase_rec->reset();
 
-  if (stats) {
-    *stats = PipelineStats{};
-    stats->num_procs = p;
-    stats->threads = config_.threads;
-    stats->num_sequences = n;
-    stats->stages.resize(kNumStages);
-    for (int s = 0; s < kNumStages; ++s) {
-      stats->stages[static_cast<std::size_t>(s)].name =
-          kStageInfo[static_cast<std::size_t>(s)].name;
-      stats->stages[static_cast<std::size_t>(s)].pattern =
-          kStageInfo[static_cast<std::size_t>(s)].pattern;
-    }
-  }
-
   // Deadline clock starts here; the budget is visible process-wide so
   // parallel_for chunks and guide-tree merges poll it without plumbing.
   util::Budget budget(config_.budget, config_.cancel);
@@ -408,81 +363,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
 
   stage::StageContext ctx(config_.checkpoint, pipeline_hash(seqs));
   stage::StageRunner runner(ctx);
-
-  // Checkpoint/cache provenance shared by both exits below.
-  const auto finish_stats = [&](PipelineStats& st) {
-    st.wall_seconds = wall.seconds();
-    for (const auto& rec : runner.records()) {
-      StageArtifactStats a;
-      a.name = rec.name;
-      a.paper_step = rec.paper_step;
-      a.bytes = rec.bytes;
-      a.resumed = rec.resumed;
-      a.seconds = rec.seconds;
-      st.artifacts.push_back(std::move(a));
-    }
-    st.resumed_stages = runner.resumed_stages();
-    if (phase_rec != nullptr) {
-      for (const auto& ph : phase_rec->snapshot()) {
-        AlignerPhaseSummary s;
-        s.name = ph.name;
-        s.wall_seconds = ph.wall_seconds;
-        s.runs = ph.runs;
-        s.cache_hits = ph.cache_hits;
-        st.aligner_phases.push_back(std::move(s));
-      }
-    }
-    if (config_.use_artifact_cache) {
-      const auto& cache = util::ArtifactCache::process_cache();
-      st.cache_note = util::cache_summary(cache.stats(), cache.capacity());
-    }
-    st.quarantine_notes = ctx.quarantine_notes();
-  };
-
-  // p == 1: the pipeline degenerates to the sequential aligner (no
-  // communication, no tweak — matching the paper's baseline column).
-  if (p == 1) {
-    // A single rank runs undisturbed on the host, so wall time *is* the
-    // dedicated-node time (and avoids the coarse granularity some
-    // containers give CLOCK_THREAD_CPUTIME_ID).
-    double align_cpu = 0.0;
-    Alignment aln = runner.run(
-        "bucket-align", 11,
-        [&] {
-          util::Stopwatch cpu;
-          Alignment a = config_.local_aligner->align(seqs);
-          align_cpu = cpu.seconds();
-          return a;
-        },
-        par::write_alignment, par::read_alignment);
-    if (stats) {
-      stats->stages[kLocalAlign].rank_seconds = {align_cpu};
-      stats->stages[kLocalAlign].rank_wall_seconds = {align_cpu};
-    }
-    if (config_.polish_divergent && aln.num_rows() >= 3) {
-      double polish_cpu = 0.0;
-      aln = runner.run(
-          "polish", 0,
-          [&] {
-            util::Stopwatch cpu;
-            Alignment a = aln;
-            (void)msa::polish_divergent_rows(a, *config_.matrix,
-                                             config_.polish);
-            polish_cpu = cpu.seconds();
-            return a;
-          },
-          par::write_alignment, par::read_alignment);
-      if (stats) {
-        stats->stages[kPolish].rank_seconds = {polish_cpu};
-        stats->stages[kPolish].rank_wall_seconds = {polish_cpu};
-      }
-    }
-    if (stats) {
-      stats->bucket_sizes = {n};
-      finish_stats(*stats);
-    }
-    return aln;
-  }
+  RunStats rs(runner, p);
 
   // Index -> original position for the final row ordering.
   std::unordered_map<std::string, std::size_t> pos_of_id;
@@ -492,8 +373,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       config_.samples_per_proc > 0
           ? static_cast<std::size_t>(config_.samples_per_proc)
           : static_cast<std::size_t>(p - 1);
-
-  RunStats rs(p);
 
   /// Materializes the sequences a partition references (the artifact form
   /// stores indices; the sequences always come back from the input span, so
@@ -534,89 +413,22 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     }
   }
 
-  // Step 2: local k-mer rank (each sequence vs the local block).
-  RankedPartition cur = runner.run(
-      "local-rank", 2,
-      [&] {
-        RankedPartition out = blocks;
-        for_each_rank(rs, kLocalRank, p, [&](int r) {
-          auto& part = out[static_cast<std::size_t>(r)];
-          const std::vector<kmer::KmerProfile> prof = profiles_of(part);
-          const std::vector<double> ranks = kmer::ranks_against(prof, prof);
-          for (std::size_t i = 0; i < part.size(); ++i)
-            part[i].rank = ranks[i];
-        });
-        return out;
-      },
-      stage::write_ranked_partition, stage::read_ranked_partition);
-
-  // Step 3: local sort by rank.
-  cur = runner.run(
-      "local-sort", 3,
-      [&] {
-        RankedPartition out = cur;
-        for_each_rank(rs, kLocalSort, p, [&](int r) {
-          sort_refs(out[static_cast<std::size_t>(r)]);
-        });
-        return out;
-      },
-      stage::write_ranked_partition, stage::read_ranked_partition);
-
-  // Steps 4-7 implement the globalized re-rank of §2.3.1; the predecessor
-  // Sample-Align system [34] (RankMode::LocalOnly) skips them and pivots on
-  // the local-block ranks — kept as the homogeneity-assumption ablation.
-  if (config_.rank_mode == RankMode::Globalized) {
-    // Step 4: choose k sample sequences, evenly spaced in rank order.
-    const std::vector<std::vector<std::uint64_t>> sample_idx = runner.run(
-        "sample-select", 4,
+  // Steps 2-10 rank the blocks and redistribute them into rank-range
+  // buckets. A single rank has nothing to partition: its one bucket is its
+  // block, the whole input in input order.
+  RankedPartition buckets;
+  if (p == 1) {
+    buckets = std::move(blocks);
+  } else {
+    // Step 2: local k-mer rank (each sequence vs the local block).
+    RankedPartition cur = runner.run(
+        "local-rank", 2,
         [&] {
-          std::vector<std::vector<std::uint64_t>> out(up);
-          for_each_rank(rs, kSampleSelect, p, [&](int r) {
-            const auto& items = cur[static_cast<std::size_t>(r)];
-            const std::size_t k =
-                std::min(samples_per_proc, items.empty() ? 0 : items.size());
-            for (std::size_t i = 0; i < k; ++i) {
-              const std::size_t pos =
-                  std::min(items.size() - 1, (i + 1) * items.size() / (k + 1));
-              out[static_cast<std::size_t>(r)].push_back(items[pos].index);
-            }
-          });
-          return out;
-        },
-        stage::write_index_lists, stage::read_index_lists);
-
-    // Step 5: exchange samples (k*p sequences known to every rank).
-    const std::vector<std::uint64_t> sample_flat = runner.run(
-        "sample-exchange", 5,
-        [&] {
-          // The all-gather charges each rank its own sample list × (p-1).
-          for_each_rank(rs, kSampleExchange, p, [&](int r) {
-            const auto ur = static_cast<std::size_t>(r);
-            rs.add_bytes(kSampleExchange, r,
-                         par::wire_size(seqs_of_indices(sample_idx[ur])) *
-                             (up - 1));
-          });
-          std::vector<std::uint64_t> flat;
-          for (const auto& list : sample_idx)
-            flat.insert(flat.end(), list.begin(), list.end());
-          return flat;
-        },
-        stage::write_indices, stage::read_indices);
-    const std::vector<Sequence> samples = seqs_of_indices(sample_flat);
-
-    // Step 6: globalized rank — every local sequence vs the global sample.
-    cur = runner.run(
-        "global-rank", 6,
-        [&] {
-          RankedPartition out = cur;
-          // Every rank holds the same k*p samples, so their profiles are
-          // built once and shared read-only.
-          const std::vector<kmer::KmerProfile> ref =
-              kmer::build_profiles(samples, config_.kmer);
-          for_each_rank(rs, kGlobalRank, p, [&](int r) {
+          RankedPartition out = blocks;
+          rs.for_each_rank([&](int r) {
             auto& part = out[static_cast<std::size_t>(r)];
-            const std::vector<double> ranks =
-                kmer::ranks_against(profiles_of(part), ref);
+            const std::vector<kmer::KmerProfile> prof = profiles_of(part);
+            const std::vector<double> ranks = kmer::ranks_against(prof, prof);
             for (std::size_t i = 0; i < part.size(); ++i)
               part[i].rank = ranks[i];
           });
@@ -624,85 +436,164 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         },
         stage::write_ranked_partition, stage::read_ranked_partition);
 
-    // Step 7: re-sort by globalized rank.
+    // Step 3: local sort by rank.
     cur = runner.run(
-        "global-sort", 7,
+        "local-sort", 3,
         [&] {
           RankedPartition out = cur;
-          for_each_rank(rs, kGlobalSort, p, [&](int r) {
-            sort_refs(out[static_cast<std::size_t>(r)]);
+          rs.for_each_rank(
+              [&](int r) { sort_refs(out[static_cast<std::size_t>(r)]); });
+          return out;
+        },
+        stage::write_ranked_partition, stage::read_ranked_partition);
+
+    // Steps 4-7 implement the globalized re-rank of §2.3.1; the predecessor
+    // Sample-Align system [34] (RankMode::LocalOnly) skips them and pivots
+    // on the local-block ranks — kept as the homogeneity-assumption
+    // ablation.
+    if (config_.rank_mode == RankMode::Globalized) {
+      // Step 4: choose k sample sequences, evenly spaced in rank order.
+      const std::vector<std::vector<std::uint64_t>> sample_idx = runner.run(
+          "sample-select", 4,
+          [&] {
+            std::vector<std::vector<std::uint64_t>> out(up);
+            rs.for_each_rank([&](int r) {
+              const auto& items = cur[static_cast<std::size_t>(r)];
+              const std::size_t k =
+                  std::min(samples_per_proc, items.empty() ? 0 : items.size());
+              for (std::size_t i = 0; i < k; ++i) {
+                const std::size_t pos = std::min(
+                    items.size() - 1, (i + 1) * items.size() / (k + 1));
+                out[static_cast<std::size_t>(r)].push_back(items[pos].index);
+              }
+            });
+            return out;
+          },
+          stage::write_index_lists, stage::read_index_lists);
+
+      // Step 5: exchange samples (k*p sequences known to every rank).
+      const std::vector<std::uint64_t> sample_flat = runner.run(
+          "sample-exchange", 5,
+          [&] {
+            // The all-gather charges each rank its own sample list × (p-1).
+            std::vector<std::uint64_t> sent(up, 0);
+            rs.for_each_rank([&](int r) {
+              const auto ur = static_cast<std::size_t>(r);
+              sent[ur] =
+                  par::wire_size(seqs_of_indices(sample_idx[ur])) * (up - 1);
+            });
+            rs.add_leg(CommPattern::AllGather, sent);
+            std::vector<std::uint64_t> flat;
+            for (const auto& list : sample_idx)
+              flat.insert(flat.end(), list.begin(), list.end());
+            return flat;
+          },
+          stage::write_indices, stage::read_indices);
+      const std::vector<Sequence> samples = seqs_of_indices(sample_flat);
+
+      // Step 6: globalized rank — every local sequence vs the global sample.
+      cur = runner.run(
+          "global-rank", 6,
+          [&] {
+            RankedPartition out = cur;
+            // Every rank holds the same k*p samples, so their profiles are
+            // built once and shared read-only.
+            const std::vector<kmer::KmerProfile> ref =
+                kmer::build_profiles(samples, config_.kmer);
+            rs.for_each_rank([&](int r) {
+              auto& part = out[static_cast<std::size_t>(r)];
+              const std::vector<double> ranks =
+                  kmer::ranks_against(profiles_of(part), ref);
+              for (std::size_t i = 0; i < part.size(); ++i)
+                part[i].rank = ranks[i];
+            });
+            return out;
+          },
+          stage::write_ranked_partition, stage::read_ranked_partition);
+
+      // Step 7: re-sort by globalized rank.
+      cur = runner.run(
+          "global-sort", 7,
+          [&] {
+            RankedPartition out = cur;
+            rs.for_each_rank(
+                [&](int r) { sort_refs(out[static_cast<std::size_t>(r)]); });
+            return out;
+          },
+          stage::write_ranked_partition, stage::read_ranked_partition);
+    }
+
+    // Steps 8-9: regular sampling of rank keys; root sorts the p(p-1)
+    // candidates, picks p-1 pivots and broadcasts them.
+    const std::vector<double> pivots = runner.run(
+        "pivot-select", 8,
+        [&] {
+          std::vector<std::vector<double>> cands(up);
+          std::vector<std::uint64_t> sent(up, 0);
+          rs.for_each_rank([&](int r) {
+            const auto ur = static_cast<std::size_t>(r);
+            std::vector<double> keys;
+            keys.reserve(cur[ur].size());
+            for (const RankedRef& item : cur[ur]) keys.push_back(item.rank);
+            cands[ur] = regular_samples(keys, up - 1);
+            if (r != 0) sent[ur] = keys_wire_size(cands[ur].size());
+          });
+          rs.add_leg(CommPattern::Gather, sent);
+          std::vector<double> chosen;
+          rs.at_root([&] {
+            std::vector<double> all;
+            for (const auto& c : cands)
+              all.insert(all.end(), c.begin(), c.end());
+            chosen = choose_pivots(std::move(all), p);
+          });
+          const std::uint64_t bcast = keys_wire_size(chosen.size()) * (up - 1);
+          rs.add_leg(CommPattern::Broadcast, {&bcast, 1});
+          return chosen;
+        },
+        stage::write_doubles, stage::read_doubles);
+
+    // Step 10: bucket the local sequences and redistribute all-to-all.
+    buckets = runner.run(
+        "redistribute", 10,
+        [&] {
+          // send[src][dst], in src-local order — the deterministic
+          // equivalent of the personalized all-to-all's per-destination
+          // messages.
+          std::vector<RankedPartition> send(up, RankedPartition(up));
+          std::vector<std::uint64_t> sent(up, 0);
+          rs.for_each_rank([&](int r) {
+            const auto ur = static_cast<std::size_t>(r);
+            // Each of the p-1 outgoing messages opens with its item count;
+            // an item travels as (u64 index, f64 rank, sequence).
+            sent[ur] = kCountBytes * (up - 1);
+            for (const RankedRef& item : cur[ur]) {
+              const std::size_t d = bucket_of(item.rank, pivots);
+              if (d != ur)
+                sent[ur] += kIndexBytes + kKeyBytes +
+                            par::wire_size(seqs[item.index]);
+              send[ur][d].push_back(item);
+            }
+          });
+          rs.add_leg(CommPattern::AllToAll, sent);
+          RankedPartition out(up);
+          rs.for_each_rank([&](int d) {
+            const auto ud = static_cast<std::size_t>(d);
+            for (std::size_t src = 0; src < up; ++src)
+              out[ud].insert(out[ud].end(), send[src][ud].begin(),
+                             send[src][ud].end());
+            sort_refs(out[ud]);
           });
           return out;
         },
         stage::write_ranked_partition, stage::read_ranked_partition);
   }
 
-  // Steps 8-9: regular sampling of rank keys; root sorts the p(p-1)
-  // candidates, picks p-1 pivots and broadcasts them.
-  const std::vector<double> pivots = runner.run(
-      "pivot-select", 8,
-      [&] {
-        std::vector<std::vector<double>> cands(up);
-        for_each_rank(rs, kPivotGather, p, [&](int r) {
-          const auto ur = static_cast<std::size_t>(r);
-          std::vector<double> keys;
-          keys.reserve(cur[ur].size());
-          for (const RankedRef& item : cur[ur]) keys.push_back(item.rank);
-          cands[ur] = regular_samples(keys, up - 1);
-          rs.add_bytes(kPivotGather, r,
-                       r == 0 ? 0 : keys_wire_size(cands[ur].size()));
-        });
-        std::vector<double> chosen;
-        rs.timed_root(kPivotSelect, [&] {
-          std::vector<double> all;
-          for (const auto& c : cands) all.insert(all.end(), c.begin(), c.end());
-          chosen = choose_pivots(std::move(all), p);
-          rs.add_bytes(kPivotBcast, 0,
-                       keys_wire_size(chosen.size()) * (up - 1));
-        });
-        return chosen;
-      },
-      stage::write_doubles, stage::read_doubles);
-
-  // Step 10: bucket the local sequences and redistribute all-to-all.
-  const RankedPartition buckets = runner.run(
-      "redistribute", 10,
-      [&] {
-        // send[src][dst], in src-local order — the deterministic equivalent
-        // of the personalized all-to-all's per-destination messages.
-        std::vector<RankedPartition> send(up, RankedPartition(up));
-        for_each_rank(rs, kBucketPartition, p, [&](int r) {
-          const auto ur = static_cast<std::size_t>(r);
-          // Each of the p-1 outgoing messages opens with its item count;
-          // an item travels as (u64 index, f64 rank, sequence).
-          std::uint64_t sent = kCountBytes * (up - 1);
-          for (const RankedRef& item : cur[ur]) {
-            const std::size_t d = bucket_of(item.rank, pivots);
-            if (d != ur)
-              sent += kIndexBytes + kKeyBytes +
-                      par::wire_size(seqs[item.index]);
-            send[ur][d].push_back(item);
-          }
-          rs.add_bytes(kRedistribute, r, sent);
-        });
-        RankedPartition out(up);
-        for_each_rank(rs, kRedistribute, p, [&](int d) {
-          const auto ud = static_cast<std::size_t>(d);
-          for (std::size_t src = 0; src < up; ++src)
-            out[ud].insert(out[ud].end(), send[src][ud].begin(),
-                           send[src][ud].end());
-          sort_refs(out[ud]);
-        });
-        return out;
-      },
-      stage::write_ranked_partition, stage::read_ranked_partition);
-
   // Step 11: sequential MSA on the bucket.
-  const std::vector<Alignment> locals = runner.run(
+  std::vector<Alignment> locals = runner.run(
       "bucket-align", 11,
       [&] {
         std::vector<Alignment> out(up);
-        for_each_rank(rs, kLocalAlign, p, [&](int r) {
+        rs.for_each_rank([&](int r) {
           const auto ur = static_cast<std::size_t>(r);
           const std::vector<Sequence> bucket_seqs = seqs_of(buckets[ur]);
           if (!bucket_seqs.empty())
@@ -713,14 +604,20 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       stage::write_alignments, stage::read_alignments);
 
   Alignment result;
-  if (config_.ancestor_refinement) {
+  if (p == 1) {
+    // Steps 12-15 merge p buckets on their global ancestor. A single bucket
+    // needs no tweak (the paper's baseline column), so its alignment is
+    // the result.
+    result = std::move(locals[0]);
+  } else if (config_.ancestor_refinement) {
     // Steps 12-13: local ancestors; root aligns them into the global
     // ancestor and broadcasts it.
     const Sequence ga = runner.run(
         "ancestor", 12,
         [&] {
           std::vector<Sequence> ancestors(up);
-          for_each_rank(rs, kAncestorExtract, p, [&](int r) {
+          std::vector<std::uint64_t> sent(up, 0);
+          rs.for_each_rank([&](int r) {
             const auto ur = static_cast<std::size_t>(r);
             const Alignment& local_aln = locals[ur];
             ancestors[ur] =
@@ -732,15 +629,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
               ancestors[ur] = msa::consensus_sequence(
                   local_aln, "ancestor_" + std::to_string(r),
                   config_.consensus);
+            if (r != 0) sent[ur] = par::wire_size(ancestors[ur]);
           });
-          for_each_rank(rs, kAncestorGather, p, [&](int r) {
-            const auto ur = static_cast<std::size_t>(r);
-            rs.add_bytes(kAncestorGather, r,
-                         r == 0 ? 0 : par::wire_size(ancestors[ur]));
-          });
+          rs.add_leg(CommPattern::Gather, sent);
           Sequence global("global_ancestor", std::vector<std::uint8_t>{},
                           bio::AlphabetKind::AminoAcid);
-          rs.timed_root(kAncestorAlign, [&] {
+          rs.at_root([&] {
             std::vector<Sequence> present;
             for (const Sequence& a : ancestors)
               if (!a.empty()) present.push_back(a);
@@ -755,8 +649,9 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
               global = msa::consensus_sequence(anc_aln, "global_ancestor",
                                                config_.consensus);
             }
-            rs.add_bytes(kAncestorBcast, 0, par::wire_size(global) * (up - 1));
           });
+          const std::uint64_t bcast = par::wire_size(global) * (up - 1);
+          rs.add_leg(CommPattern::Broadcast, {&bcast, 1});
           return global;
         },
         par::write_sequence, par::read_sequence);
@@ -767,7 +662,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "tweak", 14,
         [&] {
           std::vector<std::vector<EditOp>> out(up);
-          for_each_rank(rs, kTweak, p, [&](int r) {
+          rs.for_each_rank([&](int r) {
             const auto ur = static_cast<std::size_t>(r);
             const Alignment& local_aln = locals[ur];
             if (!local_aln.empty()) {
@@ -793,15 +688,15 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     result = runner.run(
         "glue", 15,
         [&] {
-          for_each_rank(rs, kGlueGather, p, [&](int r) {
+          std::vector<std::uint64_t> sent(up, 0);
+          rs.for_each_rank([&](int r) {
             const auto ur = static_cast<std::size_t>(r);
-            rs.add_bytes(kGlueGather, r,
-                         r == 0 ? 0
-                                : par::wire_size(locals[ur]) +
-                                      ops_wire_size(paths[ur]));
+            if (r != 0)
+              sent[ur] = par::wire_size(locals[ur]) + ops_wire_size(paths[ur]);
           });
+          rs.add_leg(CommPattern::Gather, sent);
           Alignment reordered;
-          rs.timed_root(kGlue, [&] {
+          rs.at_root([&] {
             const Alignment glued = glue_on_ancestor(
                 locals, paths, ga.size(), seqs[0].alphabet_kind());
             reordered = reorder_rows(glued, pos_of_id);
@@ -815,13 +710,14 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     result = runner.run(
         "glue", 15,
         [&] {
-          for_each_rank(rs, kGlueGather, p, [&](int r) {
+          std::vector<std::uint64_t> sent(up, 0);
+          rs.for_each_rank([&](int r) {
             const auto ur = static_cast<std::size_t>(r);
-            rs.add_bytes(kGlueGather, r,
-                         r == 0 ? 0 : par::wire_size(locals[ur]));
+            if (r != 0) sent[ur] = par::wire_size(locals[ur]);
           });
+          rs.add_leg(CommPattern::Gather, sent);
           Alignment reordered;
-          rs.timed_root(kGlue, [&] {
+          rs.at_root([&] {
             const Alignment glued =
                 glue_block_diagonal(locals, seqs[0].alphabet_kind());
             reordered = reorder_rows(glued, pos_of_id);
@@ -838,7 +734,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "polish", 0,
         [&] {
           Alignment a;
-          rs.timed_root(kPolish, [&] {
+          rs.at_root([&] {
             a = result;
             (void)msa::polish_divergent_rows(a, *config_.matrix,
                                              config_.polish);
@@ -849,11 +745,29 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   }
 
   if (stats) {
-    stats->bucket_sizes.resize(up);
-    for (std::size_t d = 0; d < up; ++d)
-      stats->bucket_sizes[d] = buckets[d].size();
-    rs.export_to(*stats);
-    finish_stats(*stats);
+    *stats = PipelineStats{};
+    stats->num_procs = p;
+    stats->threads = config_.threads;
+    stats->num_sequences = n;
+    stats->stages = rs.take_stages();
+    for (const auto& bucket : buckets)
+      stats->bucket_sizes.push_back(bucket.size());
+    stats->wall_seconds = wall.seconds();
+    if (phase_rec != nullptr) {
+      for (const auto& ph : phase_rec->snapshot()) {
+        AlignerPhaseSummary s;
+        s.name = ph.name;
+        s.wall_seconds = ph.wall_seconds;
+        s.runs = ph.runs;
+        s.cache_hits = ph.cache_hits;
+        stats->aligner_phases.push_back(std::move(s));
+      }
+    }
+    if (config_.use_artifact_cache) {
+      const auto& cache = util::ArtifactCache::process_cache();
+      stats->cache_note = util::cache_summary(cache.stats(), cache.capacity());
+    }
+    stats->quarantine_notes = ctx.quarantine_notes();
   }
 
   result.validate();

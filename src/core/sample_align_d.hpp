@@ -36,15 +36,21 @@ namespace salign::core {
 ///   15. root: glue the tweaked bucket alignments on the shared
 ///       global-ancestor coordinate system and restore input row order.
 ///
-/// The run executes as an explicit typed stage graph (core/stage): every
-/// paper step above is a named stage whose output is a serializable,
-/// content-hashed artifact. A stage's per-rank work runs concurrently (one
-/// worker per simulated processor, drawn from the shared thread pool), and
+/// The run executes as an explicit typed stage graph (core/stage): the
+/// paper steps above run as named stages ("local-rank" ... "glue", plus the
+/// opt-in "polish"), each producing a serializable, content-hashed
+/// artifact. A stage's per-rank work runs concurrently (one worker per
+/// simulated processor, drawn from the shared thread pool), and
 /// rank-to-rank communication is deterministic data movement at stage
 /// boundaries. Messages are modeled, not encoded: each is charged the bytes
-/// the par:: codecs would write for it (par::wire_size), so `PipelineStats`
-/// reports wire volume alongside wall time and the modeled
-/// dedicated-cluster makespan.
+/// the par:: codecs would write for it (par::wire_size). `PipelineStats`
+/// holds one row per stage run: its artifact, per-rank compute seconds and
+/// communication legs, from which it derives the modeled dedicated-cluster
+/// makespan.
+///
+/// With num_procs == 1 there is nothing to partition or merge: steps 2-10
+/// and 12-15 are skipped, the single bucket is the input in input order,
+/// and the run is the stages "bucket-align" (+ "polish").
 ///
 /// The stage graph is what makes runs resumable: with
 /// SampleAlignDConfig::checkpoint.dir set, every completed stage is

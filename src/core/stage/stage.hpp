@@ -19,7 +19,7 @@ namespace salign::core::stage {
 /// Bumped whenever any stage artifact encoding (or the stage sequence
 /// itself) changes shape; folded into every pipeline hash so stale on-disk
 /// checkpoints from an older binary are ignored rather than misread.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// Externalized-state knobs of one pipeline run (SampleAlignDConfig carries
 /// one; `salign align --checkpoint-dir/--resume` sets it from the CLI).

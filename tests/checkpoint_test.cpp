@@ -77,7 +77,7 @@ void kill_resume_roundtrip(SampleAlignDConfig cfg,
     PipelineStats stats;
     const Alignment result = SampleAlignD(resumed).align(seqs, &stats);
     expect_identical(result, golden);
-    EXPECT_EQ(stats.resumed_stages, static_cast<std::uint64_t>(k) + 1)
+    EXPECT_EQ(stats.resumed_stages(), static_cast<std::uint64_t>(k) + 1)
         << "killed after artifact " << k;
     ASSERT_LT(k, 64) << "fail_after never exhausted the stage list";
   }
@@ -121,9 +121,9 @@ TEST_F(CheckpointTest, FullCheckpointResumesEveryStage) {
   PipelineStats stats;
   const Alignment resumed = SampleAlignD(cfg).align(seqs, &stats);
   expect_identical(resumed, fresh);
-  EXPECT_GT(stats.resumed_stages, 0u);
-  EXPECT_EQ(stats.resumed_stages, stats.artifacts.size());
-  for (const auto& a : stats.artifacts) EXPECT_TRUE(a.resumed) << a.name;
+  EXPECT_GT(stats.resumed_stages(), 0u);
+  EXPECT_EQ(stats.resumed_stages(), stats.stages.size());
+  for (const auto& s : stats.stages) EXPECT_TRUE(s.resumed) << s.name;
 }
 
 TEST_F(CheckpointTest, ResumeUnderDifferentThreadCountIsBitIdentical) {
@@ -141,7 +141,7 @@ TEST_F(CheckpointTest, ResumeUnderDifferentThreadCountIsBitIdentical) {
   resumed.checkpoint.fail_after = -1;
   PipelineStats stats;
   const Alignment a = SampleAlignD(resumed).align(seqs, &stats);
-  EXPECT_EQ(stats.resumed_stages, 6u);
+  EXPECT_EQ(stats.resumed_stages(), 6u);
 
   SampleAlignDConfig plain;
   plain.num_procs = 4;
@@ -162,7 +162,7 @@ TEST_F(CheckpointTest, ChangedConfigInvalidatesCheckpoint) {
   changed.checkpoint.resume = true;
   PipelineStats stats;
   (void)SampleAlignD(changed).align(seqs, &stats);
-  EXPECT_EQ(stats.resumed_stages, 0u);
+  EXPECT_EQ(stats.resumed_stages(), 0u);
 }
 
 TEST_F(CheckpointTest, PipelineHashIgnoresThreadsButNotConfig) {

@@ -298,7 +298,7 @@ TEST_F(CliTest, AlignStatsGoToStderr) {
   const Result r = run(argv({"align", "--in", in, "--procs", "2",
                              "--stats", "--sp"}));
   ASSERT_EQ(r.status, 0);
-  EXPECT_NE(r.err.find("local alignment"), std::string::npos);
+  EXPECT_NE(r.err.find("bucket-align"), std::string::npos);
   EXPECT_NE(r.err.find("SP score"), std::string::npos);
 }
 
