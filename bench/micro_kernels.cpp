@@ -23,6 +23,7 @@
 #include "core/partition.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
+#include "msa/induced_identity.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
@@ -88,6 +89,33 @@ void BM_KmerDistanceMatrix(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_KmerDistanceMatrix)->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// MiniMuscle's stage-2 induced-Kimura matrix over the stage-1 alignment of
+// the same 1000x300 family (built once, outside the timed loop), at 1 and 4
+// workers; pairs_per_second against wall time as above.
+void BM_InducedKimura(benchmark::State& state) {
+  static const msa::Alignment stage1 = [] {
+    msa::MuscleOptions o;
+    o.reestimate_tree = false;
+    o.threads = 4;
+    return msa::MuscleAligner(o).align(seqs_cache(1000, 300));
+  }();
+  const auto threads = static_cast<unsigned>(state.range(0));
+  const double pairs =
+      static_cast<double>(stage1.num_rows() * (stage1.num_rows() - 1) / 2);
+  double wall = 0.0;
+  for (auto _ : state) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(msa::induced_kimura_distances(stage1, threads));
+    wall += watch.seconds();
+  }
+  state.counters["pairs_per_second"] =
+      wall > 0.0 ? static_cast<double>(state.iterations()) * pairs / wall
+                 : 0.0;
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_InducedKimura)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Reports DP throughput for a pairwise kernel: google-benchmark divides the
@@ -517,7 +545,8 @@ void BM_UpgmaBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(msa::GuideTree::upgma(d));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_UpgmaBuild)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
+BENCHMARK(BM_UpgmaBuild)->Arg(64)->Arg(256)->Arg(1024)->Arg(2048)
+    ->Complexity();
 
 void BM_MiniMuscleEndToEnd(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 150);

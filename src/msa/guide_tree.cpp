@@ -1,6 +1,7 @@
 #include "msa/guide_tree.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -43,18 +44,22 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
 
   std::vector<int> slot_node(n);
   for (std::size_t s = 0; s < n; ++s) slot_node[s] = static_cast<int>(s);
-  std::vector<bool> active(n, true);
+  // Byte flags, not std::vector<bool>: the scans below test one per slot.
+  std::vector<std::uint8_t> active(n, 1);
   std::vector<double> csize(n, 1.0);
   std::vector<std::size_t> nn(n, 0);
   std::vector<float> nnd(n, 0.0F);
 
+  // Every scan reads whole rows through a row pointer; the only strided
+  // access left is the column half of the merged cluster's write.
   auto recompute_nn = [&](std::size_t s) {
+    const float* row = &d(s, 0);
     float best = std::numeric_limits<float>::infinity();
     std::size_t arg = s;
     for (std::size_t t = 0; t < n; ++t) {
       if (t == s || !active[t]) continue;
-      if (d(s, t) < best) {
-        best = d(s, t);
+      if (row[t] < best) {
+        best = row[t];
         arg = t;
       }
     }
@@ -95,15 +100,17 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
     tree.nodes_[static_cast<std::size_t>(b)].parent = pid;
 
     // Average-linkage distances for the merged cluster, written into sa.
-    active[sb] = false;
+    active[sb] = 0;
     --remaining;
+    float* row_a = &d(sa, 0);
+    const float* row_b = &d(sb, 0);
     for (std::size_t t = 0; t < n; ++t) {
       if (!active[t] || t == sa) continue;
       const auto v = static_cast<float>(
-          (na * static_cast<double>(d(sa, t)) +
-           nb * static_cast<double>(d(sb, t))) /
+          (na * static_cast<double>(row_a[t]) +
+           nb * static_cast<double>(row_b[t])) /
           (na + nb));
-      d(sa, t) = v;
+      row_a[t] = v;
       d(t, sa) = v;
     }
     slot_node[sa] = pid;
@@ -121,9 +128,9 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
       if (!active[t] || t == sa) continue;
       if (nn[t] == sa || nn[t] == sb) {
         recompute_nn(t);
-      } else if (d(t, sa) < nnd[t]) {
+      } else if (row_a[t] < nnd[t]) {
         nn[t] = sa;
-        nnd[t] = d(t, sa);
+        nnd[t] = row_a[t];
       }
     }
   }

@@ -8,6 +8,7 @@
 #include "bio/content_hash.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
+#include "msa/induced_identity.hpp"
 #include "msa/msa_serialize.hpp"
 #include "msa/progressive.hpp"
 #include "msa/refinement.hpp"
@@ -17,31 +18,6 @@
 namespace salign::msa {
 
 namespace {
-
-/// Kimura distances from the identities induced by an existing alignment —
-/// much cheaper than re-aligning pairs, and exactly MUSCLE's stage-2 trick.
-/// An O(N^2 L) distance-matrix pass, so it rides the threaded all-pairs
-/// driver (bit-identical output for any thread count).
-util::SymmetricMatrix<double> induced_kimura_distances(const Alignment& aln,
-                                                       unsigned threads) {
-  return align::pairwise_distance_matrix(
-      aln.num_rows(), threads, [&](std::size_t i, std::size_t j) {
-        const auto& a = aln.row(i).cells;
-        const auto& b = aln.row(j).cells;
-        std::size_t cols = 0;
-        std::size_t matches = 0;
-        for (std::size_t c = 0; c < a.size(); ++c) {
-          if (a[c] == Alignment::kGap || b[c] == Alignment::kGap) continue;
-          ++cols;
-          if (a[c] == b[c]) ++matches;
-        }
-        const double identity =
-            cols == 0
-                ? 0.0
-                : static_cast<double>(matches) / static_cast<double>(cols);
-        return align::kimura_distance(identity);
-      });
-}
 
 /// Restores input order: progressive emits rows in tree leaf order.
 Alignment reorder_to_input(const Alignment& aln,
@@ -172,21 +148,24 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   AlignerPhaseStats* ps = options_.phase_stats;
 
   // Stage 1: k-mer (or engine score) distances -> UPGMA -> progressive.
-  const util::SymmetricMatrix<double> kd = pc.get(
-      ps, "stage1 distance matrix",
-      [&] {
-        if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
-          align::ScoreDistanceOptions sdo;
-          sdo.threads = options_.threads;
-          return align::score_distance_matrix(seqs, *matrix_,
-                                              matrix_->default_gaps(), sdo);
-        }
-        return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
-      },
-      write_distance_matrix, read_distance_matrix);
-  GuideTree tree =
-      pc.get(ps, "stage1 guide tree", [&] { return GuideTree::upgma(kd); },
-             write_guide_tree, read_guide_tree);
+  // Each distance matrix lives only until its tree is built: at large N
+  // they are the biggest allocations of the run.
+  GuideTree tree = [&] {
+    const util::SymmetricMatrix<double> kd = pc.get(
+        ps, "stage1 distance matrix",
+        [&] {
+          if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
+            align::ScoreDistanceOptions sdo;
+            sdo.threads = options_.threads;
+            return align::score_distance_matrix(seqs, *matrix_,
+                                                matrix_->default_gaps(), sdo);
+          }
+          return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
+        },
+        write_distance_matrix, read_distance_matrix);
+    return pc.get(ps, "stage1 guide tree", [&] { return GuideTree::upgma(kd); },
+                  write_guide_tree, read_guide_tree);
+  }();
   ProgressiveOptions po;
   po.gaps = matrix_->default_gaps();
   po.weights = tree.leaf_weights();
@@ -201,13 +180,15 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   // re-aligned.
   if (options_.reestimate_tree) {
     aln = reorder_to_input(aln, seqs);
-    const util::SymmetricMatrix<double> kim = pc.get(
-        ps, "stage2 distance matrix",
-        [&] { return induced_kimura_distances(aln, options_.threads); },
-        write_distance_matrix, read_distance_matrix);
-    tree =
-        pc.get(ps, "stage2 guide tree", [&] { return GuideTree::upgma(kim); },
-               write_guide_tree, read_guide_tree);
+    tree = [&] {
+      const util::SymmetricMatrix<double> kim = pc.get(
+          ps, "stage2 distance matrix",
+          [&] { return induced_kimura_distances(aln, options_.threads); },
+          write_distance_matrix, read_distance_matrix);
+      return pc.get(ps, "stage2 guide tree",
+                    [&] { return GuideTree::upgma(kim); }, write_guide_tree,
+                    read_guide_tree);
+    }();
     po.weights = tree.leaf_weights();
     {
       ScopedPhase phase(ps, "stage2 progressive");

@@ -32,9 +32,10 @@ struct MuscleOptions {
   /// pipeline default keeps this at 0 and the quality benches turn it on.
   int refine_passes = 0;
   /// Worker threads (1 = serial) of every parallel pass: the stage-1 k-mer
-  /// or score distances, the stage-2 induced-Kimura distance matrix, and
-  /// both progressive merge schedules. Any value produces bit-identical
-  /// alignments.
+  /// or score distances, the stage-2 induced-Kimura distances (the
+  /// bit-sliced pair kernel of msa/induced_identity.hpp), and both
+  /// progressive merge schedules. The two UPGMA builds stay serial. Any
+  /// value produces bit-identical alignments.
   unsigned threads = 1;
   /// Serve/store per-phase artifacts (distance matrices, guide trees, both
   /// progressive alignments) through util::ArtifactCache::process_cache(),

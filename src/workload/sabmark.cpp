@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "msa/induced_identity.hpp"
 #include "util/rng.hpp"
 #include "workload/evolver.hpp"
 
@@ -17,29 +18,14 @@ std::string to_string(SabmarkTier tier) {
 }
 
 double mean_pairwise_identity(const msa::Alignment& reference) {
-  const std::size_t rows = reference.num_rows();
+  const msa::IdentityPlanes sliced(reference);
+  const std::size_t rows = sliced.num_rows();
   if (rows < 2) return 1.0;
   double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t a = 0; a < rows; ++a) {
-    for (std::size_t b = a + 1; b < rows; ++b) {
-      std::size_t matches = 0;
-      std::size_t aligned = 0;
-      for (std::size_t c = 0; c < reference.num_cols(); ++c) {
-        const bool ga = reference.is_gap(a, c);
-        const bool gb = reference.is_gap(b, c);
-        if (ga || gb) continue;
-        ++aligned;
-        if (reference.cell(a, c) == reference.cell(b, c)) ++matches;
-      }
-      total += aligned > 0
-                   ? static_cast<double>(matches) /
-                         static_cast<double>(aligned)
-                   : 0.0;
-      ++pairs;
-    }
-  }
-  return pairs > 0 ? total / static_cast<double>(pairs) : 1.0;
+  for (std::size_t a = 0; a < rows; ++a)
+    for (std::size_t b = a + 1; b < rows; ++b)
+      total += sliced.count(a, b).identity();
+  return total / static_cast<double>(rows * (rows - 1) / 2);
 }
 
 std::vector<SabmarkGroup> sabmark_groups(const SabmarkParams& params) {

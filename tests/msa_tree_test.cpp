@@ -86,6 +86,22 @@ TEST(Upgma, RecoversUltrametricTreeExactly) {
   EXPECT_DOUBLE_EQ(heights[2], 3.0);
 }
 
+TEST(Upgma, TiesJoinLowestSlotsFirst) {
+  // Every distance equal: each nearest neighbour and the global arg-min
+  // resolve ties to the lowest slot, so the tree is a caterpillar built in
+  // input order. Guide trees (and golden digests) depend on this order.
+  util::SymmetricMatrix<double> d(5);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t j = 0; j < i; ++j) d(i, j) = 1.0;
+  const GuideTree t = GuideTree::upgma(d);
+  const int joined[][2] = {{0, 1}, {5, 2}, {6, 3}, {7, 4}};
+  for (std::size_t k = 0; k < 4; ++k) {
+    const TreeNode& node = t.node(5 + k);
+    EXPECT_EQ(node.left, joined[k][0]) << "internal node " << 5 + k;
+    EXPECT_EQ(node.right, joined[k][1]) << "internal node " << 5 + k;
+  }
+}
+
 TEST(Upgma, EmptyMatrixThrows) {
   util::SymmetricMatrix<double> d;
   EXPECT_THROW((void)GuideTree::upgma(d), std::invalid_argument);
