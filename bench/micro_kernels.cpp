@@ -13,13 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "align/banded.hpp"
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
 #include "align/engine/pair_batch.hpp"
-#include "align/global.hpp"
-#include "align/local.hpp"
 #include "core/partition.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
@@ -132,7 +129,7 @@ void BM_GlobalAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::global_align(seqs[0].codes(), seqs[1].codes(), m, {}));
+        align::engine::global_align(seqs[0].codes(), seqs[1].codes(), m, {}));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
   state.SetComplexityN(state.range(0));
 }
@@ -420,7 +417,7 @@ void BM_BandedAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const auto band = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(align::banded_global_align(
+    benchmark::DoNotOptimize(align::engine::banded_global_align(
         seqs[0].codes(), seqs[1].codes(), m, {}, band));
   // Approximate banded cell count: rows x (2 * band + 1), clipped.
   const std::size_t width =
@@ -434,7 +431,7 @@ void BM_LocalAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::local_align(seqs[0].codes(), seqs[1].codes(), m, {}));
+        align::engine::local_align(seqs[0].codes(), seqs[1].codes(), m, {}));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
 BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);

@@ -1,4 +1,5 @@
 #include "align/distance.hpp"
+#include "align/engine/engine.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +9,6 @@
 
 #include "align/engine/batch.hpp"
 #include "align/engine/pair_batch.hpp"
-#include "align/global.hpp"
 #include "util/thread_pool.hpp"
 
 namespace salign::align {
@@ -50,23 +50,13 @@ double alignment_distance(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           const bio::SubstitutionMatrix& matrix,
                           bio::GapPenalties gaps) {
-  const PairwiseAlignment aln = global_align(a, b, matrix, gaps);
+  const PairwiseAlignment aln = engine::global_align(a, b, matrix, gaps);
   return kimura_distance(fractional_identity(a, b, aln.ops));
 }
 
 // ---------------------------------------------------------------------------
 // Batched drivers
 // ---------------------------------------------------------------------------
-
-std::pair<std::size_t, std::size_t> pair_from_index(std::size_t p) {
-  // Invert the triangular number: the float estimate is correct to +-1,
-  // fixed up exactly by the adjustment loops.
-  auto i = static_cast<std::size_t>(
-      (std::sqrt(8.0 * static_cast<double>(p) + 1.0) + 1.0) / 2.0);
-  while (i >= 1 && i * (i - 1) / 2 > p) --i;
-  while ((i + 1) * i / 2 <= p) ++i;
-  return {i, p - i * (i - 1) / 2};
-}
 
 util::SymmetricMatrix<double> pairwise_distance_matrix(
     std::size_t n, unsigned threads,
@@ -77,7 +67,7 @@ util::SymmetricMatrix<double> pairwise_distance_matrix(
       pairs,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
-          const auto [i, j] = pair_from_index(p);
+          const auto [i, j] = util::pair_from_index(p);
           d(i, j) = fn(i, j);
         }
       },
@@ -131,7 +121,7 @@ std::vector<PairTask> plan_block(std::span<const bio::Sequence> seqs,
   std::vector<std::size_t> batchable;
   std::vector<PairTask> tasks;
   for (std::size_t p = 0; p < count; ++p) {
-    const auto [i, j] = pair_from_index(base + p);
+    const auto [i, j] = util::pair_from_index(base + p);
     const std::size_t la = seqs[i].size();
     const std::size_t lb = seqs[j].size();
     if (la > 0 && lb > 0 && std::max(la, lb) <= batch_cap) {
@@ -146,8 +136,8 @@ std::vector<PairTask> plan_block(std::span<const bio::Sequence> seqs,
   }
   std::sort(batchable.begin(), batchable.end(),
             [&](std::size_t pa, std::size_t pb) {
-              const auto [ia, ja] = pair_from_index(base + pa);
-              const auto [ib, jb] = pair_from_index(base + pb);
+              const auto [ia, ja] = util::pair_from_index(base + pa);
+              const auto [ib, jb] = util::pair_from_index(base + pb);
               const std::size_t lena =
                   std::max(seqs[ia].size(), seqs[ja].size());
               const std::size_t lenb =
@@ -181,7 +171,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
     std::vector<PairwiseAlignment> outs(task.slots.size());
     const std::unique_ptr<bool[]> ok(new bool[task.slots.size()]());
     for (std::size_t g = 0; g < task.slots.size(); ++g) {
-      const auto [i, j] = pair_from_index(base + task.slots[g]);
+      const auto [i, j] = util::pair_from_index(base + task.slots[g]);
       group[g] = {seqs[i].codes(), seqs[j].codes()};
     }
     pb->align(group, outs.data(), ok.get());
@@ -199,7 +189,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
         stats.ladder += batch.stats();
       }
       if (options.with_local) {
-        const auto [i, j] = pair_from_index(base + p);
+        const auto [i, j] = util::pair_from_index(base + p);
         block[p].local = engine::local_align(seqs[i].codes(), seqs[j].codes(),
                                              matrix, gaps, options.backend);
       }
@@ -217,7 +207,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
     batch = std::make_unique<engine::AlignBatch>(
         seqs[i].codes(), matrix, gaps, options.backend, options.first_tier);
   for (const std::size_t p : task.slots) {
-    const auto [pi, j] = pair_from_index(base + p);
+    const auto [pi, j] = util::pair_from_index(base + p);
     if (batch)
       block[p].global = batch->align(seqs[j].codes());
     else
@@ -280,7 +270,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
         options.threads);
     for (const auto& ts : task_stats) total += ts;
     for (std::size_t p = 0; p < count; ++p) {
-      const auto [i, j] = pair_from_index(base + p);
+      const auto [i, j] = util::pair_from_index(base + p);
       d(i, j) = pair_kimura(seqs, i, j, block[p]);
       if (visit) visit(i, j, block[p]);
     }

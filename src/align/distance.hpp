@@ -50,13 +50,6 @@ inline constexpr double kMaxGuideTreeDistance = 5.0;
 // (engine::ScoreBatch) with one query profile per row instead of per pair.
 // ---------------------------------------------------------------------------
 
-/// Maps a linear index onto the strict-lower-triangle pair enumeration
-/// (1,0), (2,0), (2,1), (3,0), ... — i ascending, then j < i ascending: the
-/// exact order of the historical nested consumer loops, and the order in
-/// which alignment_distance_matrix invokes its visitor.
-[[nodiscard]] std::pair<std::size_t, std::size_t> pair_from_index(
-    std::size_t p);
-
 /// Deterministic threaded all-pairs driver: fills d(i, j) = fn(i, j) for
 /// every j < i (diagonal stays 0) via util::parallel_for over the linear
 /// pair index. `fn` must be thread-safe and independent per pair — it may
@@ -106,7 +99,7 @@ struct PairDistanceOptions {
 };
 
 /// Serial per-pair callback of alignment_distance_matrix, invoked in
-/// pair_from_index order (i ascending, then j < i) AFTER the pair's
+/// util::pair_from_index order (i ascending, then j < i) AFTER the pair's
 /// alignments were computed — possibly on another thread, but the visitor
 /// itself always runs on the calling thread in deterministic order, so it
 /// may mutate shared state freely (e.g. build a consistency library).

@@ -81,7 +81,7 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                              std::span<const std::uint8_t> b,
                                              const bio::SubstitutionMatrix& matrix,
                                              bio::GapPenalties gaps,
-                                             Backend backend,
+                                             Backend backend = default_backend(),
                                              ScoreTier first_tier = ScoreTier::kAuto);
 
 /// Banded global alignment (same band geometry as the historical
@@ -89,14 +89,14 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
 [[nodiscard]] PairwiseAlignment banded_global_align(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
     const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band, Backend backend);
+    std::size_t band, Backend backend = default_backend());
 
 /// Local (Smith–Waterman) alignment, checkpointed traceback.
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,
                                          const bio::SubstitutionMatrix& matrix,
                                          bio::GapPenalties gaps,
-                                         Backend backend);
+                                         Backend backend = default_backend());
 
 /// Retained scalar reference kernels: the pre-engine row-major
 /// implementations with a full traceback matrix. They define the exact

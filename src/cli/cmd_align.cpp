@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bio/fasta.hpp"
+#include "bio/substitution_matrix.hpp"
 #include "cli/arg_parser.hpp"
 #include "cli/commands.hpp"
 #include "core/sample_align_d.hpp"
@@ -58,10 +59,13 @@ ArgParser make_parser() {
            "cooperatively at the next stage/chunk boundary, leaves a valid\n"
            "checkpoint, and exits 4; --resume completes bit-identically");
   p.option("max-memory", "size", "0",
-           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Exceeding it is\n"
-           "degraded gracefully — profile-merge trace budgets shrink (same\n"
-           "output, checkpointed traceback) — never aborted");
-  p.flag("stats", "print the per-stage pipeline report to stderr");
+           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Shrinks the\n"
+           "scalar profile-merge trace budget (same output, checkpointed\n"
+           "traceback); the default vector kernel always checkpoints, so\n"
+           "there it changes nothing. Never aborts a run");
+  p.flag("stats",
+         "print the per-stage pipeline report to stderr: one table, with\n"
+         "each stage's aligner phases as indented rows");
   p.flag("sp", "print the alignment's SP score to stderr");
   return p;
 }
@@ -138,7 +142,7 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     }
     if (p.get_flag("stats")) err << stats.summary();
     if (p.get_flag("sp")) {
-      const auto& m = *cfg.matrix;
+      const auto& m = bio::SubstitutionMatrix::blosum62();
       err << "SP score: "
           << msa::sp_score(aln, m, m.default_gaps(),
                            aln.num_rows() > 256 ? 4096 : 0)

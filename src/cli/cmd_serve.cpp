@@ -49,7 +49,8 @@ ArgParser make_serve_parser() {
            "(e.g. 30, 2.5s, 1.5m; 0 = none)");
   p.option("max-memory", "size", "0",
            "default per-job memory bound for jobs that set none\n"
-           "(e.g. 512m, 1.5g; 0 = none)");
+           "(e.g. 512m, 1.5g; 0 = none). Shrinks only the scalar\n"
+           "profile-merge trace budget; never changes output");
   p.flag("no-cache",
          "disable the process-wide artifact cache (enabled by default in\n"
          "the daemon — repeated jobs share guide-tree/distance work)");

@@ -2,12 +2,9 @@
 
 #include <memory>
 
-#include "bio/substitution_matrix.hpp"
 #include "core/stage/stage.hpp"
 #include "kmer/kmer_profile.hpp"
-#include "msa/consensus.hpp"
 #include "msa/msa_algorithm.hpp"
-#include "msa/phase_stats.hpp"
 #include "msa/polish.hpp"
 #include "util/budget.hpp"
 
@@ -60,9 +57,6 @@ struct SampleAlignDConfig {
   /// — the ablation that shows why the ancestor constraint matters.
   bool ancestor_refinement = true;
 
-  /// Local-ancestor extraction parameters.
-  msa::ConsensusOptions consensus{};
-
   /// Root-side polish of the glued alignment: re-align the most divergent
   /// rows against the global profile (the paper's §5 future-work
   /// refinement). Disabled by default to match the published pipeline.
@@ -76,9 +70,6 @@ struct SampleAlignDConfig {
                             .gaps = {},
                             .min_gain = 1e-4F};
 
-  /// Scoring matrix for profiles/consensus alignment.
-  const bio::SubstitutionMatrix* matrix = &bio::SubstitutionMatrix::blosum62();
-
   /// Externalized-state options: checkpoint.dir enables per-stage artifact
   /// persistence, checkpoint.resume loads completed stages back. Resumed
   /// runs are bit-identical to fresh ones for any thread count (stage
@@ -91,19 +82,16 @@ struct SampleAlignDConfig {
   /// constructs — a caller-provided local_aligner manages its own caching.
   bool use_artifact_cache = false;
 
-  /// Per-phase recorder handed to the default local aligner (not owned;
-  /// must outlive the runs). Null = the pipeline allocates its own when it
-  /// builds the default aligner, and reports it through PipelineStats.
-  msa::AlignerPhaseStats* phase_stats = nullptr;
-
   /// Resource limits of a run (`--deadline` / `--max-memory`; 0 = none).
   /// The deadline is polled cooperatively at stage, chunk and merge
   /// boundaries: when it passes, the run stops at the next boundary with
   /// util::DeadlineExceeded, leaving a valid checkpoint `--resume` finishes
-  /// bit-identically. A memory bound degrades gracefully instead of
-  /// aborting: it shrinks the default aligner's full-traceback cell budget
-  /// so large merges take the (output-identical) checkpointed-traceback
-  /// path. Neither limit ever changes the alignment, so neither is part of
+  /// bit-identically. A memory bound shrinks the default aligner's
+  /// full-traceback cell budget (MuscleOptions::max_trace_cells), which
+  /// only the scalar PSP kernel reads: there, large merges take the
+  /// output-identical checkpointed traceback sooner. The vector kernel of
+  /// the default build always checkpoints, so the bound changes nothing
+  /// there. Neither limit ever changes the alignment, so neither is part of
   /// the pipeline hash.
   util::BudgetLimits budget{};
 

@@ -8,16 +8,24 @@
 
 namespace salign::core {
 
-double StageStats::max_seconds() const {
+namespace {
+
+double max_of(const std::vector<double>& v) {
   double m = 0.0;
-  for (double s : rank_seconds) m = std::max(m, s);
+  for (double s : v) m = std::max(m, s);
   return m;
 }
 
+}  // namespace
+
+double AlignerPhase::max_wall_seconds() const {
+  return max_of(rank_wall_seconds);
+}
+
+double StageStats::max_seconds() const { return max_of(rank_seconds); }
+
 double StageStats::max_wall_seconds() const {
-  double m = 0.0;
-  for (double s : rank_wall_seconds) m = std::max(m, s);
-  return m;
+  return max_of(rank_wall_seconds);
 }
 
 const char* pattern_name(CommPattern pattern) {
@@ -106,6 +114,11 @@ std::string PipelineStats::summary() const {
                    util::fmt("%.4f", s.max_wall_seconds()),
                    legs.empty() ? "-" : legs,
                    util::fmt("%.6f", s.comm_seconds(model, num_procs))});
+    for (const AlignerPhase& ph : s.phases) {
+      table.add_row({"  " + ph.name, "", std::to_string(ph.cache_hits) + '/' +
+                     std::to_string(ph.runs) + " cached", "", "", "",
+                     util::fmt("%.4f", ph.max_wall_seconds()), "", ""});
+    }
   }
   std::ostringstream os;
   os << "Sample-Align-D pipeline: N=" << num_sequences << " p=" << num_procs
@@ -119,14 +132,6 @@ std::string PipelineStats::summary() const {
      << "wall " << util::fmt("%.3f", wall_seconds) << " s; modeled cluster "
      << util::fmt("%.3f", modeled_seconds(model)) << " s; total "
      << total_bytes() << " bytes on the wire\n";
-  if (!aligner_phases.empty()) {
-    util::Table ph({"aligner phase", "wall s", "runs", "cache hits"});
-    for (const auto& a : aligner_phases) {
-      ph.add_row({a.name, util::fmt("%.4f", a.wall_seconds),
-                  std::to_string(a.runs), std::to_string(a.cache_hits)});
-    }
-    os << ph.to_string();
-  }
   if (!cache_note.empty()) os << cache_note << '\n';
   for (const std::string& note : quarantine_notes)
     os << "checkpoint: " << note << '\n';

@@ -31,6 +31,19 @@ struct CommLeg {
                                int p) const;
 };
 
+/// One sequential-aligner phase (msa::ScopedPhase: a distance matrix,
+/// guide tree, progressive pass or refinement) that ran inside a stage,
+/// folded over the stage's ranks and runs.
+struct AlignerPhase {
+  std::string name;
+  /// Per-rank wall seconds, summed over the rank's runs of this phase.
+  std::vector<double> rank_wall_seconds;
+  std::uint64_t runs = 0;        ///< over all ranks
+  std::uint64_t cache_hits = 0;  ///< runs served from the artifact cache
+
+  [[nodiscard]] double max_wall_seconds() const;
+};
+
 /// One stage the StageRunner ran or resumed: its artifact provenance, the
 /// time its ranks computed and the messages they sent.
 struct StageStats {
@@ -54,6 +67,10 @@ struct StageStats {
   /// The stage's collectives in the order it performed them (none when the
   /// stage only computes, or was resumed).
   std::vector<CommLeg> legs;
+  /// Aligner phases the stage's ranks ran, in first-seen order (rank 0's
+  /// first). Each rank's phase seconds lie inside its rank_wall_seconds.
+  /// None when the stage was resumed.
+  std::vector<AlignerPhase> phases;
 
   [[nodiscard]] double max_seconds() const;
   [[nodiscard]] double max_wall_seconds() const;
@@ -62,14 +79,6 @@ struct StageStats {
   /// Modeled wire time of all legs of this stage.
   [[nodiscard]] double comm_seconds(const par::ClusterCostModel& model,
                                     int p) const;
-};
-
-/// One sequential-aligner phase aggregated across all buckets of the run.
-struct AlignerPhaseSummary {
-  std::string name;
-  double wall_seconds = 0.0;
-  std::uint64_t runs = 0;
-  std::uint64_t cache_hits = 0;
 };
 
 /// End-to-end instrumentation of one pipeline run: one row per stage the
@@ -97,9 +106,6 @@ struct PipelineStats {
   std::vector<std::size_t> bucket_sizes;
   double wall_seconds = 0.0;
 
-  /// Per-phase breakdown of the sequential aligner runs (default aligner
-  /// only; filled when the pipeline owns the phase recorder).
-  std::vector<AlignerPhaseSummary> aligner_phases;
   /// One-line process-wide artifact-cache report ("" when caching is off).
   std::string cache_note;
   /// Checkpoint-robustness notes: artifacts/manifests quarantined (renamed

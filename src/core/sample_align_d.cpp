@@ -12,6 +12,7 @@
 #include "kmer/kmer_rank.hpp"
 #include "msa/consensus.hpp"
 #include "msa/muscle_like.hpp"
+#include "msa/phase_log.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "par/serialize.hpp"
@@ -32,12 +33,13 @@ using stage::RankedRef;
 /// Per-(stage, rank) accounting of the staged executor: CPU seconds of the
 /// worker that ran the rank's segment (immune to host oversubscription, but
 /// blind to shared-pool workers a threaded local aligner borrows), wall
-/// seconds, and the collectives a real cluster would run. The StageRunner
-/// knows nothing of ranks or bytes; a segment belongs to the stage being
-/// computed, which is record number runner.records().size() (the runner
-/// appends a stage's record once its compute returns), so row i pairs with
-/// record i. Resumed stages never execute their compute, so their rows stay
-/// zero — reflecting that no work was done.
+/// seconds, the aligner phases the segment ran, and the collectives a real
+/// cluster would run. The StageRunner knows nothing of ranks or bytes; a
+/// segment belongs to the stage being computed, which is record number
+/// runner.records().size() (the runner appends a stage's record once its
+/// compute returns), so row i pairs with record i. Resumed stages never
+/// execute their compute, so their rows stay zero — reflecting that no work
+/// was done.
 class RunStats {
  public:
   RunStats(const stage::StageRunner& runner, int p)
@@ -49,20 +51,23 @@ class RunStats {
   /// chunk geometry never depends on scheduling, so neither do outputs.
   void for_each_rank(const std::function<void(int)>& fn) {
     StageStats& row = current();
+    std::vector<std::vector<msa::PhaseEntry>> phases(p_);
     util::parallel_for(
         p_,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t r = begin; r < end; ++r)
-            timed(row, r, [&] { fn(static_cast<int>(r)); });
+            phases[r] = timed(row, r, [&] { fn(static_cast<int>(r)); });
         },
         static_cast<unsigned>(p_));
+    for (std::size_t r = 0; r < p_; ++r) add_phases(row, r, phases[r]);
   }
 
   /// Root-only segment (pivot selection, global-ancestor alignment, glue,
   /// polish), charged to rank 0.
   template <typename Fn>
   void at_root(Fn&& fn) {
-    timed(current(), 0, fn);
+    StageStats& row = current();
+    add_phases(row, 0, timed(row, 0, fn));
   }
 
   /// Records one collective of the current stage from the bytes each rank
@@ -108,8 +113,13 @@ class RunStats {
     return rows_[i];
   }
 
+  /// Runs one segment of `rank` and returns the aligner phases it logged.
+  /// The log is installed before the segment's clocks start, so every
+  /// phase's time lies inside the segment's.
   template <typename Fn>
-  void timed(StageStats& row, std::size_t rank, Fn&& fn) {
+  std::vector<msa::PhaseEntry> timed(StageStats& row, std::size_t rank,
+                                     Fn&& fn) {
+    msa::PhaseLog log;
     util::ThreadCpuTimer cpu;
     util::Stopwatch watch;
     fn();
@@ -119,6 +129,26 @@ class RunStats {
     // containers give CLOCK_THREAD_CPUTIME_ID).
     row.rank_seconds[rank] += p_ == 1 ? wall : cpu.seconds();
     row.rank_wall_seconds[rank] += wall;
+    return log.entries();
+  }
+
+  /// Folds one rank's phase entries into the row by name, in first-seen
+  /// order. Runs after the stage's parallel region, so rows stay
+  /// single-writer.
+  void add_phases(StageStats& row, std::size_t rank,
+                  const std::vector<msa::PhaseEntry>& entries) const {
+    for (const msa::PhaseEntry& e : entries) {
+      auto it = std::find_if(row.phases.begin(), row.phases.end(),
+                             [&](const AlignerPhase& ph) {
+                               return ph.name == e.name;
+                             });
+      if (it == row.phases.end())
+        it = row.phases.insert(
+            it, AlignerPhase{e.name, std::vector<double>(p_, 0.0), 0, 0});
+      it->rank_wall_seconds[rank] += e.wall_seconds;
+      ++it->runs;
+      if (e.cache_hit) ++it->cache_hits;
+    }
   }
 
   const stage::StageRunner* runner_;
@@ -287,17 +317,13 @@ SampleAlignD::SampleAlignD(SampleAlignDConfig config)
   if (config_.num_procs <= 0)
     throw std::invalid_argument("SampleAlignD: num_procs must be > 0");
   if (!config_.local_aligner) {
-    if (config_.phase_stats == nullptr)
-      owned_phase_stats_ = std::make_shared<msa::AlignerPhaseStats>();
     msa::MuscleOptions o;
     o.threads = config_.threads;
     o.use_artifact_cache = config_.use_artifact_cache;
-    o.phase_stats = config_.phase_stats != nullptr ? config_.phase_stats
-                                                   : owned_phase_stats_.get();
-    // Graceful memory degradation: a --max-memory bound shrinks the
-    // full-traceback budget (~3 bytes/cell of trace) so big merges switch
-    // to the output-identical checkpointed-traceback path instead of the
-    // process dying on an allocation. Not hashed — it never changes output.
+    // A --max-memory bound shrinks the scalar PSP kernel's full-traceback
+    // budget (~3 bytes/cell of trace) so big merges switch to its
+    // output-identical checkpointed traceback; the vector kernel always
+    // checkpoints. Not hashed — it never changes output.
     o.max_trace_cells = util::clamp_trace_cells(
         msa::detail::kDefaultProfileTraceCells,
         config_.budget.max_memory_bytes, 3);
@@ -317,13 +343,15 @@ util::Digest128 SampleAlignD::pipeline_hash(
   h.u8(config_.rank_mode == RankMode::Globalized ? 0 : 1);
   h.u8(config_.ancestor_refinement ? 1 : 0);
   h.u8(config_.polish_divergent ? 1 : 0);
-  h.f64(config_.consensus.max_gap_fraction);
+  // The consensus options and the matrix are fixed, but stay in the hash
+  // so existing checkpoints keep matching.
+  h.f64(msa::ConsensusOptions{}.max_gap_fraction);
   h.f64(config_.polish.fraction);
   h.u64(config_.polish.max_rows);
   h.u32(static_cast<std::uint32_t>(config_.polish.passes));
   bio::hash_gaps(h, config_.polish.gaps);
   h.f64(static_cast<double>(config_.polish.min_gain));
-  bio::hash_matrix(h, *config_.matrix);
+  bio::hash_matrix(h, bio::SubstitutionMatrix::blosum62());
   config_.local_aligner->hash_config(h);
   // threads is deliberately NOT hashed: any thread count is bit-identical,
   // so a checkpoint written with -t 8 must resume under -t 1 and vice versa.
@@ -350,14 +378,14 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   const auto up = static_cast<std::size_t>(p);
   const auto n = seqs.size();
   util::Stopwatch wall;
+  // Ancestor consensus, tweak and polish score with BLOSUM62, the paper's
+  // matrix; pipeline_hash covers both.
+  const bio::SubstitutionMatrix& matrix = bio::SubstitutionMatrix::blosum62();
+  const msa::ConsensusOptions consensus{};
 
-  msa::AlignerPhaseStats* phase_rec = config_.phase_stats != nullptr
-                                          ? config_.phase_stats
-                                          : owned_phase_stats_.get();
-  if (phase_rec != nullptr) phase_rec->reset();
-
-  // Deadline clock starts here; the budget is visible process-wide so
-  // parallel_for chunks and guide-tree merges poll it without plumbing.
+  // Deadline clock starts here. The budget is installed on this thread and
+  // the pool carries it to every worker of this run, so parallel_for chunks
+  // and guide-tree merges poll it without plumbing.
   util::Budget budget(config_.budget, config_.cancel);
   util::ScopedBudget scoped_budget(&budget);
 
@@ -627,8 +655,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
                                            : local_aln.alphabet_kind());
             if (!local_aln.empty())
               ancestors[ur] = msa::consensus_sequence(
-                  local_aln, "ancestor_" + std::to_string(r),
-                  config_.consensus);
+                  local_aln, "ancestor_" + std::to_string(r), consensus);
             if (r != 0) sent[ur] = par::wire_size(ancestors[ur]);
           });
           rs.add_leg(CommPattern::Gather, sent);
@@ -647,7 +674,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
             } else if (!present.empty()) {
               const Alignment anc_aln = config_.local_aligner->align(present);
               global = msa::consensus_sequence(anc_aln, "global_ancestor",
-                                               config_.consensus);
+                                               consensus);
             }
           });
           const std::uint64_t bcast = par::wire_size(global) * (up - 1);
@@ -666,14 +693,13 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
             const auto ur = static_cast<std::size_t>(r);
             const Alignment& local_aln = locals[ur];
             if (!local_aln.empty()) {
-              const msa::Profile pl(local_aln, *config_.matrix);
+              const msa::Profile pl(local_aln, matrix);
               if (ga.empty()) {
                 out[ur].assign(local_aln.num_cols(), EditOp::GapInB);
               } else {
-                const msa::Profile pg(Alignment::from_sequence(ga),
-                                      *config_.matrix);
+                const msa::Profile pg(Alignment::from_sequence(ga), matrix);
                 msa::ProfileAlignOptions po;
-                po.gaps = config_.matrix->default_gaps();
+                po.gaps = matrix.default_gaps();
                 out[ur] = msa::align_profiles(pl, pg, po).ops;
               }
             } else if (!ga.empty()) {
@@ -736,8 +762,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           Alignment a;
           rs.at_root([&] {
             a = result;
-            (void)msa::polish_divergent_rows(a, *config_.matrix,
-                                             config_.polish);
+            (void)msa::polish_divergent_rows(a, matrix, config_.polish);
           });
           return a;
         },
@@ -753,16 +778,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     for (const auto& bucket : buckets)
       stats->bucket_sizes.push_back(bucket.size());
     stats->wall_seconds = wall.seconds();
-    if (phase_rec != nullptr) {
-      for (const auto& ph : phase_rec->snapshot()) {
-        AlignerPhaseSummary s;
-        s.name = ph.name;
-        s.wall_seconds = ph.wall_seconds;
-        s.runs = ph.runs;
-        s.cache_hits = ph.cache_hits;
-        stats->aligner_phases.push_back(std::move(s));
-      }
-    }
     if (config_.use_artifact_cache) {
       const auto& cache = util::ArtifactCache::process_cache();
       stats->cache_note = util::cache_summary(cache.stats(), cache.capacity());

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "core/config.hpp"
@@ -44,9 +43,9 @@ namespace salign::core {
 /// rank-to-rank communication is deterministic data movement at stage
 /// boundaries. Messages are modeled, not encoded: each is charged the bytes
 /// the par:: codecs would write for it (par::wire_size). `PipelineStats`
-/// holds one row per stage run: its artifact, per-rank compute seconds and
-/// communication legs, from which it derives the modeled dedicated-cluster
-/// makespan.
+/// holds one row per stage run: its artifact, per-rank compute seconds,
+/// the sequential aligner's phases each rank ran, and communication legs,
+/// from which it derives the modeled dedicated-cluster makespan.
 ///
 /// With num_procs == 1 there is nothing to partition or merge: steps 2-10
 /// and 12-15 are skipped, the single bucket is the input in input order,
@@ -80,9 +79,6 @@ class SampleAlignD {
 
  private:
   SampleAlignDConfig config_;
-  /// Recorder behind the default aligner's phase stats when the caller did
-  /// not supply one (SampleAlignDConfig::phase_stats).
-  std::shared_ptr<msa::AlignerPhaseStats> owned_phase_stats_;
 };
 
 }  // namespace salign::core

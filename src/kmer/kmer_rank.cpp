@@ -125,13 +125,7 @@ util::SymmetricMatrix<double> distance_matrix(
   util::parallel_for(
       pairs,
       [&](std::size_t begin, std::size_t end) {
-        // Row of pair `begin`: a floating-point estimate, then made exact
-        // in integers whatever its rounding.
-        auto i = static_cast<std::size_t>(
-            (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(begin))) / 2.0);
-        while (i * (i - 1) / 2 > begin) --i;
-        while (i * (i + 1) / 2 <= begin) ++i;
-        std::size_t j = begin - i * (i - 1) / 2;
+        auto [i, j] = util::pair_from_index(begin);
         PairScorer scorer(slots);
         scorer.load(profiles[i]);
         for (std::size_t t = begin; t < end; ++t) {

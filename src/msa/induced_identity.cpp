@@ -72,7 +72,7 @@ util::SymmetricMatrix<double> induced_kimura_distances(const Alignment& aln,
   util::parallel_for(
       pairs,
       [&](std::size_t begin, std::size_t end) {
-        auto [i, j] = align::pair_from_index(begin);
+        auto [i, j] = util::pair_from_index(begin);
         for (std::size_t t = begin; t < end; ++t) {
           d(i, j) = align::kimura_distance(sliced.count(i, j).identity());
           if (++j == i) {

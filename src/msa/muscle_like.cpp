@@ -10,6 +10,7 @@
 #include "msa/guide_tree.hpp"
 #include "msa/induced_identity.hpp"
 #include "msa/msa_serialize.hpp"
+#include "msa/phase_log.hpp"
 #include "msa/progressive.hpp"
 #include "msa/refinement.hpp"
 #include "par/serialize.hpp"
@@ -72,9 +73,9 @@ struct PhaseCache {
   /// escape. The fault-matrix tests drive this via the cache.lookup /
   /// cache.insert injection sites.
   template <typename Compute, typename Write, typename Read>
-  auto get(AlignerPhaseStats* stats, const char* tag, Compute&& compute,
-           Write&& write, Read&& read) const -> decltype(compute()) {
-    ScopedPhase phase(stats, tag);
+  auto get(const char* tag, Compute&& compute, Write&& write,
+           Read&& read) const -> decltype(compute()) {
+    ScopedPhase phase(tag);
     if (!enabled) return compute();
     const util::Digest128 k = key(tag);
     try {
@@ -145,14 +146,13 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
     pc.base = h.digest128();
     pc.cache = &util::ArtifactCache::process_cache();
   }
-  AlignerPhaseStats* ps = options_.phase_stats;
 
   // Stage 1: k-mer (or engine score) distances -> UPGMA -> progressive.
   // Each distance matrix lives only until its tree is built: at large N
   // they are the biggest allocations of the run.
   GuideTree tree = [&] {
     const util::SymmetricMatrix<double> kd = pc.get(
-        ps, "stage1 distance matrix",
+        "stage1 distance matrix",
         [&] {
           if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
             align::ScoreDistanceOptions sdo;
@@ -163,7 +163,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
           return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
         },
         write_distance_matrix, read_distance_matrix);
-    return pc.get(ps, "stage1 guide tree", [&] { return GuideTree::upgma(kd); },
+    return pc.get("stage1 guide tree", [&] { return GuideTree::upgma(kd); },
                   write_guide_tree, read_guide_tree);
   }();
   ProgressiveOptions po;
@@ -172,7 +172,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   po.threads = options_.threads;
   po.max_trace_cells = options_.max_trace_cells;
   Alignment aln = [&] {
-    ScopedPhase phase(ps, "stage1 progressive");
+    ScopedPhase phase("stage1 progressive");
     return progressive_align(seqs, tree, *matrix_, po);
   }();
 
@@ -182,16 +182,15 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
     aln = reorder_to_input(aln, seqs);
     tree = [&] {
       const util::SymmetricMatrix<double> kim = pc.get(
-          ps, "stage2 distance matrix",
+          "stage2 distance matrix",
           [&] { return induced_kimura_distances(aln, options_.threads); },
           write_distance_matrix, read_distance_matrix);
-      return pc.get(ps, "stage2 guide tree",
-                    [&] { return GuideTree::upgma(kim); }, write_guide_tree,
-                    read_guide_tree);
+      return pc.get("stage2 guide tree", [&] { return GuideTree::upgma(kim); },
+                    write_guide_tree, read_guide_tree);
     }();
     po.weights = tree.leaf_weights();
     {
-      ScopedPhase phase(ps, "stage2 progressive");
+      ScopedPhase phase("stage2 progressive");
       aln = progressive_align(seqs, tree, *matrix_, po);
     }
   }
@@ -200,7 +199,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
 
   // Stage 3: optional refinement (rows are in input order == leaf order).
   if (options_.refine_passes > 0) {
-    ScopedPhase phase(ps, "refine");
+    ScopedPhase phase("refine");
     RefineOptions ro;
     ro.passes = options_.refine_passes;
     ro.gaps = matrix_->default_gaps();

@@ -3,7 +3,6 @@
 #include "bio/substitution_matrix.hpp"
 #include "kmer/kmer_profile.hpp"
 #include "msa/msa_algorithm.hpp"
-#include "msa/phase_stats.hpp"
 
 namespace salign::msa {
 
@@ -37,20 +36,19 @@ struct MuscleOptions {
   /// progressive merge schedules. The two UPGMA builds stay serial. Any
   /// value produces bit-identical alignments.
   unsigned threads = 1;
-  /// Serve/store per-phase artifacts (distance matrices, guide trees, both
-  /// progressive alignments) through util::ArtifactCache::process_cache(),
-  /// keyed by the content hash of (options, matrix, input sequences). Off by
-  /// default: repeated-alignment workloads opt in (`salign align --cache`).
-  /// Hits decode through the same codecs a cold run's artifacts were encoded
-  /// with, so cached and fresh runs are bit-identical.
+  /// Serve/store the two distance matrices and the two guide trees through
+  /// util::ArtifactCache::process_cache(), keyed by the content hash of
+  /// (options, matrix, input sequences); the progressive alignments are
+  /// always recomputed. Off by default: repeated-alignment workloads opt in
+  /// (`salign align --cache`). Hits decode through the same codecs a cold
+  /// run's artifacts were encoded with, so cached and fresh runs are
+  /// bit-identical.
   bool use_artifact_cache = false;
-  /// Optional per-phase wall-time / cache-hit recorder (not owned; must
-  /// outlive the aligner). Never affects output.
-  AlignerPhaseStats* phase_stats = nullptr;
-  /// Full-traceback cell budget of every profile-profile merge (see
-  /// ProfileAlignOptions::max_trace_cells); 0 = the engine default. The
-  /// memory-pressure degradation lever: `--max-memory` shrinks this so big
-  /// merges switch to checkpointed traceback earlier. Both traceback paths
+  /// Full-traceback cell budget of every profile-profile merge on the
+  /// scalar PSP kernel (see ProfileAlignOptions::max_trace_cells); 0 = the
+  /// engine default. `--max-memory` shrinks it so big scalar merges switch
+  /// to checkpointed traceback earlier. The vector kernel (the default
+  /// build's) always checkpoints and never reads it. Both traceback paths
   /// produce identical alignments, so — like threads — this is excluded
   /// from hash_config and never invalidates checkpoints or cache entries.
   std::size_t max_trace_cells = 0;
@@ -67,7 +65,8 @@ struct MuscleOptions {
 ///   stage 3: optional tree-bipartition refinement.
 ///
 /// Asymptotics match the paper's cost table: O(N^2) distance terms plus
-/// O(N L^2) profile alignments per progressive pass.
+/// O(N L^2) profile alignments per progressive pass. Each phase is timed
+/// into the calling thread's PhaseLog when one is installed.
 class MuscleAligner final : public MsaAlgorithm {
  public:
   explicit MuscleAligner(MuscleOptions options = {},
@@ -81,8 +80,8 @@ class MuscleAligner final : public MsaAlgorithm {
 
   /// Full output-determining identity: algorithm tag, stage-1 mode, k-mer
   /// params, stage-2/3 switches and the scoring matrix. threads,
-  /// use_artifact_cache and phase_stats are excluded — they never change
-  /// output.
+  /// use_artifact_cache and max_trace_cells are excluded — they never
+  /// change output.
   void hash_config(util::StableHash& h) const override;
 
   [[nodiscard]] const MuscleOptions& options() const { return options_; }

@@ -55,9 +55,9 @@ struct DaemonOptions {
 /// resumable bit-identically.
 ///
 /// One job at a time is a correctness choice, not a simplification: the
-/// pipeline's budget scope (util::ScopedBudget) is process-wide, and
-/// per-job `threads` already parallelizes within a job — cross-job
-/// concurrency would let one job's deadline evict another.
+/// fault injector (util::FaultInjector) is process-wide, and per-job
+/// `threads` already parallelizes within a job — cross-job concurrency
+/// would let one job's injected faults hit another.
 ///
 /// Crash tolerance: every state transition is journaled durably *before*
 /// it is acknowledged or acted on (Journal). On startup the daemon

@@ -1,24 +1,21 @@
 #include "util/budget.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace salign::util {
 
 namespace {
-std::atomic<const Budget*> g_current_budget{nullptr};
+thread_local const Budget* t_current_budget = nullptr;
 }  // namespace
 
-const Budget* current_budget() {
-  return g_current_budget.load(std::memory_order_relaxed);
-}
+const Budget* current_budget() { return t_current_budget; }
 
 ScopedBudget::ScopedBudget(const Budget* budget)
-    : previous_(g_current_budget.exchange(budget, std::memory_order_relaxed)) {}
-
-ScopedBudget::~ScopedBudget() {
-  g_current_budget.store(previous_, std::memory_order_relaxed);
+    : previous_(t_current_budget) {
+  t_current_budget = budget;
 }
+
+ScopedBudget::~ScopedBudget() { t_current_budget = previous_; }
 
 void poll_budget(std::string_view where) {
   if (const Budget* b = current_budget()) b->check(where);

@@ -95,15 +95,17 @@ class Budget {
   bool has_deadline_ = false;
 };
 
-/// The budget of the currently running pipeline, if any. Worker loops
-/// (util::parallel_for chunks, guide-tree merge scheduling) poll this so
-/// cancellation crosses thread-pool threads without plumbing a parameter
-/// through every call chain. Null when no budget is active — the common
-/// case, one relaxed atomic load.
+/// The budget of the pipeline run the calling thread works for, if any.
+/// Worker loops (util::parallel_for chunks, guide-tree merge scheduling)
+/// poll this so cancellation crosses thread-pool threads without plumbing
+/// a parameter through every call chain: ThreadPool::run installs its
+/// caller's budget on every pool thread that runs a copy of the work. Null
+/// when no budget is active — the common case, one thread-local load.
 [[nodiscard]] const Budget* current_budget();
 
-/// Installs `budget` as the process-current budget for its scope.
-/// Scopes don't nest across threads — the pipeline driver owns exactly one.
+/// Installs `budget` as the calling thread's current budget for its scope
+/// and restores the previous one on exit. Each thread has its own, so
+/// concurrent pipeline runs never see each other's budget.
 class ScopedBudget {
  public:
   explicit ScopedBudget(const Budget* budget);

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace salign::util {
@@ -74,5 +76,20 @@ class SymmetricMatrix {
   std::size_t n_ = 0;
   std::vector<T> data_;
 };
+
+/// Maps a linear index onto the strict-lower-triangle pair enumeration
+/// (1,0), (2,0), (2,1), (3,0), ... — i ascending, then j < i ascending, so
+/// pair p = i(i-1)/2 + j. The threaded all-pairs drivers chunk this index:
+/// every worker gets the same number of pairs however uneven the rows are.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> pair_from_index(
+    std::size_t p) {
+  // Invert the triangular number: the float estimate is correct to +-1,
+  // fixed up exactly by the adjustment loops.
+  auto i = static_cast<std::size_t>(
+      (std::sqrt(8.0 * static_cast<double>(p) + 1.0) + 1.0) / 2.0);
+  while (i >= 1 && i * (i - 1) / 2 > p) --i;
+  while ((i + 1) * i / 2 <= p) ++i;
+  return {i, p - i * (i - 1) / 2};
+}
 
 }  // namespace salign::util

@@ -24,6 +24,7 @@ struct JobState {
   std::mutex mu;
   std::condition_variable done_cv;  // caller waits: started == finished
   const std::function<void()>* fn = nullptr;  // valid until cancelled is set
+  const Budget* budget = nullptr;  // the caller's; outlives every copy
   unsigned started = 0;
   unsigned finished = 0;
   bool cancelled = false;
@@ -62,6 +63,7 @@ struct ThreadPool::Impl {
       if (fn != nullptr) {
         std::exception_ptr err;
         try {
+          const ScopedBudget scoped(job->budget);
           (*fn)();
         } catch (...) {
           err = std::current_exception();
@@ -104,6 +106,7 @@ void ThreadPool::run(unsigned extra_workers,
 
   auto job = std::make_shared<JobState>();
   job->fn = &worker;
+  job->budget = current_budget();
   {
     std::lock_guard lock(impl_->mu);
     for (unsigned i = 0; i < extra; ++i) impl_->queue.push_back(job);

@@ -25,7 +25,6 @@
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
-#include "align/global.hpp"
 #include "bio/sequence.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "util/rng.hpp"
@@ -223,7 +222,7 @@ TEST(PairEnumeration, MatchesNestedLoopOrder) {
   std::size_t p = 0;
   for (std::size_t i = 1; i < 24; ++i)
     for (std::size_t j = 0; j < i; ++j, ++p) {
-      const auto [pi, pj] = pair_from_index(p);
+      const auto [pi, pj] = util::pair_from_index(p);
       ASSERT_EQ(pi, i);
       ASSERT_EQ(pj, j);
     }
@@ -251,7 +250,7 @@ TEST(AlignmentDistanceMatrix, MatchesHistoricalLoopForEveryThreadCount) {
   for (std::size_t i = 0; i < seqs.size(); ++i)
     for (std::size_t j = 0; j < i; ++j) {
       const PairwiseAlignment pw =
-          global_align(seqs[i].codes(), seqs[j].codes(), m, g);
+          engine::global_align(seqs[i].codes(), seqs[j].codes(), m, g);
       want(i, j) = kimura_distance(
           fractional_identity(seqs[i].codes(), seqs[j].codes(), pw.ops));
     }
@@ -303,7 +302,7 @@ TEST(AlignmentDistanceMatrix, VisitorRunsSeriallyInPairOrder) {
         visited.emplace_back(i, j);
         // Spot-check the payload against direct kernel calls.
         const PairwiseAlignment pw =
-            global_align(seqs[i].codes(), seqs[j].codes(), m, g);
+            engine::global_align(seqs[i].codes(), seqs[j].codes(), m, g);
         EXPECT_EQ(pw.score, pair.global.score);
         EXPECT_EQ(pw.ops, pair.global.ops);
         const LocalAlignment loc = engine::local_align(
@@ -316,7 +315,7 @@ TEST(AlignmentDistanceMatrix, VisitorRunsSeriallyInPairOrder) {
   const std::size_t n = seqs.size();
   ASSERT_EQ(visited.size(), n * (n - 1) / 2);
   for (std::size_t p = 0; p < visited.size(); ++p)
-    EXPECT_EQ(visited[p], pair_from_index(p)) << "visit " << p;
+    EXPECT_EQ(visited[p], util::pair_from_index(p)) << "visit " << p;
 
   // Visitor mode and plain mode agree on the distances.
   PairDistanceOptions plain;

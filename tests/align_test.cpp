@@ -3,10 +3,8 @@
 #include <cmath>
 #include <tuple>
 
-#include "align/banded.hpp"
 #include "align/distance.hpp"
-#include "align/global.hpp"
-#include "align/local.hpp"
+#include "align/engine/engine.hpp"
 #include "align/pairwise.hpp"
 #include "bio/sequence.hpp"
 #include "util/rng.hpp"
@@ -114,7 +112,7 @@ TEST(PairwisePath, ScorePathOverrunThrows) {
 
 TEST(GlobalAlign, IdenticalSequences) {
   const auto a = codes("ACDEFGHIKL");
-  const PairwiseAlignment r = global_align(a, a, B62(), {});
+  const PairwiseAlignment r = engine::global_align(a, a, B62(), {});
   EXPECT_EQ(r.columns(), a.size());
   for (EditOp op : r.ops) EXPECT_EQ(op, EditOp::Match);
   float expect = 0.0F;
@@ -126,11 +124,11 @@ TEST(GlobalAlign, EmptyInputs) {
   const auto a = codes("ACD");
   const auto empty = codes("");
   const GapPenalties g{11.0F, 1.0F};
-  const PairwiseAlignment r1 = global_align(a, empty, B62(), g);
+  const PairwiseAlignment r1 = engine::global_align(a, empty, B62(), g);
   EXPECT_EQ(r1.a_consumed(), 3u);
   EXPECT_EQ(r1.b_consumed(), 0u);
   EXPECT_FLOAT_EQ(r1.score, -13.0F);  // open + 2 extends
-  const PairwiseAlignment r2 = global_align(empty, empty, B62(), g);
+  const PairwiseAlignment r2 = engine::global_align(empty, empty, B62(), g);
   EXPECT_TRUE(r2.ops.empty());
   EXPECT_FLOAT_EQ(r2.score, 0.0F);
 }
@@ -140,7 +138,7 @@ TEST(GlobalAlign, KnownSmallCase) {
   const auto a = codes("WWF");
   const auto b = codes("WF");
   const GapPenalties g{5.0F, 1.0F};
-  const PairwiseAlignment r = global_align(a, b, B62(), g);
+  const PairwiseAlignment r = engine::global_align(a, b, B62(), g);
   validate_global_path(r.ops, a.size(), b.size());
   EXPECT_FLOAT_EQ(r.score, 11.0F + 6.0F - 5.0F);
 }
@@ -152,7 +150,7 @@ TEST(GlobalAlign, ScoreMatchesRecomputedPathScore) {
     std::vector<std::uint8_t> b(10 + rng.below(30));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    const PairwiseAlignment r = global_align(a, b, B62(), {});
+    const PairwiseAlignment r = engine::global_align(a, b, B62(), {});
     validate_global_path(r.ops, a.size(), b.size());
     EXPECT_NEAR(r.score, score_path(a, b, r.ops, B62(), {}), 1e-3)
         << "trial " << trial;
@@ -167,7 +165,7 @@ TEST(GlobalAlign, MatchesBruteForceOracle) {
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
     const GapPenalties g{7.0F, 2.0F};
-    const PairwiseAlignment r = global_align(a, b, B62(), g);
+    const PairwiseAlignment r = engine::global_align(a, b, B62(), g);
     EXPECT_NEAR(r.score, brute_force_global(a, b, B62(), g), 1e-3)
         << "trial " << trial;
   }
@@ -176,8 +174,8 @@ TEST(GlobalAlign, MatchesBruteForceOracle) {
 TEST(GlobalAlign, SymmetricScore) {
   const auto a = codes("MKVLATTWY");
   const auto b = codes("MKVATTWWY");
-  const float s1 = global_align(a, b, B62(), {}).score;
-  const float s2 = global_align(b, a, B62(), {}).score;
+  const float s1 = engine::global_align(a, b, B62(), {}).score;
+  const float s2 = engine::global_align(b, a, B62(), {}).score;
   EXPECT_FLOAT_EQ(s1, s2);
 }
 
@@ -192,9 +190,9 @@ TEST_P(BandedTest, WideBandMatchesExact) {
     std::vector<std::uint8_t> b(20 + rng.below(20));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    const PairwiseAlignment exact = global_align(a, b, B62(), {});
+    const PairwiseAlignment exact = engine::global_align(a, b, B62(), {});
     const PairwiseAlignment banded =
-        banded_global_align(a, b, B62(), {}, 64);
+        engine::banded_global_align(a, b, B62(), {}, 64);
     EXPECT_FLOAT_EQ(banded.score, exact.score) << "trial " << trial;
     validate_global_path(banded.ops, a.size(), b.size());
   }
@@ -207,10 +205,11 @@ TEST_P(BandedTest, NarrowBandStillValidPath) {
   std::vector<std::uint8_t> b(50);
   for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
   for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-  const PairwiseAlignment r = banded_global_align(a, b, B62(), {}, band);
+  const PairwiseAlignment r =
+      engine::banded_global_align(a, b, B62(), {}, band);
   validate_global_path(r.ops, a.size(), b.size());
   // Banded is a restriction: never better than exact.
-  const PairwiseAlignment exact = global_align(a, b, B62(), {});
+  const PairwiseAlignment exact = engine::global_align(a, b, B62(), {});
   EXPECT_LE(r.score, exact.score + 1e-3);
 }
 
@@ -222,15 +221,15 @@ TEST(BandedAlign, SimilarSequencesExactWithSmallBand) {
   const auto a = codes("MKVLATTWYGGSDERKLAAC");
   auto bc = codes("MKVLATTWYGGSDERKLAAC");
   bc[7] = codes("P")[0];
-  const float exact = global_align(a, bc, B62(), {}).score;
-  const float banded = banded_global_align(a, bc, B62(), {}, 2).score;
+  const float exact = engine::global_align(a, bc, B62(), {}).score;
+  const float banded = engine::banded_global_align(a, bc, B62(), {}, 2).score;
   EXPECT_FLOAT_EQ(banded, exact);
 }
 
 TEST(BandedAlign, EmptyInput) {
   const auto a = codes("ACD");
   const PairwiseAlignment r =
-      banded_global_align(a, {}, B62(), GapPenalties{11.0F, 1.0F}, 4);
+      engine::banded_global_align(a, {}, B62(), GapPenalties{11.0F, 1.0F}, 4);
   EXPECT_EQ(r.a_consumed(), 3u);
   EXPECT_FLOAT_EQ(r.score, -13.0F);
 }
@@ -241,7 +240,7 @@ TEST(LocalAlign, FindsEmbeddedMotif) {
   // Shared motif WWWW embedded in unrelated context.
   const auto a = codes("AAAAWWWWCCCC");
   const auto b = codes("DDWWWWEE");
-  const LocalAlignment r = local_align(a, b, B62(), {});
+  const LocalAlignment r = engine::local_align(a, b, B62(), {});
   EXPECT_EQ(r.a_begin, 4u);
   EXPECT_EQ(r.b_begin, 2u);
   EXPECT_EQ(r.columns(), 4u);
@@ -251,7 +250,7 @@ TEST(LocalAlign, FindsEmbeddedMotif) {
 TEST(LocalAlign, NoPositiveRegionGivesEmpty) {
   const auto a = codes("AAAA");
   const auto b = codes("WWWW");  // A vs W scores -3
-  const LocalAlignment r = local_align(a, b, B62(), {});
+  const LocalAlignment r = engine::local_align(a, b, B62(), {});
   EXPECT_TRUE(r.ops.empty());
   EXPECT_FLOAT_EQ(r.score, 0.0F);
 }
@@ -263,7 +262,7 @@ TEST(LocalAlign, ScoreNeverNegative) {
     std::vector<std::uint8_t> b(5 + rng.below(40));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    EXPECT_GE(local_align(a, b, B62(), {}).score, 0.0F);
+    EXPECT_GE(engine::local_align(a, b, B62(), {}).score, 0.0F);
   }
 }
 
@@ -274,14 +273,14 @@ TEST(LocalAlign, LocalAtLeastGlobalScore) {
     std::vector<std::uint8_t> b(10 + rng.below(20));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    EXPECT_GE(local_align(a, b, B62(), {}).score,
-              global_align(a, b, B62(), {}).score - 1e-3);
+    EXPECT_GE(engine::local_align(a, b, B62(), {}).score,
+              engine::global_align(a, b, B62(), {}).score - 1e-3);
   }
 }
 
 TEST(LocalAlign, EmptyInputsGiveEmpty) {
   const auto a = codes("ACD");
-  const LocalAlignment r = local_align(a, {}, B62(), {});
+  const LocalAlignment r = engine::local_align(a, {}, B62(), {});
   EXPECT_TRUE(r.ops.empty());
 }
 

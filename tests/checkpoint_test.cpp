@@ -203,18 +203,23 @@ TEST(ArtifactCacheRuns, WarmRunSkipsDistanceAndTreePhases) {
   expect_identical(warm, cold);
 
   bool saw_cached_phase = false;
-  for (const auto& ph : warm_stats.aligner_phases) {
-    if (ph.name == "stage1 distance matrix" || ph.name == "stage1 guide tree" ||
-        ph.name == "stage2 distance matrix" || ph.name == "stage2 guide tree") {
-      EXPECT_EQ(ph.cache_hits, ph.runs) << ph.name;
-      saw_cached_phase = true;
-    } else {
-      EXPECT_EQ(ph.cache_hits, 0u) << ph.name;
+  for (const auto& stage : warm_stats.stages) {
+    for (const auto& ph : stage.phases) {
+      if (ph.name == "stage1 distance matrix" ||
+          ph.name == "stage1 guide tree" ||
+          ph.name == "stage2 distance matrix" ||
+          ph.name == "stage2 guide tree") {
+        EXPECT_EQ(ph.cache_hits, ph.runs) << stage.name << ' ' << ph.name;
+        saw_cached_phase = true;
+      } else {
+        EXPECT_EQ(ph.cache_hits, 0u) << stage.name << ' ' << ph.name;
+      }
     }
   }
   EXPECT_TRUE(saw_cached_phase);
-  for (const auto& ph : cold_stats.aligner_phases)
-    EXPECT_EQ(ph.cache_hits, 0u) << ph.name;  // cold run computed everything
+  for (const auto& stage : cold_stats.stages)
+    for (const auto& ph : stage.phases)  // cold run computed everything
+      EXPECT_EQ(ph.cache_hits, 0u) << stage.name << ' ' << ph.name;
 
   EXPECT_FALSE(warm_stats.cache_note.empty());
   EXPECT_GT(util::ArtifactCache::process_cache().stats().hits, 0u);

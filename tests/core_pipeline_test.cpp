@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sample_align_d.hpp"
@@ -50,6 +52,29 @@ bool has_stage(const PipelineStats& stats, const std::string& name) {
   for (const auto& stage : stats.stages)
     if (stage.name == name) return true;
   return false;
+}
+
+const StageStats* find_stage(const PipelineStats& stats,
+                             const std::string& name) {
+  for (const auto& stage : stats.stages)
+    if (stage.name == name) return &stage;
+  return nullptr;
+}
+
+/// "<stage>/<phase> x<runs>" for every phase row of a run, in report order.
+std::vector<std::string> phase_rows(const PipelineStats& stats) {
+  std::vector<std::string> rows;
+  for (const auto& stage : stats.stages)
+    for (const auto& ph : stage.phases)
+      rows.push_back(stage.name + '/' + ph.name + " x" +
+                     std::to_string(ph.runs));
+  return rows;
+}
+
+std::string temp_dir(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("salign_" + tag + "_" + std::to_string(::getpid())))
+      .string();
 }
 
 // ---- input validation ------------------------------------------------------------
@@ -159,7 +184,122 @@ TEST_P(PipelineContractTest, LoadBalanceWithinPsrsBound) {
   EXPECT_LE(stats.load_factor(), 2.0 + 0.5) << "p=" << p;
 }
 
+// Phase timers start after their rank segment's clock and stop before it,
+// so no epsilon is needed.
+TEST_P(PipelineContractTest, PhasesLieInsideTheirRanksWallTime) {
+  const int p = GetParam();
+  const auto up = static_cast<std::size_t>(p);
+  const auto seqs = family(48, 40, 600, 1500);
+  PipelineStats stats;
+  (void)pipeline(p).align(seqs, &stats);
+  ASSERT_FALSE(phase_rows(stats).empty());
+  for (const StageStats& row : stats.stages) {
+    std::vector<double> phase_seconds(up, 0.0);
+    for (const AlignerPhase& ph : row.phases) {
+      ASSERT_EQ(ph.rank_wall_seconds.size(), up) << row.name << ' ' << ph.name;
+      for (std::size_t r = 0; r < up; ++r)
+        phase_seconds[r] += ph.rank_wall_seconds[r];
+    }
+    for (std::size_t r = 0; r < up; ++r)
+      EXPECT_LE(phase_seconds[r], row.rank_wall_seconds[r])
+          << row.name << " rank " << r;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Ps, PipelineContractTest, ::testing::Values(1, 2, 3, 4, 8));
+
+// ---- aligner phases on their stage rows ---------------------------------------
+
+TEST(AlignerPhases, RootAncestorAlignmentIsChargedToAncestorStage) {
+  const auto seqs = family(32, 40, 600, 1600);
+  PipelineStats stats;
+  (void)pipeline(4).align(seqs, &stats);
+  const StageStats* bucket = find_stage(stats, "bucket-align");
+  const StageStats* ancestor = find_stage(stats, "ancestor");
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_NE(ancestor, nullptr);
+
+  // Buckets of one sequence skip the aligner; the root aligns the ancestors
+  // of the non-empty buckets once.
+  std::uint64_t aligned = 0;
+  std::uint64_t present = 0;
+  for (std::size_t b : stats.bucket_sizes) {
+    aligned += b >= 2 ? 1 : 0;
+    present += b >= 1 ? 1 : 0;
+  }
+  ASSERT_GE(present, 2u);
+  ASSERT_FALSE(bucket->phases.empty());
+  ASSERT_EQ(ancestor->phases.size(), bucket->phases.size());
+  for (std::size_t i = 0; i < bucket->phases.size(); ++i) {
+    const AlignerPhase& ph = ancestor->phases[i];
+    EXPECT_EQ(ph.name, bucket->phases[i].name);
+    EXPECT_EQ(bucket->phases[i].runs, aligned) << ph.name;
+    EXPECT_EQ(ph.runs, 1u) << ph.name;
+    for (std::size_t r = 1; r < ph.rank_wall_seconds.size(); ++r)
+      EXPECT_EQ(ph.rank_wall_seconds[r], 0.0) << ph.name << " rank " << r;
+  }
+  for (const StageStats& row : stats.stages) {
+    if (row.name != "bucket-align" && row.name != "ancestor") {
+      EXPECT_TRUE(row.phases.empty()) << row.name;
+    }
+  }
+}
+
+TEST(AlignerPhases, ResumedStagesHaveNoPhases) {
+  const auto seqs = family(30, 40, 600, 1650);
+  const std::string dir = temp_dir("phases_resume");
+  std::filesystem::remove_all(dir);
+  SampleAlignDConfig cfg;
+  cfg.num_procs = 3;
+  cfg.checkpoint.dir = dir;
+  PipelineStats fresh;
+  (void)SampleAlignD(cfg).align(seqs, &fresh);
+  cfg.checkpoint.resume = true;
+  PipelineStats resumed;
+  (void)SampleAlignD(cfg).align(seqs, &resumed);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_FALSE(phase_rows(fresh).empty());
+  ASSERT_EQ(resumed.resumed_stages(), resumed.stages.size());
+  for (const StageStats& row : resumed.stages)
+    EXPECT_TRUE(row.phases.empty()) << row.name;
+}
+
+TEST(AlignerPhases, CallerProvidedAlignerReportsTheDefaultPhases) {
+  const auto seqs = family(30, 40, 600, 1700);
+  PipelineStats by_default;
+  (void)pipeline(3).align(seqs, &by_default);
+  SampleAlignDConfig cfg;
+  cfg.num_procs = 3;
+  cfg.local_aligner = std::make_shared<msa::MuscleAligner>();
+  PipelineStats provided;
+  (void)SampleAlignD(cfg).align(seqs, &provided);
+  EXPECT_FALSE(phase_rows(by_default).empty());
+  EXPECT_EQ(phase_rows(provided), phase_rows(by_default));
+}
+
+// Each run records into the logs of its own rank segments, so concurrent
+// align() calls on one instance share no recorder.
+TEST(AlignerPhases, ConcurrentRunsOnOneInstanceKeepTheirOwnPhases) {
+  const auto seqs = family(40, 40, 600, 1800);
+  const SampleAlignD aligner = pipeline(4);
+  PipelineStats solo;
+  const Alignment expected = aligner.align(seqs, &solo);
+  ASSERT_FALSE(phase_rows(solo).empty());
+
+  std::array<PipelineStats, 2> stats;
+  std::array<Alignment, 2> out;
+  std::array<std::thread, 2> runs;
+  for (std::size_t k = 0; k < runs.size(); ++k)
+    runs[k] = std::thread([&, k] { out[k] = aligner.align(seqs, &stats[k]); });
+  for (std::thread& t : runs) t.join();
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    EXPECT_EQ(phase_rows(stats[k]), phase_rows(solo)) << "run " << k;
+    ASSERT_EQ(out[k].num_rows(), expected.num_rows());
+    for (std::size_t r = 0; r < expected.num_rows(); ++r)
+      EXPECT_EQ(out[k].row_text(r), expected.row_text(r)) << "run " << k;
+  }
+}
 
 // ---- equivalences and ablations ---------------------------------------------------
 
@@ -460,6 +600,10 @@ TEST(PipelineStatsTest, StageTableContainsPaperStages) {
         "bucket-align", "ancestor", "tweak", "glue"}) {
     EXPECT_NE(summary.find(stage), std::string::npos) << stage;
   }
+  // Aligner phases are indented rows of the one table.
+  EXPECT_NE(summary.find("|   stage1 progressive"), std::string::npos);
+  EXPECT_NE(summary.find(" cached"), std::string::npos);
+  EXPECT_EQ(summary.find("aligner phase"), std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bio/fasta.hpp"
@@ -14,6 +18,7 @@
 #include "util/budget.hpp"
 #include "util/fault_injection.hpp"
 #include "util/io.hpp"
+#include "util/thread_pool.hpp"
 
 namespace salign {
 namespace {
@@ -302,6 +307,32 @@ TEST(BudgetTest, ScopedBudgetInstallsAndRestores) {
     EXPECT_THROW(util::poll_budget("stage"), util::DeadlineExceeded);
   }
   EXPECT_EQ(util::current_budget(), nullptr);
+}
+
+// The scope is per thread: pool threads working for the installer see its
+// budget while they run its work; any other thread sees none.
+TEST(BudgetTest, ScopedBudgetReachesPoolWorkersOnly) {
+  const Budget b;
+  const util::ScopedBudget scoped(&b);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<const Budget*> seen;
+  util::ThreadPool pool(3);
+  pool.run(3, [&] {
+    std::unique_lock lock(mu);
+    seen.push_back(util::current_budget());
+    cv.notify_all();
+    // Hold the caller's copy until a pool thread has joined in.
+    cv.wait_for(lock, std::chrono::seconds(10),
+                [&] { return seen.size() >= 2; });
+  });
+  ASSERT_GE(seen.size(), 2u);
+  for (const Budget* s : seen) EXPECT_EQ(s, &b);
+
+  const Budget* other = &b;
+  std::thread t([&] { other = util::current_budget(); });
+  t.join();
+  EXPECT_EQ(other, nullptr);
 }
 
 // ---- fault matrix through the CLI -------------------------------------------
