@@ -186,8 +186,7 @@ namespace {
 
 /// Splits "<number><suffix>" at the end of the numeric part. Throws the
 /// caller-supplied UsageError builder on non-numeric or negative input.
-/// The number is parsed as a double so "1.5g" and "2.5s" work; whether a
-/// fraction is acceptable without a suffix is the caller's call.
+/// The number is parsed as a double so "2.5s" works.
 template <typename Bad>
 std::pair<double, std::string> split_number_suffix(const std::string& text,
                                                   const Bad& bad) {
@@ -206,32 +205,6 @@ std::pair<double, std::string> split_number_suffix(const std::string& text,
 }
 
 }  // namespace
-
-std::uint64_t parse_byte_size(const std::string& text,
-                              std::string_view flag) {
-  const auto bad = [&] {
-    return UsageError(std::string(flag) +
-                      ": expected <number>[k|m|g] (fractions need a unit, "
-                      "e.g. 1.5g), got '" +
-                      text + "'");
-  };
-  const auto [value, suffix] = split_number_suffix(text, bad);
-  std::uint64_t scale = 1;
-  if (suffix == "k" || suffix == "K") {
-    scale = std::uint64_t{1} << 10;
-  } else if (suffix == "m" || suffix == "M") {
-    scale = std::uint64_t{1} << 20;
-  } else if (suffix == "g" || suffix == "G") {
-    scale = std::uint64_t{1} << 30;
-  } else if (!suffix.empty()) {
-    throw bad();
-  } else if (value != static_cast<double>(static_cast<std::uint64_t>(value))) {
-    throw bad();  // "1.5" bytes: fractions below a whole unit are nonsense
-  }
-  const double bytes = value * static_cast<double>(scale);
-  if (bytes > 9.2e18) throw bad();  // would overflow uint64
-  return static_cast<std::uint64_t>(bytes);
-}
 
 double parse_duration_seconds(const std::string& text,
                               std::string_view flag) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -91,14 +90,6 @@ class ArgParser {
   std::vector<std::string> positionals_given_;
   bool help_requested_ = false;
 };
-
-/// Parses a human byte size: "512m", "1.5g", "4096k", "1048576" -> bytes.
-/// Suffixes k/m/g (case insensitive, binary multiples); a bare number is
-/// bytes. Fractional values require a suffix ("1.5g" works, "1.5" alone
-/// does not — half a byte is not a thing) and round down to whole bytes.
-/// `flag` names the option in the UsageError diagnostic ("--max-memory").
-[[nodiscard]] std::uint64_t parse_byte_size(const std::string& text,
-                                            std::string_view flag);
 
 /// Parses a human duration into seconds: "250ms", "2.5s", "90", "1.5m",
 /// "2h" -> seconds. A bare number (integer or fractional) is seconds;

@@ -1,4 +1,3 @@
-#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -58,11 +57,6 @@ ArgParser make_parser() {
            "seconds; 0 = none). The pipeline stops\n"
            "cooperatively at the next stage/chunk boundary, leaves a valid\n"
            "checkpoint, and exits 4; --resume completes bit-identically");
-  p.option("max-memory", "size", "0",
-           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Shrinks the\n"
-           "scalar profile-merge trace budget (same output, checkpointed\n"
-           "traceback); the default vector kernel always checkpoints, so\n"
-           "there it changes nothing. Never aborts a run");
   p.flag("stats",
          "print the per-stage pipeline report to stderr: one table, with\n"
          "each stage's aligner phases as indented rows");
@@ -82,6 +76,9 @@ int run_align(std::span<const std::string> args, std::ostream& out,
       return 0;
     }
     if (p.get("in").empty()) throw UsageError("--in is required");
+    const std::string format = p.get("format");
+    if (format != "fasta" && format != "clustal")
+      throw UsageError("--format must be fasta or clustal");
 
     core::SampleAlignDConfig cfg;
     cfg.num_procs = static_cast<int>(p.get_int("procs", 1, 1024));
@@ -111,19 +108,14 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     } else {
       throw UsageError("--rank-mode must be 'globalized' or 'local'");
     }
-    cfg.budget.deadline_seconds =
+    cfg.deadline_seconds =
         parse_duration_seconds(p.get("deadline"), "--deadline");
-    cfg.budget.max_memory_bytes =
-        parse_byte_size(p.get("max-memory"), "--max-memory");
 
     const std::vector<bio::Sequence> seqs = bio::read_fasta_file(p.get("in"));
     core::PipelineStats stats;
     const msa::Alignment aln =
         core::SampleAlignD(cfg).align(seqs, &stats);
 
-    const std::string format = p.get("format");
-    if (format != "fasta" && format != "clustal")
-      throw UsageError("--format must be fasta or clustal");
     const auto write_alignment_to = [&](std::ostream& os) {
       if (format == "clustal") {
         msa::write_clustal(os, aln);

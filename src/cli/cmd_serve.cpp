@@ -31,9 +31,9 @@ ArgParser make_serve_parser() {
               "socket (newline-delimited JSON, docs/serve_protocol.md),\n"
               "admission-controls them into a bounded queue, journals every\n"
               "state transition durably, and executes them one at a time\n"
-              "with per-job deadlines/memory bounds and per-job checkpoint\n"
-              "directories. Survives kill -9: on restart the journal is\n"
-              "replayed and interrupted jobs resume bit-identically.\n"
+              "with per-job deadlines and per-job checkpoint directories.\n"
+              "Survives kill -9: on restart the journal is replayed and\n"
+              "interrupted jobs resume bit-identically.\n"
               "SIGTERM/SIGINT drain gracefully under --drain-deadline.");
   p.option("socket", "path", "", "Unix-domain socket path to serve on");
   p.option("journal-dir", "dir", "",
@@ -47,10 +47,6 @@ ArgParser make_serve_parser() {
   p.option("deadline", "dur", "0",
            "default per-job wall-clock budget for jobs that set none\n"
            "(e.g. 30, 2.5s, 1.5m; 0 = none)");
-  p.option("max-memory", "size", "0",
-           "default per-job memory bound for jobs that set none\n"
-           "(e.g. 512m, 1.5g; 0 = none). Shrinks only the scalar\n"
-           "profile-merge trace budget; never changes output");
   p.flag("no-cache",
          "disable the process-wide artifact cache (enabled by default in\n"
          "the daemon — repeated jobs share guide-tree/distance work)");
@@ -79,8 +75,6 @@ ArgParser make_submit_parser() {
   p.option("deadline", "dur", "0",
            "per-job wall-clock budget (e.g. 2.5s; 0 = daemon default). A\n"
            "blown deadline evicts the job, leaving a resumable checkpoint");
-  p.option("max-memory", "size", "0",
-           "per-job memory bound (e.g. 1.5g; 0 = daemon default)");
   p.flag("wait", "poll until the job is terminal; exit with its exit code");
   return p;
 }
@@ -148,8 +142,6 @@ int run_serve(std::span<const std::string> args, std::ostream& out,
         parse_duration_seconds(p.get("drain-deadline"), "--drain-deadline");
     opts.default_deadline_seconds =
         parse_duration_seconds(p.get("deadline"), "--deadline");
-    opts.default_max_memory =
-        parse_byte_size(p.get("max-memory"), "--max-memory");
     opts.use_artifact_cache = !p.get_flag("no-cache");
     opts.log = &err;
     opts.stop_flag = &g_serve_stop;
@@ -194,8 +186,6 @@ int run_submit(std::span<const std::string> args, std::ostream& out,
     req.emplace("threads", p.get_int("threads", 0, 1024));
     req.emplace("deadline",
                 parse_duration_seconds(p.get("deadline"), "--deadline"));
-    req.emplace("max_memory",
-                parse_byte_size(p.get("max-memory"), "--max-memory"));
 
     const std::string socket = p.get("socket");
     const serve::Json resp =

@@ -82,23 +82,19 @@ struct SampleAlignDConfig {
   /// constructs — a caller-provided local_aligner manages its own caching.
   bool use_artifact_cache = false;
 
-  /// Resource limits of a run (`--deadline` / `--max-memory`; 0 = none).
-  /// The deadline is polled cooperatively at stage, chunk and merge
-  /// boundaries: when it passes, the run stops at the next boundary with
+  /// Wall-clock budget of a run in seconds (`--deadline`; 0 = none). With
+  /// `cancel` below it is the whole of a run's resource limits. It is
+  /// polled cooperatively at stage, chunk and merge boundaries: when it
+  /// passes, the run stops at the next boundary with
   /// util::DeadlineExceeded, leaving a valid checkpoint `--resume` finishes
-  /// bit-identically. A memory bound shrinks the default aligner's
-  /// full-traceback cell budget (MuscleOptions::max_trace_cells), which
-  /// only the scalar PSP kernel reads: there, large merges take the
-  /// output-identical checkpointed traceback sooner. The vector kernel of
-  /// the default build always checkpoints, so the bound changes nothing
-  /// there. Neither limit ever changes the alignment, so neither is part of
+  /// bit-identically. It never changes the alignment, so it is not part of
   /// the pipeline hash.
-  util::BudgetLimits budget{};
+  double deadline_seconds = 0.0;
 
   /// Optional cooperative cancellation token, polled at the same
   /// boundaries as the deadline (a cancel raises util::CancelledError with
   /// the same valid-checkpoint guarantee). The serve daemon's job-eviction
-  /// hook.
+  /// hook. Not hashed either.
   std::shared_ptr<util::CancelToken> cancel;
 };
 

@@ -295,21 +295,6 @@ Alignment glue_block_diagonal(std::span<const Alignment> locals,
   return Alignment(std::move(rows), kind);
 }
 
-/// Restores input row order of a glued alignment.
-Alignment reorder_rows(
-    const Alignment& glued,
-    const std::unordered_map<std::string, std::size_t>& pos_of_id) {
-  std::vector<std::pair<std::size_t, std::size_t>> order;
-  order.reserve(glued.num_rows());
-  for (std::size_t row = 0; row < glued.num_rows(); ++row)
-    order.emplace_back(pos_of_id.at(glued.row(row).id), row);
-  std::sort(order.begin(), order.end());
-  std::vector<std::size_t> rows;
-  rows.reserve(order.size());
-  for (const auto& [pos, row] : order) rows.push_back(row);
-  return glued.subset(rows);
-}
-
 }  // namespace
 
 SampleAlignD::SampleAlignD(SampleAlignDConfig config)
@@ -320,13 +305,6 @@ SampleAlignD::SampleAlignD(SampleAlignDConfig config)
     msa::MuscleOptions o;
     o.threads = config_.threads;
     o.use_artifact_cache = config_.use_artifact_cache;
-    // A --max-memory bound shrinks the scalar PSP kernel's full-traceback
-    // budget (~3 bytes/cell of trace) so big merges switch to its
-    // output-identical checkpointed traceback; the vector kernel always
-    // checkpoints. Not hashed — it never changes output.
-    o.max_trace_cells = util::clamp_trace_cells(
-        msa::detail::kDefaultProfileTraceCells,
-        config_.budget.max_memory_bytes, 3);
     config_.local_aligner = std::make_shared<msa::MuscleAligner>(o);
   }
 }
@@ -386,16 +364,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   // Deadline clock starts here. The budget is installed on this thread and
   // the pool carries it to every worker of this run, so parallel_for chunks
   // and guide-tree merges poll it without plumbing.
-  util::Budget budget(config_.budget, config_.cancel);
+  util::Budget budget(config_.deadline_seconds, config_.cancel);
   util::ScopedBudget scoped_budget(&budget);
 
   stage::StageContext ctx(config_.checkpoint, pipeline_hash(seqs));
   stage::StageRunner runner(ctx);
   RunStats rs(runner, p);
-
-  // Index -> original position for the final row ordering.
-  std::unordered_map<std::string, std::size_t> pos_of_id;
-  for (std::size_t i = 0; i < n; ++i) pos_of_id.emplace(seqs[i].id(), i);
 
   const std::size_t samples_per_proc =
       config_.samples_per_proc > 0
@@ -725,7 +699,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           rs.at_root([&] {
             const Alignment glued = glue_on_ancestor(
                 locals, paths, ga.size(), seqs[0].alphabet_kind());
-            reordered = reorder_rows(glued, pos_of_id);
+            reordered = msa::in_input_order(glued, seqs);
           });
           return reordered;
         },
@@ -746,7 +720,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           rs.at_root([&] {
             const Alignment glued =
                 glue_block_diagonal(locals, seqs[0].alphabet_kind());
-            reordered = reorder_rows(glued, pos_of_id);
+            reordered = msa::in_input_order(glued, seqs);
           });
           return reordered;
         },

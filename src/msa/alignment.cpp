@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/string_util.hpp"
 
@@ -71,6 +72,22 @@ Alignment Alignment::subset(std::span<const std::size_t> row_indices) const {
     rows.push_back(rows_[r]);
   }
   return Alignment(std::move(rows), kind_);
+}
+
+Alignment in_input_order(const Alignment& aln,
+                         std::span<const bio::Sequence> seqs) {
+  std::unordered_map<std::string, std::size_t> row_by_id;
+  for (std::size_t r = 0; r < aln.num_rows(); ++r)
+    row_by_id.emplace(aln.row(r).id, r);
+  std::vector<std::size_t> order;
+  order.reserve(seqs.size());
+  for (const auto& s : seqs) {
+    const auto it = row_by_id.find(s.id());
+    if (it == row_by_id.end())
+      throw std::logic_error("in_input_order: lost sequence " + s.id());
+    order.push_back(it->second);
+  }
+  return aln.subset(order);
 }
 
 std::size_t Alignment::strip_all_gap_columns() {

@@ -89,6 +89,13 @@ class Alignment {
   bio::AlphabetKind kind_;
 };
 
+/// The rows of `aln` reordered to follow `seqs` (matched by id): aligners
+/// build rows in guide-tree leaf order, and every caller wants them back in
+/// input order. Throws std::logic_error naming the first id of `seqs` that
+/// has no row.
+[[nodiscard]] Alignment in_input_order(const Alignment& aln,
+                                       std::span<const bio::Sequence> seqs);
+
 /// Reads aligned FASTA ('-'/'.' are gaps); all records must have equal
 /// lengths.
 [[nodiscard]] Alignment read_aligned_fasta(

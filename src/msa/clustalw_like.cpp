@@ -1,7 +1,6 @@
 #include "msa/clustalw_like.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
 #include "align/distance.hpp"
 #include "msa/guide_tree.hpp"
@@ -19,7 +18,6 @@ Alignment ClustalWAligner::align(std::span<const bio::Sequence> seqs) const {
     throw std::invalid_argument("ClustalWAligner: no sequences");
   if (seqs.size() == 1) return Alignment::from_sequence(seqs[0]);
 
-  const std::size_t n = seqs.size();
   const bio::GapPenalties gaps = matrix_->default_gaps();
 
   // Stage 1: all-pairs distances through the batched drivers.
@@ -43,14 +41,8 @@ Alignment ClustalWAligner::align(std::span<const bio::Sequence> seqs) const {
   po.threads = options_.threads;
 
   // Stage 4: progressive alignment, rows restored to input order.
-  Alignment aln = progressive_align(seqs, tree, *matrix_, po);
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (const auto& s : seqs) order.push_back(row_by_id.at(s.id()));
-  aln = aln.subset(order);
+  Alignment aln =
+      in_input_order(progressive_align(seqs, tree, *matrix_, po), seqs);
   aln.validate();
   return aln;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
@@ -120,16 +119,9 @@ Alignment MafftAligner::align(std::span<const bio::Sequence> seqs) const {
       return fft_band(a, b, base);
     };
   }
-  Alignment aln = progressive_align(seqs, tree, *matrix_, po);
-
-  // Restore input order (leaf i == sequence i == row i afterwards).
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(seqs.size());
-  for (const auto& s : seqs) order.push_back(row_by_id.at(s.id()));
-  aln = aln.subset(order);
+  // Rows in input order: leaf i == sequence i == row i afterwards.
+  Alignment aln =
+      in_input_order(progressive_align(seqs, tree, *matrix_, po), seqs);
 
   if (options_.refine_passes > 0) {
     RefineOptions ro;

@@ -20,23 +20,6 @@ namespace salign::msa {
 
 namespace {
 
-/// Restores input order: progressive emits rows in tree leaf order.
-Alignment reorder_to_input(const Alignment& aln,
-                           std::span<const bio::Sequence> seqs) {
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(seqs.size());
-  for (const auto& s : seqs) {
-    const auto it = row_by_id.find(s.id());
-    if (it == row_by_id.end())
-      throw std::logic_error("MuscleAligner: lost sequence " + s.id());
-    order.push_back(it->second);
-  }
-  return aln.subset(order);
-}
-
 /// row_of_leaf map for refinement after reordering to input order: leaf i of
 /// the tree is sequence i, which is row i.
 std::vector<std::size_t> identity_rows(std::size_t n) {
@@ -170,7 +153,6 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   po.gaps = matrix_->default_gaps();
   po.weights = tree.leaf_weights();
   po.threads = options_.threads;
-  po.max_trace_cells = options_.max_trace_cells;
   Alignment aln = [&] {
     ScopedPhase phase("stage1 progressive");
     return progressive_align(seqs, tree, *matrix_, po);
@@ -179,7 +161,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   // Stage 2: Kimura distances from the stage-1 alignment, rebuilt tree,
   // re-aligned.
   if (options_.reestimate_tree) {
-    aln = reorder_to_input(aln, seqs);
+    aln = in_input_order(aln, seqs);
     tree = [&] {
       const util::SymmetricMatrix<double> kim = pc.get(
           "stage2 distance matrix",
@@ -195,7 +177,7 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
     }
   }
 
-  aln = reorder_to_input(aln, seqs);
+  aln = in_input_order(aln, seqs);
 
   // Stage 3: optional refinement (rows are in input order == leaf order).
   if (options_.refine_passes > 0) {

@@ -44,14 +44,6 @@ struct MuscleOptions {
   /// run's artifacts were encoded with, so cached and fresh runs are
   /// bit-identical.
   bool use_artifact_cache = false;
-  /// Full-traceback cell budget of every profile-profile merge on the
-  /// scalar PSP kernel (see ProfileAlignOptions::max_trace_cells); 0 = the
-  /// engine default. `--max-memory` shrinks it so big scalar merges switch
-  /// to checkpointed traceback earlier. The vector kernel (the default
-  /// build's) always checkpoints and never reads it. Both traceback paths
-  /// produce identical alignments, so — like threads — this is excluded
-  /// from hash_config and never invalidates checkpoints or cache entries.
-  std::size_t max_trace_cells = 0;
 };
 
 /// "MiniMuscle": a from-scratch reimplementation of the MUSCLE pipeline
@@ -79,9 +71,8 @@ class MuscleAligner final : public MsaAlgorithm {
   [[nodiscard]] std::string name() const override;
 
   /// Full output-determining identity: algorithm tag, stage-1 mode, k-mer
-  /// params, stage-2/3 switches and the scoring matrix. threads,
-  /// use_artifact_cache and max_trace_cells are excluded — they never
-  /// change output.
+  /// params, stage-2/3 switches and the scoring matrix. threads and
+  /// use_artifact_cache are excluded — they never change output.
   void hash_config(util::StableHash& h) const override;
 
   [[nodiscard]] const MuscleOptions& options() const { return options_; }

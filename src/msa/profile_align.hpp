@@ -27,6 +27,8 @@ struct ProfileAlignOptions {
   /// big-bucket merges never materialize an O(m·n) trace. 0 = default
   /// (4M cells ≈ 12 MB of trace). Results are identical on both paths.
   /// Applies to the scalar kernel; the vectorized kernel always checkpoints.
+  /// No production code sets it: it is the test seam through which the
+  /// differential tests reach the checkpointed traceback on small inputs.
   std::size_t max_trace_cells = 0;
   /// Kernel selection for the PSP scorer: kVector runs the blocked
   /// anti-diagonal wavefront kernel (profile_dp_simd.cpp), kScalar the

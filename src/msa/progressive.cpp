@@ -52,7 +52,6 @@ Alignment progressive_align(std::span<const bio::Sequence> seqs,
     ProfileAlignOptions po;
     po.gaps = opts.gaps;
     po.band = opts.band_provider ? opts.band_provider(left, right) : opts.band;
-    po.max_trace_cells = opts.max_trace_cells;
 
     const Profile pl(left, matrix, wl);
     const Profile pr(right, matrix, wr);

@@ -31,10 +31,6 @@ struct ProgressiveOptions {
   /// the shared util::ThreadPool; the output is bit-identical for every
   /// value — each merge is a pure function of its children.
   unsigned threads = 1;
-  /// Per-merge full-traceback cell budget (ProfileAlignOptions::
-  /// max_trace_cells); 0 = the engine default. Output-invariant: merges
-  /// over budget checkpoint their traceback instead of materializing it.
-  std::size_t max_trace_cells = 0;
 };
 
 /// Aligns `seqs` progressively along `tree` (leaves index into `seqs`),

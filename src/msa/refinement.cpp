@@ -89,18 +89,16 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
         rows[group_b[x]] = merged.row(group_a.size() + x);
       Alignment candidate(std::move(rows), aln.alphabet_kind());
 
-      if (opts.sp_gate) {
-        // Only cross-group pairs change under a bipartition re-alignment
-        // (within-group columns are carried over verbatim), so the SP
-        // delta needs |A|*|B| induced pair scores, not all pairs.
-        double delta = 0.0;
-        for (const std::size_t ra : group_a)
-          for (const std::size_t rb : group_b)
-            delta += induced_pair_score(candidate, ra, rb, matrix,
-                                        opts.gaps) -
-                     induced_pair_score(aln, ra, rb, matrix, opts.gaps);
-        if (delta <= opts.min_gain) continue;
-      }
+      // Gate on the true cross-group SP delta (MUSCLE's own refinement
+      // accepts on SP). Only cross-group pairs change under a bipartition
+      // re-alignment (within-group columns are carried over verbatim), so
+      // the delta needs |A|*|B| induced pair scores, not all pairs.
+      double delta = 0.0;
+      for (const std::size_t ra : group_a)
+        for (const std::size_t rb : group_b)
+          delta += induced_pair_score(candidate, ra, rb, matrix, opts.gaps) -
+                   induced_pair_score(aln, ra, rb, matrix, opts.gaps);
+      if (delta <= opts.min_gain) continue;
 
       aln = std::move(candidate);
       ++accepted;

@@ -16,20 +16,16 @@ struct RefineOptions {
   int passes = 1;
   bio::GapPenalties gaps;
   /// Minimum score improvement to accept a re-alignment (guards float
-  /// noise / churn).
+  /// noise / churn); applies to both the PSP and the SP gain.
   float min_gain = 1e-4F;
-  /// Gate acceptance on the true cross-group sum-of-pairs delta in
-  /// addition to the PSP objective (the profile DP still *proposes* the
-  /// re-alignment; this check rejects PSP wins that lose SP — MUSCLE's own
-  /// refinement accepts on SP). Costs O(|A|·|B|·cols) per candidate, so
-  /// very large alignments may prefer to disable it.
-  bool sp_gate = true;
 };
 
 /// Refines `aln` by repeatedly deleting a guide-tree edge, splitting the
 /// rows into the two leaf sets, degapping each side and re-aligning the two
-/// profiles; the re-alignment is kept only when its PSP objective improves
-/// on the incumbent path's score. Row order of `aln` is preserved.
+/// profiles. The profile DP proposes the re-alignment; it is kept only when
+/// its PSP objective improves on the incumbent path's score *and* the
+/// cross-group sum-of-pairs score improves too (the SP check costs
+/// O(|A|·|B|·cols) per candidate). Row order of `aln` is preserved.
 ///
 /// `tree` must be the guide tree over the same sequences; `row_of_leaf[l]`
 /// maps the tree's leaf index `l` to the alignment row carrying that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "align/distance.hpp"
@@ -231,15 +230,8 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
     right = Alignment{};
   });
 
-  // Restore input order.
-  Alignment aln = partial[static_cast<std::size_t>(tree.root())];
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (const auto& s : seqs) order.push_back(row_by_id.at(s.id()));
-  aln = aln.subset(order);
+  Alignment aln =
+      in_input_order(partial[static_cast<std::size_t>(tree.root())], seqs);
   aln.validate();
   return aln;
 }

@@ -506,11 +506,9 @@ Daemon::Outcome Daemon::run_job(
     cfg.checkpoint.resume = true;
     cfg.use_artifact_cache =
         options_.use_artifact_cache && spec.aligner == "muscle";
-    cfg.budget.deadline_seconds = spec.deadline_seconds > 0.0
-                                      ? spec.deadline_seconds
-                                      : options_.default_deadline_seconds;
-    cfg.budget.max_memory_bytes =
-        spec.max_memory > 0 ? spec.max_memory : options_.default_max_memory;
+    cfg.deadline_seconds = spec.deadline_seconds > 0.0
+                               ? spec.deadline_seconds
+                               : options_.default_deadline_seconds;
     cfg.cancel = tok;
     const msa::Alignment aln = core::SampleAlignD(cfg).align(seqs);
     std::ostringstream os;

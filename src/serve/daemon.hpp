@@ -31,9 +31,8 @@ struct DaemonOptions {
   /// before its cancel token is pulled. The cancelled job checkpoints and
   /// is re-journaled queued, so the next start resumes it bit-identically.
   double drain_deadline_seconds = 10.0;
-  /// Applied to jobs that don't set their own limits (0 = none).
+  /// Applied to jobs that don't set their own deadline (0 = none).
   double default_deadline_seconds = 0.0;
-  std::uint64_t default_max_memory = 0;
   /// Route repeated muscle phase work through the process-wide
   /// util::ArtifactCache — the daemon is the multi-tenant case the cache
   /// exists for. Never changes output.
@@ -50,7 +49,7 @@ struct DaemonOptions {
 /// (newline-delimited JSON, docs/serve_protocol.md), admission-controls
 /// them into a bounded queue, and executes them one at a time on an
 /// executor thread — each job under its own util::Budget (deadline +
-/// memory bound) and util::CancelToken, with a per-job checkpoint
+/// util::CancelToken), with a per-job checkpoint
 /// directory so every interruption (deadline, cancel, drain, kill -9) is
 /// resumable bit-identically.
 ///

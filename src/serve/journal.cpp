@@ -42,7 +42,6 @@ Json JobSpec::to_json() const {
   o.emplace("procs", procs);
   o.emplace("threads", threads);
   o.emplace("deadline", deadline_seconds);
-  o.emplace("max_memory", max_memory);
   return Json(std::move(o));
 }
 
@@ -55,7 +54,6 @@ JobSpec JobSpec::from_json(const Json& j) {
   s.procs = static_cast<int>(j.get_number("procs", 4));
   s.threads = static_cast<int>(j.get_number("threads", 1));
   s.deadline_seconds = j.get_number("deadline", 0.0);
-  s.max_memory = static_cast<std::uint64_t>(j.get_number("max_memory", 0.0));
   if (s.input.empty()) throw WireError("job spec: 'in' is required");
   if (s.procs < 1 || s.procs > 1024)
     throw WireError("job spec: 'procs' out of range [1,1024]");

@@ -38,7 +38,6 @@ struct JobSpec {
   int procs = 4;
   int threads = 1;
   double deadline_seconds = 0.0;   ///< per-attempt run budget; 0 = none
-  std::uint64_t max_memory = 0;    ///< degradation bound in bytes; 0 = none
 
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static JobSpec from_json(const Json& j);  // throws WireError

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -41,32 +40,25 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// User-facing resource limits (from --deadline / --max-memory or the
-/// config). Zero means "no limit" for both.
-struct BudgetLimits {
-  double deadline_seconds = 0.0;
-  std::uint64_t max_memory_bytes = 0;
-};
-
 /// A wall-clock deadline plus cancellation token, polled cooperatively.
-/// The deadline clock starts at construction. check()/poll() are cheap
+/// The deadline clock starts at construction; a deadline of 0 means none. check()/poll() are cheap
 /// enough for per-chunk polling: one relaxed atomic load when no limit is
 /// set, one steady_clock read otherwise.
 class Budget {
  public:
   Budget() = default;
-  explicit Budget(BudgetLimits limits,
+  explicit Budget(double deadline_seconds,
                   std::shared_ptr<CancelToken> cancel = nullptr)
-      : limits_(limits),
+      : deadline_seconds_(deadline_seconds),
         cancel_(std::move(cancel)),
         start_(std::chrono::steady_clock::now()),
-        has_deadline_(limits.deadline_seconds > 0.0) {}
+        has_deadline_(deadline_seconds > 0.0) {}
 
   /// True when the run must stop at the next boundary (deadline passed or
   /// cancellation requested). Never throws.
   [[nodiscard]] bool should_stop() const {
     if (cancel_ && cancel_->requested()) return true;
-    return has_deadline_ && elapsed_seconds() >= limits_.deadline_seconds;
+    return has_deadline_ && elapsed_seconds() >= deadline_seconds_;
   }
 
   /// Throws DeadlineExceeded / CancelledError when the run must stop.
@@ -74,9 +66,9 @@ class Budget {
   void check(std::string_view where) const {
     if (cancel_ && cancel_->requested())
       throw CancelledError("cancelled at " + std::string(where));
-    if (has_deadline_ && elapsed_seconds() >= limits_.deadline_seconds)
+    if (has_deadline_ && elapsed_seconds() >= deadline_seconds_)
       throw DeadlineExceeded("deadline of " +
-                             std::to_string(limits_.deadline_seconds) +
+                             std::to_string(deadline_seconds_) +
                              "s exceeded at " + std::string(where));
   }
 
@@ -86,10 +78,8 @@ class Budget {
         .count();
   }
 
-  [[nodiscard]] const BudgetLimits& limits() const { return limits_; }
-
  private:
-  BudgetLimits limits_;
+  double deadline_seconds_ = 0.0;
   std::shared_ptr<CancelToken> cancel_;
   std::chrono::steady_clock::time_point start_{};
   bool has_deadline_ = false;
@@ -120,16 +110,5 @@ class ScopedBudget {
 /// Polls the current budget (if any) at a cooperative boundary; throws
 /// DeadlineExceeded/CancelledError when the run must stop.
 void poll_budget(std::string_view where);
-
-/// Memory-pressure degradation helper: clamps a DP trace-cell budget so
-/// the working set fits under `max_memory_bytes` (0 = no limit, returns
-/// `cells` unchanged). `bytes_per_cell` is the codec's per-cell cost;
-/// `reserve_fraction` is the share of the limit the traceback may claim.
-/// Shrinking a checkpointed-traceback budget changes memory and speed but
-/// never output — which is why this degrades instead of aborting.
-[[nodiscard]] std::uint64_t clamp_trace_cells(std::uint64_t cells,
-                                              std::uint64_t max_memory_bytes,
-                                              std::uint64_t bytes_per_cell,
-                                              double reserve_fraction = 0.25);
 
 }  // namespace salign::util

@@ -87,9 +87,10 @@ TEST(WireJsonTest, JobSpecJsonRoundTrip) {
   spec.procs = 8;
   spec.threads = 3;
   spec.deadline_seconds = 2.5;
-  spec.max_memory = 512ULL << 20;
   const JobSpec back = JobSpec::from_json(spec.to_json());
   EXPECT_EQ(back.to_json().dump(), spec.to_json().dump());
+  // The retired memory bound is no longer written.
+  EXPECT_EQ(spec.to_json().find("max_memory"), nullptr);
   // The required keys are enforced, not defaulted away.
   EXPECT_THROW((void)JobSpec::from_json(Json::parse("{}")), WireError);
 }
@@ -295,11 +296,23 @@ TEST_F(ServeTest, JournalRecordSurvivesReplayBitExact) {
   rec.submitted_ms = 1234567890123ULL;
   j.record(rec);
 
+  // Journals of older daemons carry the retired "max_memory" spec key;
+  // from_json ignores keys it does not read, so such a record replays.
+  std::ofstream(journal_file("j000008"))
+      << R"({"attempts":0,"error":"","exit_code":0,"id":"j000008","seq":8,)"
+      << R"("spec":{"aligner":"muscle","deadline":0,"format":"fasta",)"
+      << R"("in":"/a/in.fasta","max_memory":536870912,"out":"/a/out.afa",)"
+      << R"("procs":2,"threads":1},"state":"queued","submitted_ms":0,)"
+      << R"("updated_ms":0,"v":1})" << "\n";
+
   std::vector<std::string> quarantined;
   const std::vector<JobRecord> back = j.replay(&quarantined);
   EXPECT_TRUE(quarantined.empty());
-  ASSERT_EQ(back.size(), 1u);
+  ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].to_json().dump(), rec.to_json().dump());
+  EXPECT_EQ(back[1].id, "j000008");
+  EXPECT_EQ(back[1].spec.input, "/a/in.fasta");
+  EXPECT_EQ(back[1].spec.procs, 2);
 }
 
 TEST_F(ServeTest, JournalReplayQuarantinesCorruptFiles) {
@@ -360,6 +373,15 @@ TEST_F(ServeTest, SubmitRunsJobByteIdenticalToDirectRun) {
   EXPECT_EQ(job.get_string("state"), "done") << job.dump();
   EXPECT_EQ(job.get_number("exit_code", -1), 0);
 
+  // Older clients still send the retired "max_memory" key; it is ignored.
+  Json::Object legacy = submit_request(in, path("legacy.afa")).as_object();
+  legacy.emplace("max_memory", 536870912.0);
+  const Json legacy_ack = request(path("d.sock"), Json(std::move(legacy)));
+  ASSERT_TRUE(legacy_ack.get_bool("ok")) << legacy_ack.dump();
+  const Json legacy_job =
+      wait_terminal(path("d.sock"), legacy_ack.get_string("id"));
+  EXPECT_EQ(legacy_job.get_string("state"), "done") << legacy_job.dump();
+
   std::ostringstream out;
   std::ostringstream err;
   ASSERT_EQ(cli::dispatch(argv({"align", "--in", in, "--out",
@@ -368,6 +390,7 @@ TEST_F(ServeTest, SubmitRunsJobByteIdenticalToDirectRun) {
             0)
       << err.str();
   EXPECT_EQ(slurp(path("served.afa")), slurp(path("direct.afa")));
+  EXPECT_EQ(slurp(path("legacy.afa")), slurp(path("direct.afa")));
   EXPECT_NE(slurp(path("served.afa")), "");
 }
 

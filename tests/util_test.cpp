@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/budget.hpp"
 #include "util/fft.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
@@ -485,37 +484,6 @@ TEST(ParallelFor, SingleThreadRunsInline) {
     for (std::size_t i = b; i < e; ++i) ++hits[i];
   }, 1);
   for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-// ---- clamp_trace_cells ------------------------------------------------------
-// The --max-memory graceful-degradation lever: shrink a DP trace-cell
-// budget so the traceback working set fits, never below a useful floor,
-// and never touch it when no limit is set.
-
-TEST(ClampTraceCells, NoLimitReturnsUnchanged) {
-  EXPECT_EQ(clamp_trace_cells(1u << 22, 0, 3), 1u << 22);
-  EXPECT_EQ(clamp_trace_cells(1u << 22, 1u << 30, 0), 1u << 22);
-}
-
-TEST(ClampTraceCells, GenerousLimitReturnsUnchanged) {
-  // 1 GiB at 3 bytes/cell with a 25% reserve leaves far more than 4M cells.
-  EXPECT_EQ(clamp_trace_cells(1u << 22, 1u << 30, 3), 1u << 22);
-}
-
-TEST(ClampTraceCells, TightLimitShrinksProportionally) {
-  // 12 MiB limit, 25% reserve -> 3 MiB for traces -> 1M cells at 3 B/cell.
-  const std::uint64_t limit = 12u << 20;
-  EXPECT_EQ(clamp_trace_cells(1u << 22, limit, 3), (limit / 4) / 3);
-}
-
-TEST(ClampTraceCells, FloorKeepsDegradationUseful) {
-  // An absurdly small limit still leaves 64k cells: the checkpointed
-  // traceback gets slower, not impossible.
-  EXPECT_EQ(clamp_trace_cells(1u << 22, 1024, 3), 64u * 1024);
-}
-
-TEST(ClampTraceCells, NeverGrowsTheBudget) {
-  EXPECT_EQ(clamp_trace_cells(1000, 1u << 30, 3), 1000u);
 }
 
 }  // namespace
