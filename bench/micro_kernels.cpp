@@ -441,10 +441,14 @@ BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 // Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
 // blocked anti-diagonal wavefront kernel (the default), BM_ProfileDpScalar
 // the retained row-major reference — the pair makes the kernel speedup part
-// of every baseline, like the engine's vector/scalar benches above.
+// of every baseline, like the engine's vector/scalar benches above. Both
+// DPs fit the default trace budget, so they keep full traceback tables;
+// BM_ProfileDpCheckpointed runs the wavefront kernel at max_trace_cells = 1,
+// the checkpoint-and-rerun traceback that DPs above the budget take.
 
 void profile_dp_bench(benchmark::State& state,
-                      align::engine::Backend backend) {
+                      align::engine::Backend backend,
+                      std::size_t max_trace_cells = 0) {
   const auto seqs = seqs_cache(16, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const std::size_t half = seqs.size() / 2;
@@ -458,6 +462,7 @@ void profile_dp_bench(benchmark::State& state,
   msa::ProfileAlignOptions po;
   po.gaps = m.default_gaps();
   po.backend = backend;
+  po.max_trace_cells = max_trace_cells;
   for (auto _ : state)
     benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
   set_cells_per_second(state, pl.num_cols() * pr.num_cols());
@@ -466,6 +471,10 @@ void BM_ProfileDp(benchmark::State& state) {
   profile_dp_bench(state, align::engine::Backend::kVector);
 }
 BENCHMARK(BM_ProfileDp)->Arg(400)->Arg(1000);
+void BM_ProfileDpCheckpointed(benchmark::State& state) {
+  profile_dp_bench(state, align::engine::Backend::kVector, 1);
+}
+BENCHMARK(BM_ProfileDpCheckpointed)->Arg(400)->Arg(1000);
 void BM_ProfileDpScalar(benchmark::State& state) {
   profile_dp_bench(state, align::engine::Backend::kScalar);
 }

@@ -17,6 +17,8 @@ std::vector<float> occupancies(const Profile& p) {
 
 ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
                                   const ProfileAlignOptions& opts) {
+  if (a.alphabet_size() != b.alphabet_size())
+    throw std::invalid_argument("align_profiles: alphabet mismatch");
   const std::vector<float> occ_a = occupancies(a);
   const std::vector<float> occ_b = occupancies(b);
 
@@ -40,22 +42,23 @@ ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
                                    static_cast<std::uint8_t>(y));
     }
   }
-  std::vector<std::vector<std::pair<std::uint8_t, float>>> sparse_a(
-      a.num_cols());
-  for (std::size_t ca = 0; ca < a.num_cols(); ++ca)
-    for (std::size_t x = 0; x < alpha; ++x) {
-      const float fx = a.freq(ca, static_cast<std::uint8_t>(x));
-      if (fx != 0.0F)
-        sparse_a[ca].emplace_back(static_cast<std::uint8_t>(x), fx);
-    }
 
   // profile_dp announces each DP row via prepare_row, so one dense saxpy
   // sweep per A column serves every cell of that row and the per-cell call
   // is a plain array read (no stores inside the DP inner loop). Term order
   // per cell matches the historical per-cell sparse dot exactly (same
   // partial-sum sequence), so scores are bit-identical.
-  const detail::PspRowScorer scorer{&svt, &sparse_a,
-                                    std::vector<float>(nb, 0.0F)};
+  detail::PspRowScorer scorer{&svt, {}, {}, std::vector<float>(nb, 0.0F)};
+  scorer.offsets.reserve(a.num_cols() + 1);
+  scorer.offsets.push_back(0);
+  for (std::size_t ca = 0; ca < a.num_cols(); ++ca) {
+    for (std::size_t x = 0; x < alpha; ++x) {
+      const float fx = a.freq(ca, static_cast<std::uint8_t>(x));
+      if (fx != 0.0F)
+        scorer.entries.emplace_back(static_cast<std::uint8_t>(x), fx);
+    }
+    scorer.offsets.push_back(scorer.entries.size());
+  }
   return detail::profile_dp(a.num_cols(), b.num_cols(), scorer, occ_a, occ_b,
                             opts);
 }
@@ -109,35 +112,38 @@ Alignment merge_alignments(const Alignment& a, const Alignment& b,
   if (a.alphabet_kind() != b.alphabet_kind())
     throw std::invalid_argument("merge_alignments: alphabet mismatch");
 
-  std::vector<AlignedRow> rows(a.num_rows() + b.num_rows());
-  for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    rows[r].id = a.row(r).id;
-    rows[r].cells.reserve(ops.size());
-  }
-  for (std::size_t r = 0; r < b.num_rows(); ++r) {
-    rows[a.num_rows() + r].id = b.row(r).id;
-    rows[a.num_rows() + r].cells.reserve(ops.size());
-  }
-
+  // Validate the path once, recording each output column's source column
+  // in A and in B (kNone for a gap).
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> src_a(ops.size());
+  std::vector<std::size_t> src_b(ops.size());
   std::size_t ca = 0;
   std::size_t cb = 0;
-  for (EditOp op : ops) {
-    const bool use_a = op != EditOp::GapInA;
-    const bool use_b = op != EditOp::GapInB;
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const bool use_a = ops[k] != EditOp::GapInA;
+    const bool use_b = ops[k] != EditOp::GapInB;
     if (use_a && ca >= a.num_cols())
       throw std::invalid_argument("merge_alignments: path overruns A");
     if (use_b && cb >= b.num_cols())
       throw std::invalid_argument("merge_alignments: path overruns B");
-    for (std::size_t r = 0; r < a.num_rows(); ++r)
-      rows[r].cells.push_back(use_a ? a.cell(r, ca) : Alignment::kGap);
-    for (std::size_t r = 0; r < b.num_rows(); ++r)
-      rows[a.num_rows() + r].cells.push_back(use_b ? b.cell(r, cb)
-                                                   : Alignment::kGap);
-    if (use_a) ++ca;
-    if (use_b) ++cb;
+    src_a[k] = use_a ? ca++ : kNone;
+    src_b[k] = use_b ? cb++ : kNone;
   }
   if (ca != a.num_cols() || cb != b.num_cols())
     throw std::invalid_argument("merge_alignments: path incomplete");
+
+  // Then fill each output row in one pass.
+  std::vector<AlignedRow> rows(a.num_rows() + b.num_rows());
+  auto fill = [&](AlignedRow& out, const AlignedRow& in,
+                  const std::vector<std::size_t>& src) {
+    out.id = in.id;
+    out.cells.resize(src.size());
+    for (std::size_t k = 0; k < src.size(); ++k)
+      out.cells[k] = src[k] == kNone ? Alignment::kGap : in.cells[src[k]];
+  };
+  for (std::size_t r = 0; r < a.num_rows(); ++r) fill(rows[r], a.row(r), src_a);
+  for (std::size_t r = 0; r < b.num_rows(); ++r)
+    fill(rows[a.num_rows() + r], b.row(r), src_b);
   return Alignment(std::move(rows), a.alphabet_kind());
 }
 

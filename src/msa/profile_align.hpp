@@ -21,12 +21,12 @@ struct ProfileAlignOptions {
   /// Diagonal band half-width; 0 means full DP. The MAFFT-style aligner
   /// passes FFT-derived bands here.
   std::size_t band = 0;
-  /// Full-traceback cell budget: DPs with (m+1)*(n+1) cells at or below this
-  /// keep the whole traceback matrix; larger ones switch to checkpointed
-  /// traceback (row checkpoints every ~sqrt(m) rows + block recompute), so
-  /// big-bucket merges never materialize an O(m·n) trace. 0 = default
-  /// (4M cells ≈ 12 MB of trace). Results are identical on both paths.
-  /// Applies to the scalar kernel; the vectorized kernel always checkpoints.
+  /// Full-traceback cell budget, on both kernels: DPs with (m+1)*(n+1)
+  /// cells at or below this keep every cell's traceback decision (3 bytes
+  /// a cell on the scalar kernel, 1 on the vectorized one); larger ones
+  /// switch to checkpointed traceback (row checkpoints every ~sqrt(m) rows
+  /// + block recompute), so big-bucket merges never materialize an O(m·n)
+  /// trace. 0 = default (4M cells). Results are identical on both paths.
   /// No production code sets it: it is the test seam through which the
   /// differential tests reach the checkpointed traceback on small inputs.
   std::size_t max_trace_cells = 0;
@@ -48,16 +48,18 @@ namespace detail {
 
 inline constexpr std::size_t kDefaultProfileTraceCells = std::size_t{1} << 22;
 
+/// One nonzero residue frequency of an A column: (residue code, f).
+using PspEntry = std::pair<std::uint8_t, float>;
+
 /// Fills `out[0..len)` with the dense PSP scores of one A column against B
 /// columns [cb_lo, cb_lo + len): sum over the column's nonzero residues of
 /// f * svt(code, cb), as contiguous vectorizable sweeps. The single source
 /// of this accumulation — PspRowScorer::prepare_row (the scalar DP) and
 /// the wavefront kernel's block fill (profile_dp_simd.cpp) both call it,
 /// and its exact operation order is part of their bit-identity contract.
-inline void psp_fill_row(
-    const util::Matrix<float>& svt,
-    const std::vector<std::pair<std::uint8_t, float>>& col_a,
-    std::size_t cb_lo, std::size_t len, float* out) {
+inline void psp_fill_row(const util::Matrix<float>& svt,
+                         std::span<const PspEntry> col_a, std::size_t cb_lo,
+                         std::size_t len, float* out) {
   std::fill_n(out, len, 0.0F);
   for (const auto& [code, f] : col_a) {
     const float* sv_row = &svt(code, cb_lo);
@@ -70,16 +72,22 @@ inline void psp_fill_row(
 /// A-column ca's nonzero residues of f * svt(code, cb) for the B columns the
 /// row will actually read (the full width, or just the band) with
 /// contiguous, vectorizable sweeps; the per-cell call is then a single
-/// array read.
+/// array read. A's nonzero frequencies live in one flat array: column ca
+/// is entries[offsets[ca], offsets[ca + 1]).
 struct PspRowScorer {
   const util::Matrix<float>* svt;  // residue-major B column scores
-  const std::vector<std::vector<std::pair<std::uint8_t, float>>>* sparse_a;
+  std::vector<PspEntry> entries;
+  std::vector<std::size_t> offsets;  // A columns + 1
   mutable std::vector<float> row;
 
+  [[nodiscard]] std::span<const PspEntry> column(std::size_t ca) const {
+    return std::span<const PspEntry>(entries).subspan(
+        offsets[ca], offsets[ca + 1] - offsets[ca]);
+  }
   void prepare_row(std::size_t ca, std::size_t cb_lo,
                    std::size_t cb_hi) const {
     if (cb_lo > cb_hi) return;
-    psp_fill_row(*svt, (*sparse_a)[ca], cb_lo, cb_hi - cb_lo + 1,
+    psp_fill_row(*svt, column(ca), cb_lo, cb_hi - cb_lo + 1,
                  row.data() + cb_lo);
   }
   float operator()(std::size_t, std::size_t cb) const { return row[cb]; }
@@ -90,10 +98,12 @@ struct PspRowScorer {
 /// block at a time, sweeps each block's anti-diagonals with element-wise
 /// vector ops (the occupancy-scaled gap penalties become precomputed gap
 /// vectors: forward along A for gaps-in-B, reversed along B for gaps-in-A),
-/// and checkpoints every ~sqrt(m)-th row so traceback re-derives decisions
-/// from recomputed state values — never an O(m·n) trace. Scores, paths and
-/// tie-breaks are bit-identical to the scalar profile_dp below (pinned by
-/// tests/msa_parallel_test.cpp). Requires m >= 1 and n >= 1.
+/// and takes each cell's traceback decision in the same vector step. Within
+/// max_trace_cells it keeps one decision byte per cell; above it, it keeps
+/// a checkpoint every ~sqrt(m)-th row and reruns one row block at a time
+/// during traceback. Scores, paths and tie-breaks are bit-identical to the
+/// scalar profile_dp below (pinned by tests/msa_parallel_test.cpp).
+/// Requires m >= 1 and n >= 1.
 [[nodiscard]] ProfileAlignResult profile_dp_wavefront(
     std::size_t m, std::size_t n, const PspRowScorer& scorer,
     std::span<const float> occ_a, std::span<const float> occ_b,

@@ -25,17 +25,24 @@
 // realistic penalty from the sentinel is absorbed by rounding, and the
 // scalar path's `best > kNegInf / 2` clamp only ever fires on exact
 // sentinels, where `best + sub` rounds back to the sentinel anyway) — so
-// scores are bit-identical and traceback decisions, re-derived from stored
-// state values with the scalar kernel's comparison chains, are identical
-// too. The randomized differential suite in tests/msa_parallel_test.cpp
-// pins this against the retained scalar path.
+// scores are bit-identical. Traceback decisions are taken in the same
+// vector step by comparing each operand against the max it fed (see
+// kChoice), which reproduces the scalar kernel's tie chains, so paths are
+// identical too. The randomized differential suite in
+// tests/msa_parallel_test.cpp pins this against the retained scalar path.
 //
-// Memory: forward pass keeps three diagonals, one score block and one
-// checkpoint row every K ~ sqrt(m) rows; traceback recomputes one block of
-// rows at a time, storing its state values diagonal-major.
+// Memory: the forward pass keeps three diagonals and one score block. DPs
+// within ProfileAlignOptions::max_trace_cells also keep one decision byte
+// per cell (row blocks stored diagonal-major), and traceback walks those
+// bytes. Larger DPs keep one checkpoint row every K ~ sqrt(m) rows instead;
+// traceback reruns one block of rows at a time from its checkpoint with
+// decision bytes on, so both paths decode one format.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "align/engine/simd.hpp"
@@ -58,8 +65,8 @@ constexpr std::size_t kRowBlock = 32;
 
 /// Checkpoint interval: ~sqrt(m) rounded up to a whole number of score
 /// blocks so checkpoint rows coincide with block-final rows. The 1024 cap
-/// bounds the traceback block recompute's value storage (three floats per
-/// cell, diagonal-major) on extreme inputs.
+/// bounds the traceback block recompute's decision bytes (diagonal-major)
+/// on extreme inputs.
 std::size_t checkpoint_interval(std::size_t m) {
   const auto root = static_cast<std::size_t>(
       std::ceil(std::sqrt(static_cast<double>(m))));
@@ -155,7 +162,7 @@ struct ScoreBlock {
       const std::size_t cb_lo = js - 1;
       const std::size_t len = je - js + 1;
       float* out = buf.data() + (r - 1) * stride;
-      psp_fill_row(*scorer.svt, (*scorer.sparse_a)[i - 1], cb_lo, len,
+      psp_fill_row(*scorer.svt, scorer.column(i - 1), cb_lo, len,
                    out + cb_lo);
     }
   }
@@ -182,108 +189,106 @@ struct DiagWorkspace {
   }
 };
 
-/// All three state values of a traceback row block [r0, r0 + rows),
-/// diagonal-major (cell (local diag d, local row r) at d * stride + r) so
-/// the kernel's per-diagonal outputs land with contiguous copies.
-struct Block {
-  std::size_t r0 = 0;
-  std::size_t rows = 0;    // includes the seed row r0
-  std::size_t stride = 0;  // == rows
-  std::vector<float> m, x, y;
+/// Traceback decision codes, one byte per cell with two bits per state.
+/// For state s the bits (code >> 2s) & 3 pick kChoice[s][0] when bit 0 is
+/// set, else kChoice[s][1] when bit 1 is set, else kChoice[s][2]. Each bit
+/// tests `operand == max` on values the vector step already holds:
+///   M: pm == max3(pm, px, py), then px == max3;
+///   X: ext_x == xv, then open_x == xv;
+///   Y: ext_y == yv, then open_y == yv.
+/// A max equals an operand exactly when that operand is >= every other, so
+/// these orders are the scalar kernel's tie chains.
+constexpr std::uint8_t kChoice[3][3] = {
+    {kPdM, kPdX, kPdY}, {kPdX, kPdM, kPdY}, {kPdY, kPdM, kPdX}};
 
-  void init(std::size_t seed_row, std::size_t row_count, std::size_t jcap,
-            bool fill) {
-    r0 = seed_row;
-    rows = row_count;
-    stride = row_count;
-    const std::size_t need = (row_count + jcap) * stride;
-    if (fill) {
-      m.assign(need, kNegInf);
-      x.assign(need, kNegInf);
-      y.assign(need, kNegInf);
-    } else {
-      m.resize(need);
-      x.resize(need);
-      y.resize(need);
+std::uint8_t decode(std::uint8_t code, std::uint8_t state) {
+  const unsigned bits = (code >> (2U * state)) & 3U;
+  return kChoice[state][(bits & 1U) != 0 ? 0 : (bits & 2U) != 0 ? 1 : 2];
+}
+
+#ifdef SALIGN_HAVE_VECTOR_EXT
+using Codes = V::Mask;
+
+/// `bit` in every lane where a == b, else 0.
+inline Codes bit_if_equal(V a, V b, int bit) { return (a.v == b.v) & bit; }
+
+/// Stores each lane's low byte at out[0, kW). A convert to a byte vector is
+/// scalarized on baseline x86-64; folding each lane pair as one 64-bit word
+/// (little-endian: the odd lane's code moves down to bits 8..15) costs a
+/// shift, an or and one 16-bit store per pair.
+inline void store_codes(Codes c, std::uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t words[kW / 2];
+    std::memcpy(words, &c, sizeof words);
+    for (std::size_t k = 0; k < kW / 2; ++k) {
+      const auto pair = static_cast<std::uint16_t>(words[k] | words[k] >> 24);
+      std::memcpy(out + 2 * k, &pair, sizeof pair);
     }
+  } else {
+    for (std::size_t k = 0; k < kW; ++k)
+      out[k] = static_cast<std::uint8_t>(c[k]);
   }
-  [[nodiscard]] std::size_t at(std::size_t i, std::size_t j) const {
+}
+#else
+using Codes = int;
+inline Codes bit_if_equal(V a, V b, int bit) { return a.v == b.v ? bit : 0; }
+inline void store_codes(Codes c, std::uint8_t* out) {
+  *out = static_cast<std::uint8_t>(c);
+}
+#endif
+
+/// Decision bytes of a row block of `rows` rows over columns [0, jcap]:
+/// cell (local diag d, local row r) at d * rows + r - 1, plus kW bytes for
+/// the last vector step's tail lanes.
+std::size_t code_bytes(std::size_t rows, std::size_t jcap) {
+  return (rows + jcap + 1) * rows + kW;
+}
+
+/// Traceback view of one row block (r0, r0 + rows].
+struct CodeBlock {
+  std::size_t r0 = 0;
+  std::size_t rows = 0;
+  const std::uint8_t* codes = nullptr;
+
+  [[nodiscard]] std::uint8_t at(std::size_t i, std::size_t j) const {
     const std::size_t r = i - r0;
-    return (r + j) * stride + r;
-  }
-  [[nodiscard]] float M(std::size_t i, std::size_t j) const {
-    return m[at(i, j)];
-  }
-  [[nodiscard]] float X(std::size_t i, std::size_t j) const {
-    return x[at(i, j)];
-  }
-  [[nodiscard]] float Y(std::size_t i, std::size_t j) const {
-    return y[at(i, j)];
+    return codes[(r + j) * rows + r - 1];
   }
 };
 
-/// Forward sink: captures the block's final row (the next block's seed and,
-/// on checkpoint rows, the checkpoint).
-struct LastRowSink {
-  std::size_t rows;  // block-local index of the final row
-  float* nm;
-  float* nx;
-  float* ny;
+/// The block's final row (the next block's seed and, on checkpoint rows,
+/// the checkpoint).
+struct LastRow {
+  float* m;
+  float* x;
+  float* y;
 
-  void diagonal(std::size_t d, bool /*has_b0*/, std::size_t ilo,
-                std::size_t ihi, bool has_bd, const float* m0,
-                const float* x0, const float* y0) const {
+  void capture(std::size_t rows, std::size_t d, std::size_t ilo,
+               std::size_t ihi, bool has_bd, const float* m0, const float* x0,
+               const float* y0) const {
     if (has_bd && d == rows) {
-      nm[0] = m0[d];
-      nx[0] = x0[d];
-      ny[0] = y0[d];
+      m[0] = m0[d];
+      x[0] = x0[d];
+      y[0] = y0[d];
     }
     if (ilo <= rows && rows <= ihi) {
       const std::size_t j = d - rows;
-      nm[j] = m0[rows];
-      nx[j] = x0[rows];
-      ny[j] = y0[rows];
-    }
-  }
-};
-
-/// Short inline copy: block diagonals are a few dozen floats, where an
-/// out-of-line memmove call costs more than the copy itself.
-inline void copy_floats(const float* src, float* dst, std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) dst[t] = src[t];
-}
-
-/// Traceback sink: stores every state value of the block, diagonal-major.
-/// Seed-row cells (has_b0) are filled by the caller before the run.
-struct BlockSink {
-  Block* blk;
-
-  void diagonal(std::size_t d, bool /*has_b0*/, std::size_t ilo,
-                std::size_t ihi, bool has_bd, const float* m0,
-                const float* x0, const float* y0) const {
-    const std::size_t base = d * blk->stride;
-    if (ilo <= ihi) {
-      const std::size_t len = ihi - ilo + 1;
-      copy_floats(m0 + ilo, blk->m.data() + base + ilo, len);
-      copy_floats(x0 + ilo, blk->x.data() + base + ilo, len);
-      copy_floats(y0 + ilo, blk->y.data() + base + ilo, len);
-    }
-    if (has_bd) {  // column-0 cell; always above the interior range
-      blk->m[base + d] = m0[d];
-      blk->x[base + d] = x0[d];
-      blk->y[base + d] = y0[d];
+      m[j] = m0[rows];
+      x[j] = x0[rows];
+      y[j] = y0[rows];
     }
   }
 };
 
 /// Runs rows [r0+1, r0+rows] x cols [0, jcap] over anti-diagonals, seeded
-/// with row r0's state values (seed_* index by column). Invokes
-/// sink.diagonal() after every diagonal.
-template <typename Sink>
+/// with row r0's state values (seed_* index by column). Captures the final
+/// row into `last` when given; with kCodes, writes every interior cell's
+/// decision byte into `codes` (code_bytes(rows, jcap) bytes).
+template <bool kCodes>
 void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
                std::size_t rows, std::size_t jcap, const float* seed_m,
                const float* seed_x, const float* seed_y, DiagWorkspace& ws,
-               Sink&& sink) {
+               const LastRow* last, std::uint8_t* codes) {
   ws.init(rows);
   float* m2 = ws.lane(0);
   float* x2 = ws.lane(1);
@@ -303,8 +308,8 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
   std::size_t pmax = 0;
   auto eff_hi = [&](std::size_t i) { return std::min(g.hi[r0 + i], jcap); };
 
-  const std::size_t last = rows + jcap;
-  for (std::size_t d = 0; d <= last; ++d) {
+  const std::size_t last_diag = rows + jcap;
+  for (std::size_t d = 0; d <= last_diag; ++d) {
     // Interior cells: i in [1, rows], j = d - i in [1, jcap], inside band.
     std::size_t ilo = 1;
     std::size_t ihi = 0;
@@ -325,29 +330,39 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
       const float* gb_ext = g.rev_ext_b.data() + ((g.n + ilo) - d);
       const float* ga_open = g.open_a.data() + (r0 + ilo - 1);
       const float* ga_ext = g.ext_a.data() + (r0 + ilo - 1);
+      std::uint8_t* dcodes = kCodes ? codes + d * rows : nullptr;
       for (std::size_t i = ilo; i <= ihi; i += kW) {
         const std::size_t off = i - ilo;
         // M from the up-left diagonal; the scalar clamp is a no-op on the
         // exact-sentinel values both paths propagate (see file comment).
-        const V mv = align::engine::max3(V::load(m2 + i - 1),
-                                         V::load(x2 + i - 1),
-                                         V::load(y2 + i - 1)) +
-                     V::load(sub + i);
+        const V pm = V::load(m2 + i - 1);
+        const V px = V::load(x2 + i - 1);
+        const V best = align::engine::max3(pm, px, V::load(y2 + i - 1));
+        const V mv = best + V::load(sub + i);
         // Gap in A consuming B's column j-1: left neighbor, B-scaled gaps.
         const V gbo = V::load(gb_open + off);
-        const V gbe = V::load(gb_ext + off);
-        const V xv = align::engine::max3(V::load(m1 + i) - gbo,
-                                         V::load(x1 + i) - gbe,
-                                         V::load(y1 + i) - gbo);
+        const V open_x = V::load(m1 + i) - gbo;
+        const V ext_x = V::load(x1 + i) - V::load(gb_ext + off);
+        const V xv =
+            align::engine::max3(open_x, ext_x, V::load(y1 + i) - gbo);
         // Gap in B consuming A's column i-1: up neighbor, A-scaled gaps.
         const V gao = V::load(ga_open + off);
-        const V gae = V::load(ga_ext + off);
-        const V yv = align::engine::max3(V::load(m1 + i - 1) - gao,
-                                         V::load(y1 + i - 1) - gae,
-                                         V::load(x1 + i - 1) - gao);
+        const V open_y = V::load(m1 + i - 1) - gao;
+        const V ext_y = V::load(y1 + i - 1) - V::load(ga_ext + off);
+        const V yv =
+            align::engine::max3(open_y, ext_y, V::load(x1 + i - 1) - gao);
         mv.store(m0 + i);
         xv.store(x0 + i);
         yv.store(y0 + i);
+        // Tail lanes past ihi write bytes of cells outside the range, which
+        // traceback never reads (and the kW-byte pad keeps them in bounds).
+        if constexpr (kCodes)
+          store_codes(bit_if_equal(pm, best, 1) | bit_if_equal(px, best, 2) |
+                          bit_if_equal(ext_x, xv, 4) |
+                          bit_if_equal(open_x, xv, 8) |
+                          bit_if_equal(ext_y, yv, 16) |
+                          bit_if_equal(open_y, yv, 32),
+                      dcodes + i - 1);
       }
       // Neutralize tail-lane overrun and mark the range edges for the next
       // two diagonals (ranges shift by at most one per diagonal).
@@ -361,8 +376,7 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
 
     // Border cells: row r0 comes from the seed, column 0 from the
     // accumulated leading-gap run (exactly the scalar boundary values).
-    const bool has_b0 = d <= jcap;
-    if (has_b0) {
+    if (d <= jcap) {
       m0[0] = seed_m[d];
       x0[0] = seed_x[d];
       y0[0] = seed_y[d];
@@ -375,7 +389,8 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
       y0[d] = g.lo[abs_row] == 0 ? g.yborder[abs_row] : kNegInf;
     }
 
-    sink.diagonal(d, has_b0, ilo, ihi, has_bd, m0, x0, y0);
+    if (last != nullptr)
+      last->capture(rows, d, ilo, ihi, has_bd, m0, x0, y0);
 
     // Rotate: current becomes d-1, d-1 becomes d-2, d-2 is recycled.
     std::swap(m2, m1);
@@ -395,18 +410,31 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
                                         std::span<const float> occ_b,
                                         const ProfileAlignOptions& opts) {
   const Geometry g(m, n, occ_a, occ_b, opts);
+  const std::size_t budget = opts.max_trace_cells != 0
+                                 ? opts.max_trace_cells
+                                 : kDefaultProfileTraceCells;
+  const bool full_trace = (m + 1) * (n + 1) <= budget;
   const std::size_t ckpt_k = checkpoint_interval(m);
 
   // Forward pass: row blocks of kRowBlock, each seeded by its predecessor's
-  // final row; every ckpt_k-th row (block-aligned by construction) is kept
-  // as a checkpoint for the traceback recompute.
-  util::Matrix<float> ck_m(m / ckpt_k + 1, n + 1, kNegInf);
-  util::Matrix<float> ck_x(m / ckpt_k + 1, n + 1, kNegInf);
-  util::Matrix<float> ck_y(m / ckpt_k + 1, n + 1, kNegInf);
-  for (std::size_t j = 0; j <= n; ++j) {
-    ck_m(0, j) = g.seed0_m[j];
-    ck_x(0, j) = g.seed0_x[j];
-    ck_y(0, j) = g.seed0_y[j];
+  // final row. The full-trace path stores every block's decision bytes
+  // (block b at b * trace_stride); the checkpointed path instead keeps
+  // every ckpt_k-th row (block-aligned by construction) for the traceback
+  // recompute.
+  const std::size_t trace_stride = code_bytes(kRowBlock, n);
+  std::vector<std::uint8_t> trace;
+  util::Matrix<float> ck_m, ck_x, ck_y;
+  if (full_trace) {
+    trace.assign((m + kRowBlock - 1) / kRowBlock * trace_stride, 0);
+  } else {
+    ck_m = util::Matrix<float>(m / ckpt_k + 1, n + 1, kNegInf);
+    ck_x = util::Matrix<float>(m / ckpt_k + 1, n + 1, kNegInf);
+    ck_y = util::Matrix<float>(m / ckpt_k + 1, n + 1, kNegInf);
+    for (std::size_t j = 0; j <= n; ++j) {
+      ck_m(0, j) = g.seed0_m[j];
+      ck_x(0, j) = g.seed0_x[j];
+      ck_y(0, j) = g.seed0_y[j];
+    }
   }
 
   std::vector<float> cur_m = g.seed0_m, cur_x = g.seed0_x, cur_y = g.seed0_y;
@@ -419,14 +447,19 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
     std::fill(next_m.begin(), next_m.end(), kNegInf);
     std::fill(next_x.begin(), next_x.end(), kNegInf);
     std::fill(next_y.begin(), next_y.end(), kNegInf);
-    run_block(g, sb, r0, rows, n, cur_m.data(), cur_x.data(), cur_y.data(),
-              ws, LastRowSink{rows, next_m.data(), next_x.data(),
-                              next_y.data()});
+    const LastRow last{next_m.data(), next_x.data(), next_y.data()};
+    if (full_trace)
+      run_block<true>(g, sb, r0, rows, n, cur_m.data(), cur_x.data(),
+                      cur_y.data(), ws, &last,
+                      trace.data() + r0 / kRowBlock * trace_stride);
+    else
+      run_block<false>(g, sb, r0, rows, n, cur_m.data(), cur_x.data(),
+                       cur_y.data(), ws, &last, nullptr);
     cur_m.swap(next_m);
     cur_x.swap(next_x);
     cur_y.swap(next_y);
     const std::size_t row = r0 + rows;
-    if (row % ckpt_k == 0) {
+    if (!full_trace && row % ckpt_k == 0) {
       const std::size_t r = row / ckpt_k;
       for (std::size_t j = 0; j <= n; ++j) {
         ck_m(r, j) = cur_m[j];
@@ -451,67 +484,35 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
     out.score = best;
   }
 
-  // Traceback: recompute one block of rows (r0, top] at a time from the
-  // checkpoint at r0, storing state values; decisions are re-derived from
-  // the values with the scalar kernel's exact comparison chains.
-  Block blk;
-  bool blk_valid = false;
+  // Traceback walks decision bytes one row block at a time: the stored
+  // block on the full-trace path, else block (r0, top] rerun from the
+  // checkpoint at r0 with decision bytes on.
+  CodeBlock blk;
+  std::vector<std::uint8_t> blk_codes;
   auto load_block = [&](std::size_t top, std::size_t jcap) {
-    const std::size_t r0 = (top - 1) / ckpt_k * ckpt_k;
-    const std::size_t r = r0 / ckpt_k;
-    blk.init(r0, top - r0 + 1, jcap, g.banded);
-    for (std::size_t j = 0; j <= jcap; ++j) {
-      const std::size_t at = j * blk.stride;  // seed row: local row 0
-      blk.m[at] = ck_m(r, j);
-      blk.x[at] = ck_x(r, j);
-      blk.y[at] = ck_y(r, j);
+    if (full_trace) {
+      const std::size_t b = (top - 1) / kRowBlock;
+      blk.r0 = b * kRowBlock;
+      blk.rows = std::min(kRowBlock, m - blk.r0);
+      blk.codes = trace.data() + b * trace_stride;
+      return;
     }
-    sb.fill(scorer, g, r0, top - r0, jcap);
-    run_block(g, sb, r0, top - r0, jcap, &ck_m(r, 0), &ck_x(r, 0),
-              &ck_y(r, 0), ws, BlockSink{&blk});
-    blk_valid = true;
+    blk.r0 = (top - 1) / ckpt_k * ckpt_k;
+    blk.rows = top - blk.r0;
+    blk_codes.assign(code_bytes(blk.rows, jcap), 0);
+    blk.codes = blk_codes.data();
+    const std::size_t r = blk.r0 / ckpt_k;
+    sb.fill(scorer, g, blk.r0, blk.rows, jcap);
+    run_block<true>(g, sb, blk.r0, blk.rows, jcap, &ck_m(r, 0), &ck_x(r, 0),
+                    &ck_y(r, 0), ws, nullptr, blk_codes.data());
   };
 
-  const float open = g.open;
-  const float ext = g.ext;
   auto came_from_at = [&](std::size_t i, std::size_t j) -> std::uint8_t {
     // Boundary cells mirror the scalar path's preset decisions.
     if (i == 0) return state == kPdX ? kPdX : kPdM;
     if (j == 0) return state == kPdY && g.lo[i] == 0 ? kPdY : kPdM;
-    if (!blk_valid || i <= blk.r0) load_block(i, j);
-    switch (state) {
-      case kPdM: {
-        const float pm = blk.M(i - 1, j - 1);
-        const float px = blk.X(i - 1, j - 1);
-        const float py = blk.Y(i - 1, j - 1);
-        float best = pm;
-        std::uint8_t from = kPdM;
-        if (px > best) {
-          best = px;
-          from = kPdX;
-        }
-        if (py > best) from = kPdY;
-        return from;
-      }
-      case kPdX: {
-        const float gx_open = open * occ_b[j - 1];
-        const float gx_ext = ext * occ_b[j - 1];
-        const float open_x = blk.M(i, j - 1) - gx_open;
-        const float ext_x = blk.X(i, j - 1) - gx_ext;
-        const float via_y = blk.Y(i, j - 1) - gx_open;
-        if (ext_x >= open_x && ext_x >= via_y) return kPdX;
-        return open_x >= via_y ? kPdM : kPdY;
-      }
-      default: {
-        const float gy_open = open * occ_a[i - 1];
-        const float gy_ext = ext * occ_a[i - 1];
-        const float open_y = blk.M(i - 1, j) - gy_open;
-        const float ext_y = blk.Y(i - 1, j) - gy_ext;
-        const float via_x = blk.X(i - 1, j) - gy_open;
-        if (ext_y >= open_y && ext_y >= via_x) return kPdY;
-        return open_y >= via_x ? kPdM : kPdX;
-      }
-    }
+    if (blk.codes == nullptr || i <= blk.r0) load_block(i, j);
+    return decode(blk.at(i, j), state);
   };
 
   std::size_t i = m;

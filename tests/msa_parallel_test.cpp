@@ -140,7 +140,8 @@ TEST(ScheduleTree, PropagatesNodeException) {
 
 /// Randomized differential: random sub-families aligned into two profiles,
 /// random weights, random gap penalties, random band / trace budget; the
-/// wavefront and scalar kernels must agree on score bits and ops exactly.
+/// wavefront and scalar kernels must agree on score bits and ops exactly,
+/// on the full-trace and the checkpointed traceback paths alike.
 TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
   util::Rng rng(991);
   const MuscleAligner aligner;
@@ -171,11 +172,21 @@ TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
 
     po.backend = Backend::kScalar;
     const ProfileAlignResult ref = align_profiles(pa, pb, po);
-    po.backend = Backend::kVector;
-    const ProfileAlignResult vec = align_profiles(pa, pb, po);
 
-    ASSERT_EQ(ref.score, vec.score) << "rep " << rep;
-    ASSERT_EQ(ref.ops, vec.ops) << "rep " << rep;
+    // Both kernels at the drawn budget, the default (full trace), one cell
+    // (checkpointed) and around the full-trace boundary (m+1)(n+1).
+    const std::size_t cells = (pa.num_cols() + 1) * (pb.num_cols() + 1);
+    const std::size_t drawn = po.max_trace_cells;
+    for (Backend backend : {Backend::kScalar, Backend::kVector})
+      for (std::size_t budget : {drawn, std::size_t{0}, std::size_t{1},
+                                 cells - 1, cells, cells + 1}) {
+        po.backend = backend;
+        po.max_trace_cells = budget;
+        const ProfileAlignResult got = align_profiles(pa, pb, po);
+        ASSERT_EQ(ref.score, got.score) << "rep " << rep << " budget "
+                                        << budget;
+        ASSERT_EQ(ref.ops, got.ops) << "rep " << rep << " budget " << budget;
+      }
   }
 }
 
@@ -198,6 +209,45 @@ TEST(ProfileDpDifferential, DegenerateShapes) {
       EXPECT_EQ(ref.score, vec.score);
       EXPECT_EQ(ref.ops, vec.ops);
     }
+}
+
+/// Single-residue columns and integer penalties make exact float ties
+/// between match, open and extend moves everywhere; a profile aligned to
+/// itself adds ties between the diagonal and every gap detour. Tie-breaks
+/// must follow the scalar chains on both traceback paths.
+TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  const Rows shapes = {
+      {"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAAAAAAAAAAAAA"},
+      {"ACACACACACACACACACACACACACACACACACAC", "CACACACACACACACACACA"},
+      {"WWWWGGGGWWWWGGGGWWWWGGGGWWWWGGGG", "WWWWGGGGWWWWGGGGWWWWGGGGWWWWGGGG"},
+      {"AAAAACCCCCAAAAACCCCCAAAAACCCCCAAAAACCCCCAAAAA", "ACACACACACAC"},
+      {std::string(150, 'A'), std::string(97, 'A')}};
+  for (const auto& [ta, tb] : shapes) {
+    const Profile pa(Alignment::from_texts(Rows{{"a", ta}, {"a2", ta}}),
+                     B62());
+    const Profile pb(Alignment::from_texts(Rows{{"b", tb}}), B62());
+    for (const Profile* other : {&pb, &pa})
+      for (const auto& gaps : {bio::GapPenalties{4.0F, 1.0F},
+                               bio::GapPenalties{2.0F, 2.0F},
+                               bio::GapPenalties{0.0F, 0.0F}})
+        for (std::size_t band : {std::size_t{0}, std::size_t{3}}) {
+          ProfileAlignOptions po;
+          po.gaps = gaps;
+          po.band = band;
+          po.backend = Backend::kScalar;
+          const ProfileAlignResult ref = align_profiles(pa, *other, po);
+          po.backend = Backend::kVector;
+          for (std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+            po.max_trace_cells = budget;
+            const ProfileAlignResult vec = align_profiles(pa, *other, po);
+            EXPECT_EQ(ref.score, vec.score) << ta << " / " << tb;
+            EXPECT_EQ(ref.ops, vec.ops)
+                << ta << " / " << tb << " open " << gaps.open << " band "
+                << band << " budget " << budget;
+          }
+        }
+  }
 }
 
 // ---- progressive thread invariance -----------------------------------------

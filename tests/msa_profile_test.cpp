@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "msa/profile.hpp"
@@ -97,6 +98,18 @@ TEST(ProfileAlign, IdenticalProfilesAllMatch) {
   const ProfileAlignResult r = align_profiles(pa, pb);
   ASSERT_EQ(r.ops.size(), 6u);
   for (EditOp op : r.ops) EXPECT_EQ(op, EditOp::Match);
+}
+
+TEST(ProfileAlign, MismatchedAlphabetsThrow) {
+  // An amino-acid A (21 codes) against a DNA B (5 codes): the B-side score
+  // table must not be indexed with A's residue codes.
+  const Alignment a = make({{"a", "ACDEFGHIKLMNPQRSTVWY"}});
+  const Alignment b = Alignment::from_texts(Rows{{"b", "ACGTACGT"}},
+                                            bio::AlphabetKind::Dna);
+  const Profile pa(a, B62());
+  const Profile pb(b, SubstitutionMatrix::dna_default());
+  EXPECT_THROW((void)align_profiles(pa, pb), std::invalid_argument);
+  EXPECT_THROW((void)align_profiles(pb, pa), std::invalid_argument);
 }
 
 TEST(ProfileAlign, ScoreMatchesPathScore) {
