@@ -135,29 +135,20 @@ void BM_GlobalAlign(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalAlign)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
-// The engine's two kernel instantiations, benchmarked side by side so the
-// vector-vs-scalar ratio is part of every baseline (score-only pass and full
-// checkpointed alignment). The score benches pin the FLOAT tier so these
-// rows stay comparable with the pre-integer baselines; the striped integer
-// tiers have their own benches below.
-void engine_global_score_bench(benchmark::State& state,
-                               align::engine::Backend backend) {
+// The engine's anti-diagonal float kernel, score-only pass (the build's one
+// kernel: VecF lanes, or 1 lane in release-scalar builds). Pinned to the
+// FLOAT tier so these rows stay comparable with the pre-integer baselines;
+// the striped integer tiers have their own benches below.
+void BM_EngineGlobalScoreVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(align::engine::global_score(
-        seqs[0].codes(), seqs[1].codes(), m, {}, backend, nullptr,
+        seqs[0].codes(), seqs[1].codes(), m, {}, nullptr,
         align::engine::ScoreTier::kFloat));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
-void BM_EngineGlobalScoreVector(benchmark::State& state) {
-  engine_global_score_bench(state, align::engine::Backend::kVector);
-}
 BENCHMARK(BM_EngineGlobalScoreVector)->Arg(400)->Arg(1000);
-void BM_EngineGlobalScoreScalar(benchmark::State& state) {
-  engine_global_score_bench(state, align::engine::Backend::kScalar);
-}
-BENCHMARK(BM_EngineGlobalScoreScalar)->Arg(400)->Arg(1000);
 
 // ---- striped integer score tiers ----------------------------------------------
 //
@@ -191,8 +182,7 @@ void engine_striped_bench(benchmark::State& state, std::size_t len,
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::ScoreBatch batch(query, m, gaps,
-                                  align::engine::default_backend(), tier);
+  align::engine::ScoreBatch batch(query, m, gaps, tier);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.score(o));
   set_cells_per_second(state, others.size() * len * len);
@@ -329,24 +319,16 @@ BENCHMARK(BM_DistanceMatrixAlignedShortFloat)->Arg(32);
 // Pinned to the float tier so these rows keep measuring the float
 // checkpointed kernel (comparable with the pre-integer baselines); the
 // striped traceback tiers have their own benches below.
-void engine_global_align_bench(benchmark::State& state,
-                               align::engine::Backend backend) {
+void BM_EngineGlobalAlignVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(align::engine::global_align(
-        seqs[0].codes(), seqs[1].codes(), m, {}, backend,
+        seqs[0].codes(), seqs[1].codes(), m, {},
         align::engine::ScoreTier::kFloat));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
-void BM_EngineGlobalAlignVector(benchmark::State& state) {
-  engine_global_align_bench(state, align::engine::Backend::kVector);
-}
 BENCHMARK(BM_EngineGlobalAlignVector)->Arg(400)->Arg(1000);
-void BM_EngineGlobalAlignScalar(benchmark::State& state) {
-  engine_global_align_bench(state, align::engine::Backend::kScalar);
-}
-BENCHMARK(BM_EngineGlobalAlignScalar)->Arg(400)->Arg(1000);
 
 // ---- striped integer FULL-alignment tiers --------------------------------------
 //
@@ -361,8 +343,7 @@ void engine_align_striped_bench(benchmark::State& state, std::size_t len,
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::AlignBatch batch(query, m, gaps,
-                                  align::engine::default_backend(), tier);
+  align::engine::AlignBatch batch(query, m, gaps, tier);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.align(o));
   set_cells_per_second(state, others.size() * len * len);
@@ -439,15 +420,15 @@ BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 // ---- PSP profile-DP kernel (vectorized wavefront vs scalar reference) ----------
 //
 // Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
-// blocked anti-diagonal wavefront kernel (the default), BM_ProfileDpScalar
-// the retained row-major reference — the pair makes the kernel speedup part
-// of every baseline, like the engine's vector/scalar benches above. Both
-// DPs fit the default trace budget, so they keep full traceback tables;
-// BM_ProfileDpCheckpointed runs the wavefront kernel at max_trace_cells = 1,
-// the checkpoint-and-rerun traceback that DPs above the budget take.
+// blocked anti-diagonal wavefront kernel (align_profiles' kernel),
+// BM_ProfileDpScalar the row-major profile_dp (T-Coffee's kernel and the
+// wavefront's test oracle) on the same scorer — the pair makes the kernel
+// speedup part of every baseline. Both DPs fit the default trace budget,
+// so they keep full traceback tables; BM_ProfileDpCheckpointed runs the
+// wavefront kernel at max_trace_cells = 1, the checkpoint-and-rerun
+// traceback that DPs above the budget take.
 
-void profile_dp_bench(benchmark::State& state,
-                      align::engine::Backend backend,
+void profile_dp_bench(benchmark::State& state, bool row_major,
                       std::size_t max_trace_cells = 0) {
   const auto seqs = seqs_cache(16, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
@@ -461,22 +442,27 @@ void profile_dp_bench(benchmark::State& state,
   const msa::Profile pr(right, m);
   msa::ProfileAlignOptions po;
   po.gaps = m.default_gaps();
-  po.backend = backend;
   po.max_trace_cells = max_trace_cells;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
+  for (auto _ : state) {
+    if (row_major) {
+      // Scorer build included, as align_profiles includes it.
+      const msa::detail::PspProblem p(pl, pr);
+      benchmark::DoNotOptimize(msa::detail::profile_dp(
+          pl.num_cols(), pr.num_cols(), p.scorer, p.occ_a, p.occ_b, po));
+    } else {
+      benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
+    }
+  }
   set_cells_per_second(state, pl.num_cols() * pr.num_cols());
 }
-void BM_ProfileDp(benchmark::State& state) {
-  profile_dp_bench(state, align::engine::Backend::kVector);
-}
+void BM_ProfileDp(benchmark::State& state) { profile_dp_bench(state, false); }
 BENCHMARK(BM_ProfileDp)->Arg(400)->Arg(1000);
 void BM_ProfileDpCheckpointed(benchmark::State& state) {
-  profile_dp_bench(state, align::engine::Backend::kVector, 1);
+  profile_dp_bench(state, false, 1);
 }
 BENCHMARK(BM_ProfileDpCheckpointed)->Arg(400)->Arg(1000);
 void BM_ProfileDpScalar(benchmark::State& state) {
-  profile_dp_bench(state, align::engine::Backend::kScalar);
+  profile_dp_bench(state, true);
 }
 BENCHMARK(BM_ProfileDpScalar)->Arg(400)->Arg(1000);
 
@@ -581,15 +567,11 @@ BENCHMARK(BM_PsrsPartition)->Arg(10000)->Arg(100000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using salign::align::engine::Backend;
+  benchmark::AddCustomContext("salign_engine_kernel",
+                              salign::align::engine::kernel_name());
   benchmark::AddCustomContext(
-      "salign_engine_default",
-      salign::align::engine::backend_name(
-          salign::align::engine::default_backend()));
-  benchmark::AddCustomContext(
-      "salign_engine_vector_lanes",
-      std::to_string(
-          salign::align::engine::backend_lanes(Backend::kVector)));
+      "salign_engine_lanes",
+      std::to_string(salign::align::engine::kernel_lanes()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

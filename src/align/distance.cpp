@@ -183,7 +183,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
       } else {
         // The lane saturated an int8 rail: retake the ladder one tier up.
         ++stats.batch_retries;
-        engine::AlignBatch batch(group[g].a, matrix, gaps, options.backend,
+        engine::AlignBatch batch(group[g].a, matrix, gaps,
                                  engine::ScoreTier::kInt16);
         block[p].global = batch.align(group[g].b);
         stats.ladder += batch.stats();
@@ -191,7 +191,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
       if (options.with_local) {
         const auto [i, j] = util::pair_from_index(base + p);
         block[p].local = engine::local_align(seqs[i].codes(), seqs[j].codes(),
-                                             matrix, gaps, options.backend);
+                                             matrix, gaps);
       }
     }
     return;
@@ -205,7 +205,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
   std::unique_ptr<engine::AlignBatch> batch;
   if (options.band == 0)
     batch = std::make_unique<engine::AlignBatch>(
-        seqs[i].codes(), matrix, gaps, options.backend, options.first_tier);
+        seqs[i].codes(), matrix, gaps, options.first_tier);
   for (const std::size_t p : task.slots) {
     const auto [pi, j] = util::pair_from_index(base + p);
     if (batch)
@@ -213,11 +213,10 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
     else
       block[p].global =
           engine::banded_global_align(seqs[pi].codes(), seqs[j].codes(),
-                                      matrix, gaps, options.band,
-                                      options.backend);
+                                      matrix, gaps, options.band);
     if (options.with_local)
       block[p].local = engine::local_align(seqs[pi].codes(), seqs[j].codes(),
-                                           matrix, gaps, options.backend);
+                                           matrix, gaps);
   }
   if (batch) stats.ladder += batch->stats();
 }
@@ -239,7 +238,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
   std::size_t batch_cap = 0;
   std::size_t batch_lanes = 1;
   if (options.band == 0 && options.first_tier <= engine::ScoreTier::kInt8) {
-    const engine::PairBatch probe(matrix, gaps, options.backend);
+    const engine::PairBatch probe(matrix, gaps);
     batch_cap = probe.max_len();
     batch_lanes = probe.lanes();
   }
@@ -261,8 +260,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
           std::unique_ptr<engine::PairBatch> pb;
           for (std::size_t t = begin; t < end; ++t) {
             if (tasks[t].batched && !pb)
-              pb = std::make_unique<engine::PairBatch>(matrix, gaps,
-                                                       options.backend);
+              pb = std::make_unique<engine::PairBatch>(matrix, gaps);
             run_pair_task(tasks[t], seqs, matrix, gaps, options, base,
                           pb.get(), block, task_stats[t]);
           }
@@ -293,7 +291,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.backend, options.first_tier);
+                                   options.first_tier);
           self[i] = batch.score(seqs[i].codes());
         }
       },
@@ -311,7 +309,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
           const std::size_t i = (r % 2 == 0) ? r / 2 : n - 1 - r / 2;
           if (i == 0) continue;
           engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.backend, options.first_tier);
+                                   options.first_tier);
           for (std::size_t j = 0; j < i; ++j) {
             const double denom = std::min(self[i], self[j]);
             if (denom <= 0.0) {

@@ -87,7 +87,6 @@ struct PairDistanceOptions {
   /// Also compute one local (Smith–Waterman) alignment per pair — the
   /// T-Coffee primary library wants both.
   bool with_local = false;
-  engine::Backend backend = engine::default_backend();
   /// Where the per-pair full-alignment tier ladder starts (kAuto = batched
   /// int8 lanes for short pairs, striped int8/int16 traceback otherwise,
   /// float on promotion; kFloat pins the pre-integer-traceback behavior).
@@ -122,7 +121,6 @@ struct ScoreDistanceOptions {
   /// util::parallel_for width over matrix rows (1 = serial; deterministic
   /// for any value).
   unsigned threads = 1;
-  engine::Backend backend = engine::default_backend();
   /// Where the per-pair tier ladder starts (kAuto = int8 when viable).
   engine::ScoreTier first_tier = engine::ScoreTier::kAuto;
 };

@@ -22,41 +22,44 @@ float empty_edge_score(std::size_t m, std::size_t n, bio::GapPenalties gaps) {
   return -(gaps.open + gaps.extend * static_cast<float>(len - 1));
 }
 
+/// Aligning against an empty sequence is a single gap run; reproduce the
+/// reference kernels' degenerate outputs exactly (engine.cpp does the same
+/// for the float path).
+PairwiseAlignment empty_edge_align(std::size_t m, std::size_t n,
+                                   bio::GapPenalties gaps) {
+  PairwiseAlignment out;
+  out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
+  if (!out.ops.empty())
+    out.score =
+        -(gaps.open + gaps.extend * static_cast<float>(out.ops.size() - 1));
+  return out;
+}
+
 }  // namespace
 
 struct ScoreBatch::Impl {
-  virtual ~Impl() = default;
-  virtual void build() = 0;
-  virtual float score(std::span<const std::uint8_t> other) = 0;
-  [[nodiscard]] virtual std::size_t bytes() const = 0;
-
   std::vector<std::uint8_t> query;
   const bio::SubstitutionMatrix* matrix = nullptr;
   bio::GapPenalties gaps;
   ScoreTier first_tier = ScoreTier::kAuto;
   detail::IntGate gate;
   Stats stats;
-};
 
-namespace {
-
-template <typename V8, typename V16, typename VF>
-struct ImplT final : ScoreBatch::Impl {
-  detail::StripedProfile<V8> p8;
-  detail::StripedProfile<V16> p16;
+  detail::StripedProfile<VecI8> p8;
+  detail::StripedProfile<VecI16> p16;
   bool p16_built = false;
-  detail::StripedWorkspace<V8> ws8;
-  detail::StripedWorkspace<V16> ws16;
+  detail::StripedWorkspace<VecI8> ws8;
+  detail::StripedWorkspace<VecI16> ws16;
   std::size_t float_ws = 0;
 
-  void build() override {
+  void build() {
     if (first_tier == ScoreTier::kFloat) return;  // gate never consulted
     gate = detail::scan_int_gate(*matrix, gaps);
     if (first_tier == ScoreTier::kAuto || first_tier == ScoreTier::kInt8)
-      p8 = detail::StripedProfile<V8>(query, *matrix, gate);
+      p8 = detail::StripedProfile<VecI8>(query, *matrix, gate);
   }
 
-  float score(std::span<const std::uint8_t> other) override {
+  float score(std::span<const std::uint8_t> other) {
     if (query.empty() || other.empty())
       return empty_edge_score(query.size(), other.size(), gaps);
     float s = 0.0F;
@@ -68,7 +71,7 @@ struct ImplT final : ScoreBatch::Impl {
     }
     if (first_tier <= ScoreTier::kInt16) {
       if (!p16_built) {
-        p16 = detail::StripedProfile<V16>(query, *matrix, gate);
+        p16 = detail::StripedProfile<VecI16>(query, *matrix, gate);
         p16_built = true;
       }
       if (p16.viable() && p16.viable_for(other.size())) {
@@ -78,17 +81,15 @@ struct ImplT final : ScoreBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_score_impl<VF>(query, other, *matrix, gaps, 0,
-                                         false, &float_ws);
+    return detail::global_score_impl<VecF>(query, other, *matrix, gaps, 0,
+                                           false, &float_ws);
   }
 
-  [[nodiscard]] std::size_t bytes() const override {
+  [[nodiscard]] std::size_t bytes() const {
     return p8.bytes() + p16.bytes() + ws8.bytes() + ws16.bytes() + float_ws +
            query.capacity();
   }
 };
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // AlignBatch: full alignments through the same ladder
@@ -104,50 +105,27 @@ AlignBatch::Stats& AlignBatch::Stats::operator+=(const Stats& o) {
 }
 
 struct AlignBatch::Impl {
-  virtual ~Impl() = default;
-  virtual void build() = 0;
-  virtual PairwiseAlignment align(std::span<const std::uint8_t> other) = 0;
-  [[nodiscard]] virtual std::size_t bytes() const = 0;
-
   std::vector<std::uint8_t> query;
   const bio::SubstitutionMatrix* matrix = nullptr;
   bio::GapPenalties gaps;
   ScoreTier first_tier = ScoreTier::kAuto;
   detail::IntGate gate;
   Stats stats;
-};
 
-namespace {
-
-/// Aligning against an empty sequence is a single gap run; reproduce the
-/// reference kernels' degenerate outputs exactly (engine.cpp does the same
-/// for the float path).
-PairwiseAlignment empty_edge_align(std::size_t m, std::size_t n,
-                                   bio::GapPenalties gaps) {
-  PairwiseAlignment out;
-  out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
-  if (!out.ops.empty())
-    out.score =
-        -(gaps.open + gaps.extend * static_cast<float>(out.ops.size() - 1));
-  return out;
-}
-
-template <typename V8, typename V16, typename VF>
-struct AlignImplT final : AlignBatch::Impl {
-  detail::StripedProfile<V8> p8;
-  detail::StripedProfile<V16> p16;
+  detail::StripedProfile<VecI8> p8;
+  detail::StripedProfile<VecI16> p16;
   bool p16_built = false;
-  detail::StripedAlignWorkspace<V8> ws8;
-  detail::StripedAlignWorkspace<V16> ws16;
+  detail::StripedAlignWorkspace<VecI8> ws8;
+  detail::StripedAlignWorkspace<VecI16> ws16;
 
-  void build() override {
+  void build() {
     if (first_tier == ScoreTier::kFloat) return;  // gate never consulted
     gate = detail::scan_int_gate(*matrix, gaps);
     if (first_tier == ScoreTier::kAuto || first_tier == ScoreTier::kInt8)
-      p8 = detail::StripedProfile<V8>(query, *matrix, gate);
+      p8 = detail::StripedProfile<VecI8>(query, *matrix, gate);
   }
 
-  PairwiseAlignment align(std::span<const std::uint8_t> other) override {
+  PairwiseAlignment align(std::span<const std::uint8_t> other) {
     if (query.empty() || other.empty())
       return empty_edge_align(query.size(), other.size(), gaps);
     PairwiseAlignment out;
@@ -161,7 +139,7 @@ struct AlignImplT final : AlignBatch::Impl {
     }
     if (first_tier <= ScoreTier::kInt16) {
       if (!p16_built) {
-        p16 = detail::StripedProfile<V16>(query, *matrix, gate);
+        p16 = detail::StripedProfile<VecI16>(query, *matrix, gate);
         p16_built = true;
       }
       if (p16.viable() && p16.viable_for(other.size())) {
@@ -172,26 +150,20 @@ struct AlignImplT final : AlignBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_align_impl<VF>(query, other, *matrix, gaps, 0,
-                                         false);
+    return detail::global_align_impl<VecF>(query, other, *matrix, gaps, 0,
+                                           false);
   }
 
-  [[nodiscard]] std::size_t bytes() const override {
+  [[nodiscard]] std::size_t bytes() const {
     return p8.bytes() + p16.bytes() + ws8.bytes() + ws16.bytes() +
            query.capacity();
   }
 };
 
-}  // namespace
-
 AlignBatch::AlignBatch(std::span<const std::uint8_t> query,
                        const bio::SubstitutionMatrix& matrix,
-                       bio::GapPenalties gaps, Backend backend,
-                       ScoreTier first_tier) {
-  if (backend == Backend::kScalar)
-    impl_ = std::make_unique<AlignImplT<ScalarI8, ScalarI16, ScalarF>>();
-  else
-    impl_ = std::make_unique<AlignImplT<VecI8, VecI16, VecF>>();
+                       bio::GapPenalties gaps, ScoreTier first_tier)
+    : impl_(std::make_unique<Impl>()) {
   impl_->query.assign(query.begin(), query.end());
   impl_->matrix = &matrix;
   impl_->gaps = gaps;
@@ -215,12 +187,8 @@ std::size_t AlignBatch::workspace_bytes() const { return impl_->bytes(); }
 
 ScoreBatch::ScoreBatch(std::span<const std::uint8_t> query,
                        const bio::SubstitutionMatrix& matrix,
-                       bio::GapPenalties gaps, Backend backend,
-                       ScoreTier first_tier) {
-  if (backend == Backend::kScalar)
-    impl_ = std::make_unique<ImplT<ScalarI8, ScalarI16, ScalarF>>();
-  else
-    impl_ = std::make_unique<ImplT<VecI8, VecI16, VecF>>();
+                       bio::GapPenalties gaps, ScoreTier first_tier)
+    : impl_(std::make_unique<Impl>()) {
   impl_->query.assign(query.begin(), query.end());
   impl_->matrix = &matrix;
   impl_->gaps = gaps;

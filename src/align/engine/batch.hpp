@@ -31,7 +31,6 @@ class ScoreBatch {
 
   ScoreBatch(std::span<const std::uint8_t> query,
              const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-             Backend backend = default_backend(),
              ScoreTier first_tier = ScoreTier::kAuto);
   ~ScoreBatch();
   ScoreBatch(ScoreBatch&&) noexcept;
@@ -88,7 +87,6 @@ class AlignBatch {
 
   AlignBatch(std::span<const std::uint8_t> query,
              const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-             Backend backend = default_backend(),
              ScoreTier first_tier = ScoreTier::kAuto);
   ~AlignBatch();
   AlignBatch(AlignBatch&&) noexcept;

@@ -25,26 +25,9 @@ bool empty_edge_global(std::size_t m, std::size_t n, bio::GapPenalties gaps,
 
 }  // namespace
 
-Backend default_backend() {
-#if defined(SALIGN_ENGINE_FORCE_SCALAR) || !defined(SALIGN_HAVE_VECTOR_EXT)
-  return Backend::kScalar;
-#else
-  return Backend::kVector;
-#endif
-}
+const char* kernel_name() { return VecF::kLanes > 1 ? "vector" : "scalar"; }
 
-const char* backend_name(Backend backend) {
-  if (backend == Backend::kScalar) return "scalar";
-#ifdef SALIGN_HAVE_VECTOR_EXT
-  return "vector";
-#else
-  return "scalar";  // vector requests degrade to the scalar kernel
-#endif
-}
-
-int backend_lanes(Backend backend) {
-  return backend == Backend::kScalar ? ScalarF::kLanes : VecF::kLanes;
-}
+int kernel_lanes() { return VecF::kLanes; }
 
 const char* tier_name(ScoreTier tier) {
   switch (tier) {
@@ -58,14 +41,14 @@ const char* tier_name(ScoreTier tier) {
 float global_score(std::span<const std::uint8_t> a,
                    std::span<const std::uint8_t> b,
                    const bio::SubstitutionMatrix& matrix,
-                   bio::GapPenalties gaps, Backend backend,
-                   std::size_t* workspace_bytes, ScoreTier first_tier) {
+                   bio::GapPenalties gaps, std::size_t* workspace_bytes,
+                   ScoreTier first_tier) {
   PairwiseAlignment edge;
   if (empty_edge_global(a.size(), b.size(), gaps, edge)) {
     if (workspace_bytes != nullptr) *workspace_bytes = 0;
     return edge.score;
   }
-  ScoreBatch batch(a, matrix, gaps, backend, first_tier);
+  ScoreBatch batch(a, matrix, gaps, first_tier);
   const float score = batch.score(b);
   if (workspace_bytes != nullptr) *workspace_bytes = batch.workspace_bytes();
   return score;
@@ -74,37 +57,32 @@ float global_score(std::span<const std::uint8_t> a,
 PairwiseAlignment global_align(std::span<const std::uint8_t> a,
                                std::span<const std::uint8_t> b,
                                const bio::SubstitutionMatrix& matrix,
-                               bio::GapPenalties gaps, Backend backend,
-                               ScoreTier first_tier) {
+                               bio::GapPenalties gaps, ScoreTier first_tier) {
   // One-shot calls run the full AlignBatch tier ladder too: the striped
   // integer traceback tiers are bit-identical to the float kernels, and the
   // O(alphabet * m) profile build is amortized by the O(m * n) DP. Callers
   // aligning one query against many should build the AlignBatch themselves.
   PairwiseAlignment out;
   if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
-  AlignBatch batch(a, matrix, gaps, backend, first_tier);
+  AlignBatch batch(a, matrix, gaps, first_tier);
   return batch.align(b);
 }
 
 PairwiseAlignment banded_global_align(std::span<const std::uint8_t> a,
                                       std::span<const std::uint8_t> b,
                                       const bio::SubstitutionMatrix& matrix,
-                                      bio::GapPenalties gaps, std::size_t band,
-                                      Backend backend) {
+                                      bio::GapPenalties gaps,
+                                      std::size_t band) {
   PairwiseAlignment out;
   if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
-  if (backend == Backend::kScalar)
-    return detail::global_align_impl<ScalarF>(a, b, matrix, gaps, band, true);
   return detail::global_align_impl<VecF>(a, b, matrix, gaps, band, true);
 }
 
 LocalAlignment local_align(std::span<const std::uint8_t> a,
                            std::span<const std::uint8_t> b,
                            const bio::SubstitutionMatrix& matrix,
-                           bio::GapPenalties gaps, Backend backend) {
+                           bio::GapPenalties gaps) {
   if (a.empty() || b.empty()) return {};
-  if (backend == Backend::kScalar)
-    return detail::local_align_impl<ScalarF>(a, b, matrix, gaps);
   return detail::local_align_impl<VecF>(a, b, matrix, gaps);
 }
 

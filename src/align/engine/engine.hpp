@@ -22,20 +22,13 @@ inline constexpr float kNegInf = -0.25F * std::numeric_limits<float>::max();
 
 namespace engine {
 
-/// Which kernel instantiation to run. Both are compiled into the library;
-/// the vector backend aliases the scalar one on compilers without
-/// GCC/Clang vector extensions.
-enum class Backend : std::uint8_t {
-  kScalar,  ///< 1-lane retained reference semantics
-  kVector,  ///< multi-lane anti-diagonal kernel (ISA-dependent width:
-            ///< 8 lanes under AVX, 4 under SSE/NEON; backend_lanes() tells)
-};
-
-/// Default dispatch: kVector unless the library was configured with
-/// -DSALIGN_ENGINE_FORCE_SCALAR=ON or the compiler lacks vector extensions.
-[[nodiscard]] Backend default_backend();
-[[nodiscard]] const char* backend_name(Backend backend);
-[[nodiscard]] int backend_lanes(Backend backend);
+/// The kernel compiled into this build: "vector" when VecF (simd.hpp) has
+/// more than one lane, "scalar" in the release-scalar lane
+/// (-DSALIGN_ENGINE_FORCE_SCALAR=ON) or without compiler vector extensions.
+[[nodiscard]] const char* kernel_name();
+/// VecF's lane count as compiled into the library (8 under AVX, 4 under
+/// SSE/NEON, 1 in scalar builds).
+[[nodiscard]] int kernel_lanes();
 
 /// Numeric tier of a score-only pass.
 ///
@@ -64,7 +57,6 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                  std::span<const std::uint8_t> b,
                                  const bio::SubstitutionMatrix& matrix,
                                  bio::GapPenalties gaps,
-                                 Backend backend,
                                  std::size_t* workspace_bytes = nullptr,
                                  ScoreTier first_tier = ScoreTier::kAuto);
 
@@ -73,15 +65,14 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
 /// column-checkpointed integer traceback where the rails allow, the float
 /// anti-diagonal kernel (row checkpoints + block recompute) otherwise. No
 /// O(m·n) traceback matrix is ever materialized on any tier. Results
-/// (score, ops, tie-breaks) are identical to the retained scalar reference
-/// kernel for every `first_tier` value. To align one query against many,
-/// build an engine::AlignBatch (batch.hpp) — it amortizes the striped
-/// profile across counterparts.
+/// (score, ops, tie-breaks) are identical to the row-major reference kernel
+/// (tests/oracles/reference.cpp) for every `first_tier` value. To align one
+/// query against many, build an engine::AlignBatch (batch.hpp) — it
+/// amortizes the striped profile across counterparts.
 [[nodiscard]] PairwiseAlignment global_align(std::span<const std::uint8_t> a,
                                              std::span<const std::uint8_t> b,
                                              const bio::SubstitutionMatrix& matrix,
                                              bio::GapPenalties gaps,
-                                             Backend backend = default_backend(),
                                              ScoreTier first_tier = ScoreTier::kAuto);
 
 /// Banded global alignment (same band geometry as the historical
@@ -89,38 +80,13 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
 [[nodiscard]] PairwiseAlignment banded_global_align(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
     const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band, Backend backend = default_backend());
+    std::size_t band);
 
 /// Local (Smith–Waterman) alignment, checkpointed traceback.
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,
                                          const bio::SubstitutionMatrix& matrix,
-                                         bio::GapPenalties gaps,
-                                         Backend backend = default_backend());
-
-/// Retained scalar reference kernels: the pre-engine row-major
-/// implementations with a full traceback matrix. They define the exact
-/// score/traceback semantics the engine must reproduce and exist solely as
-/// the oracle for the randomized differential tests (and as readable
-/// documentation of the recurrences).
-namespace reference {
-
-[[nodiscard]] PairwiseAlignment global_align(std::span<const std::uint8_t> a,
-                                             std::span<const std::uint8_t> b,
-                                             const bio::SubstitutionMatrix& matrix,
-                                             bio::GapPenalties gaps);
-
-[[nodiscard]] PairwiseAlignment banded_global_align(
-    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-    const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band);
-
-[[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
-                                         std::span<const std::uint8_t> b,
-                                         const bio::SubstitutionMatrix& matrix,
                                          bio::GapPenalties gaps);
-
-}  // namespace reference
 
 }  // namespace engine
 }  // namespace salign::align

@@ -10,7 +10,7 @@
 //
 // Exactness: each cell performs the same IEEE single-precision operations in
 // the same operand order as the retained reference kernels
-// (engine/reference.cpp), so scores are bit-identical and traceback
+// (tests/oracles/reference.cpp), so scores are bit-identical and traceback
 // decisions — re-derived from stored state values with the reference's
 // comparison chains — are identical too. Unreachable cells use the
 // align::kNegInf sentinel; adding or subtracting any realistic score is
@@ -461,7 +461,7 @@ std::uint8_t pick_final_state(const float corner[3]) {
 // ---- traceback: came_from re-derivation ------------------------------------
 
 /// Reference global chains, applied to the stored state values. Must stay in
-/// lock-step with engine/reference.cpp.
+/// lock-step with tests/oracles/reference.cpp.
 std::uint8_t came_from_global(const Block& blk, std::size_t i, std::size_t j,
                               std::uint8_t state, float open, float ext) {
   switch (state) {
@@ -677,19 +677,6 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
   return out;
 }
 
-template float global_score_impl<ScalarF>(std::span<const std::uint8_t>,
-                                          std::span<const std::uint8_t>,
-                                          const bio::SubstitutionMatrix&,
-                                          bio::GapPenalties, std::size_t, bool,
-                                          std::size_t*);
-template PairwiseAlignment global_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-template LocalAlignment local_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
 template float global_score_impl<VecF>(std::span<const std::uint8_t>,
                                        std::span<const std::uint8_t>,
                                        const bio::SubstitutionMatrix&,
@@ -701,6 +688,5 @@ template PairwiseAlignment global_align_impl<VecF>(
 template LocalAlignment local_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
     const bio::SubstitutionMatrix&, bio::GapPenalties);
-#endif
 
 }  // namespace salign::align::engine::detail

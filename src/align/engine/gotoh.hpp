@@ -42,18 +42,6 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
                                 const bio::SubstitutionMatrix& matrix,
                                 bio::GapPenalties gaps);
 
-extern template float global_score_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool,
-    std::size_t*);
-extern template PairwiseAlignment global_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-extern template LocalAlignment local_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
 extern template float global_score_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
     const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool,
@@ -64,6 +52,5 @@ extern template PairwiseAlignment global_align_impl<VecF>(
 extern template LocalAlignment local_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
     const bio::SubstitutionMatrix&, bio::GapPenalties);
-#endif
 
 }  // namespace salign::align::engine::detail

@@ -11,7 +11,7 @@
 //
 //   X(i,j) = E(i,j),  Y(i,j) = F(i,j),  M(i,j) = H(i-1,j-1) + sub(i,j),
 //
-// with the comparison chains copied verbatim from engine/reference.cpp.
+// with the comparison chains copied verbatim from tests/oracles/reference.cpp.
 // Every stored value is an exact integer a float represents exactly, so the
 // integer comparisons reproduce the reference's float comparisons — same
 // path, same tie-breaks. Cells the reference marks unreachable (kNegInf)
@@ -84,7 +84,8 @@ template <typename Values>
     }
     if (!vals.ensure(j)) return false;
 
-    // Reference came_from chains (engine/reference.cpp), on exact values.
+    // Reference came_from chains (tests/oracles/reference.cpp), on exact
+    // values.
     std::uint8_t from = kIM;
     switch (state) {
       case kIM: {

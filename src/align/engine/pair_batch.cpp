@@ -49,21 +49,8 @@ std::int64_t pb_boundary(std::int64_t j, std::int64_t open,
   return j == 0 ? 0 : -(open + ext * (j - 1));
 }
 
-}  // namespace
-
-struct PairBatch::Impl {
-  virtual ~Impl() = default;
-  [[nodiscard]] virtual std::size_t lanes() const = 0;
-  [[nodiscard]] virtual std::size_t max_len() const = 0;
-  virtual void align(std::span<const Pair> pairs, PairwiseAlignment* out,
-                     bool* ok) = 0;
-  [[nodiscard]] virtual std::size_t bytes() const = 0;
-};
-
-namespace {
-
 template <typename VI>
-struct PairBatchImplT final : PairBatch::Impl {
+struct PairBatchImplT {
   using Elem = typename VI::Elem;
   using Pair = PairBatch::Pair;
   static constexpr auto kW = static_cast<std::size_t>(VI::kLanes);
@@ -115,9 +102,9 @@ struct PairBatchImplT final : PairBatch::Impl {
                              static_cast<std::uint8_t>(y)))));
   }
 
-  [[nodiscard]] std::size_t lanes() const override { return kW; }
-  [[nodiscard]] std::size_t max_len() const override { return cap; }
-  [[nodiscard]] std::size_t bytes() const override {
+  [[nodiscard]] std::size_t lanes() const { return kW; }
+  [[nodiscard]] std::size_t max_len() const { return cap; }
+  [[nodiscard]] std::size_t bytes() const {
     return (sub8.capacity() + h.capacity() + e.capacity() + f.capacity()) *
                sizeof(Elem) +
            a_pack.capacity();
@@ -128,8 +115,7 @@ struct PairBatchImplT final : PairBatch::Impl {
     return (j * stride_m + (i - 1)) * kW;
   }
 
-  void align(std::span<const Pair> pairs, PairwiseAlignment* out,
-             bool* ok) override;
+  void align(std::span<const Pair> pairs, PairwiseAlignment* out, bool* ok);
 };
 
 /// Values adapter of one ok lane: full column store, analytic boundaries.
@@ -302,13 +288,13 @@ void PairBatchImplT<VI>::align(std::span<const Pair> pairs,
 
 }  // namespace
 
+struct PairBatch::Impl final : PairBatchImplT<VecI8> {
+  using PairBatchImplT::PairBatchImplT;
+};
+
 PairBatch::PairBatch(const bio::SubstitutionMatrix& matrix,
-                     bio::GapPenalties gaps, Backend backend) {
-  if (backend == Backend::kScalar)
-    impl_ = std::make_unique<PairBatchImplT<ScalarI8>>(matrix, gaps);
-  else
-    impl_ = std::make_unique<PairBatchImplT<VecI8>>(matrix, gaps);
-}
+                     bio::GapPenalties gaps)
+    : impl_(std::make_unique<Impl>(matrix, gaps)) {}
 
 PairBatch::~PairBatch() = default;
 PairBatch::PairBatch(PairBatch&&) noexcept = default;

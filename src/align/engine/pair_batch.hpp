@@ -35,16 +35,15 @@ class PairBatch {
     std::span<const std::uint8_t> a, b;
   };
 
-  PairBatch(const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-            Backend backend = default_backend());
+  PairBatch(const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps);
   ~PairBatch();
   PairBatch(PairBatch&&) noexcept;
   PairBatch& operator=(PairBatch&&) noexcept;
   PairBatch(const PairBatch&) = delete;
   PairBatch& operator=(const PairBatch&) = delete;
 
-  /// Pairs per kernel pass (the int8 lane count of the backend; 1 on the
-  /// scalar backend, which still exercises the full code path).
+  /// Pairs per kernel pass: the int8 lane count of the build (1 in scalar
+  /// builds, which still exercise the full code path).
   [[nodiscard]] std::size_t lanes() const;
 
   /// Largest length (either side) of a batch-eligible pair: the int8

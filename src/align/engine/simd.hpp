@@ -4,31 +4,29 @@
 
 // Portable fixed-width float SIMD wrappers for the alignment engine.
 //
-// Two backends share one interface so every kernel is written once and
-// instantiated twice:
+// Every kernel is written once against this interface and compiled once,
+// over VecF:
 //
-//   * VecF  — GCC/Clang vector extensions, 8 lanes (the compiler lowers a
-//             32-byte vector to whatever the target ISA provides: 2x SSE,
-//             1x AVX, NEON pairs, ...).
-//   * ScalarF — 1 lane, plain float. This is the compile-time fallback for
-//             compilers without the extension and the path the differential
-//             tests pin the vector path against.
+//   * With GCC/Clang vector extensions, VecF is a native vector of
+//     SALIGN_ENGINE_LANES floats (8 under AVX, 4 under SSE/NEON).
+//   * Without them, or when the build defines SALIGN_ENGINE_FORCE_SCALAR
+//     (the release-scalar lane), VecF aliases ScalarF: 1 lane, plain float.
 //
-// Both backends perform IEEE single-precision adds/subs/maxes in the same
-// per-cell operand order, so kernel results are bit-identical across lanes
-// widths — the property the exact-match differential tests rely on.
-//
-// SALIGN_HAVE_VECTOR_EXT is defined when the vector backend is compiled in;
-// the engine's *default* backend additionally honours the
-// SALIGN_ENGINE_FORCE_SCALAR build option (see engine.cpp).
+// Both perform IEEE single-precision adds/subs/maxes in the same per-cell
+// operand order, so kernel results are bit-identical across lane widths;
+// the differential tests pin both widths against the reference oracles, one
+// width per build. SALIGN_ENGINE_FORCE_SCALAR changes these types, so it is
+// a PUBLIC compile definition of the salign library: every translation
+// unit that includes this header must see the same VecF.
 
-#if defined(__GNUC__) && !defined(__clang_analyzer__)
+#if defined(__GNUC__) && !defined(__clang_analyzer__) && \
+    !defined(SALIGN_ENGINE_FORCE_SCALAR)
 #define SALIGN_HAVE_VECTOR_EXT 1
 #endif
 
 namespace salign::align::engine {
 
-/// 1-lane backend: the scalar reference semantics.
+/// 1 lane, plain float: VecF in scalar builds.
 struct ScalarF {
   static constexpr int kLanes = 1;
   float v;
@@ -87,8 +85,7 @@ struct VecF {
 
 #else
 
-// No vector extension: alias the scalar backend so kernel instantiations
-// over VecF still compile (and the engine degrades to one lane everywhere).
+// Scalar build: the kernels run one lane.
 using VecF = ScalarF;
 
 #endif  // SALIGN_HAVE_VECTOR_EXT

@@ -11,9 +11,10 @@
 //
 //   * VecI8 / VecI16 — GCC/Clang vector extensions, 16 bytes (the native
 //     SSE/NEON register width; wider vectors measured slower here).
-//   * ScalarI8 / ScalarI16 — 1 lane. Compile-time fallback and the
-//     instantiation behind Backend::kScalar, so the striped path is
-//     exercised by the release-scalar preset too.
+//   * ScalarI8 / ScalarI16 — 1 lane. VecI8/VecI16 alias them wherever
+//     simd.hpp leaves SALIGN_HAVE_VECTOR_EXT undefined (no vector
+//     extensions, or SALIGN_ENGINE_FORCE_SCALAR), so the release-scalar
+//     lane runs the striped kernels one lane wide.
 //
 // Domains: each trait carries a logical<->storage bias. The int8 tier
 // stores logical values v as unsigned bytes v + 128 (Farrar's biased
@@ -108,8 +109,7 @@ using VecI16 = VecIntT<std::int16_t, 0>;
 
 #else
 
-// No vector extension: alias the scalar lanes, exactly as simd.hpp does for
-// floats, so every striped instantiation still compiles.
+// Scalar build: alias the 1-lane types, exactly as simd.hpp does for floats.
 using VecI8 = ScalarI8;
 using VecI16 = ScalarI16;
 

@@ -675,24 +675,6 @@ bool striped_align(const StripedProfile<VI>& profile,
   return true;
 }
 
-template class StripedProfile<ScalarI8>;
-template class StripedProfile<ScalarI16>;
-template bool striped_score<ScalarI8>(const StripedProfile<ScalarI8>&,
-                                      std::span<const std::uint8_t>,
-                                      StripedWorkspace<ScalarI8>&, float*);
-template bool striped_score<ScalarI16>(const StripedProfile<ScalarI16>&,
-                                       std::span<const std::uint8_t>,
-                                       StripedWorkspace<ScalarI16>&, float*);
-template bool striped_align<ScalarI8>(const StripedProfile<ScalarI8>&,
-                                      std::span<const std::uint8_t>,
-                                      StripedAlignWorkspace<ScalarI8>&,
-                                      PairwiseAlignment*, bool*);
-template bool striped_align<ScalarI16>(const StripedProfile<ScalarI16>&,
-                                       std::span<const std::uint8_t>,
-                                       StripedAlignWorkspace<ScalarI16>&,
-                                       PairwiseAlignment*, bool*);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
 template class StripedProfile<VecI8>;
 template class StripedProfile<VecI16>;
 template bool striped_score<VecI8>(const StripedProfile<VecI8>&,
@@ -709,6 +691,5 @@ template bool striped_align<VecI16>(const StripedProfile<VecI16>&,
                                     std::span<const std::uint8_t>,
                                     StripedAlignWorkspace<VecI16>&,
                                     PairwiseAlignment*, bool*);
-#endif
 
 }  // namespace salign::align::engine::detail

@@ -209,25 +209,6 @@ template <typename VI>
                                  PairwiseAlignment* out,
                                  bool* trace_promoted = nullptr);
 
-extern template class StripedProfile<ScalarI8>;
-extern template class StripedProfile<ScalarI16>;
-extern template bool striped_score<ScalarI8>(const StripedProfile<ScalarI8>&,
-                                             std::span<const std::uint8_t>,
-                                             StripedWorkspace<ScalarI8>&,
-                                             float*);
-extern template bool striped_score<ScalarI16>(const StripedProfile<ScalarI16>&,
-                                              std::span<const std::uint8_t>,
-                                              StripedWorkspace<ScalarI16>&,
-                                              float*);
-extern template bool striped_align<ScalarI8>(const StripedProfile<ScalarI8>&,
-                                             std::span<const std::uint8_t>,
-                                             StripedAlignWorkspace<ScalarI8>&,
-                                             PairwiseAlignment*, bool*);
-extern template bool striped_align<ScalarI16>(
-    const StripedProfile<ScalarI16>&, std::span<const std::uint8_t>,
-    StripedAlignWorkspace<ScalarI16>&, PairwiseAlignment*, bool*);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
 extern template class StripedProfile<VecI8>;
 extern template class StripedProfile<VecI16>;
 extern template bool striped_score<VecI8>(const StripedProfile<VecI8>&,
@@ -244,6 +225,5 @@ extern template bool striped_align<VecI16>(const StripedProfile<VecI16>&,
                                            std::span<const std::uint8_t>,
                                            StripedAlignWorkspace<VecI16>&,
                                            PairwiseAlignment*, bool*);
-#endif
 
 }  // namespace salign::align::engine::detail

@@ -25,8 +25,10 @@ ArgParser& ArgParser::flag(std::string name, std::string help) {
 
 ArgParser& ArgParser::option(std::string name, std::string value_name,
                              std::string default_value, std::string help) {
+  std::string value = default_value;
   options_.push_back(Option{std::move(name), std::move(value_name),
-                            std::move(help), std::move(default_value)});
+                            std::move(help), std::move(default_value),
+                            std::move(value)});
   return *this;
 }
 
@@ -175,7 +177,8 @@ std::string ArgParser::usage() const {
     os << "\noptions:\n";
     for (const Option& o : options_)
       os << "  --" << o.name << " <" << o.value_name << ">  " << o.help
-         << " (default: " << (o.value.empty() ? "none" : o.value) << ")\n";
+         << " (default: "
+         << (o.default_value.empty() ? "none" : o.default_value) << ")\n";
     for (const Flag& f : flags_) os << "  --" << f.name << "  " << f.help
                                     << "\n";
   }

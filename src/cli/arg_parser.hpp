@@ -70,7 +70,8 @@ class ArgParser {
     std::string name;
     std::string value_name;
     std::string help;
-    std::string value;  // default until parse() overwrites
+    std::string default_value;  // as declared; usage() prints this
+    std::string value;          // default_value until parse() overwrites
   };
   struct Positional {
     std::string name;

@@ -87,8 +87,10 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     cfg.threads = threads == 0 ? util::default_threads() : threads;
     cfg.samples_per_proc = static_cast<int>(p.get_int("samples", 0, 1 << 20));
     // "muscle" (the default) is left null so the pipeline constructs it,
-    // which routes phase stats and the artifact cache through it; the
-    // options are identical to make_aligner("muscle", threads).
+    // which is how --cache reaches it (use_artifact_cache applies only to
+    // the aligner the config constructs); the options are otherwise
+    // identical to make_aligner("muscle", threads). Phase stats come from
+    // the thread-local msa::PhaseLog for any aligner.
     if (p.get("aligner") != "muscle")
       cfg.local_aligner = make_aligner(p.get("aligner"), cfg.threads);
     cfg.checkpoint.dir = p.get("checkpoint-dir");

@@ -135,9 +135,8 @@ std::string PipelineStats::summary() const {
   if (!cache_note.empty()) os << cache_note << '\n';
   for (const std::string& note : quarantine_notes)
     os << "checkpoint: " << note << '\n';
-  const align::engine::Backend backend = align::engine::default_backend();
-  os << "alignment engine: " << align::engine::backend_name(backend) << " ("
-     << align::engine::backend_lanes(backend) << " lanes)\n";
+  os << "alignment engine: " << align::engine::kernel_name() << " ("
+     << align::engine::kernel_lanes() << " lanes)\n";
   return os.str();
 }
 

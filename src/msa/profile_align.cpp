@@ -15,12 +15,11 @@ std::vector<float> occupancies(const Profile& p) {
 
 }  // namespace
 
-ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
-                                  const ProfileAlignOptions& opts) {
+detail::PspProblem::PspProblem(const Profile& a, const Profile& b) {
   if (a.alphabet_size() != b.alphabet_size())
     throw std::invalid_argument("align_profiles: alphabet mismatch");
-  const std::vector<float> occ_a = occupancies(a);
-  const std::vector<float> occ_b = occupancies(b);
+  occ_a = occupancies(a);
+  occ_b = occupancies(b);
 
   // PSP evaluated naively is O(|alphabet|^2) per DP cell. Precomputing, for
   // every column of B, the score vector svT[x][cb] = sum_y g_y(cb) S(x, y)
@@ -32,7 +31,7 @@ ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
   const bio::SubstitutionMatrix& m = a.matrix();
   const auto alpha = static_cast<std::size_t>(a.alphabet_size());
   const std::size_t nb = b.num_cols();
-  util::Matrix<float> svt(alpha, nb, 0.0F);
+  svt = util::Matrix<float>(alpha, nb, 0.0F);
   for (std::size_t cb = 0; cb < nb; ++cb) {
     for (std::size_t y = 0; y < alpha; ++y) {
       const float gy = b.freq(cb, static_cast<std::uint8_t>(y));
@@ -43,12 +42,12 @@ ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
     }
   }
 
-  // profile_dp announces each DP row via prepare_row, so one dense saxpy
-  // sweep per A column serves every cell of that row and the per-cell call
-  // is a plain array read (no stores inside the DP inner loop). Term order
-  // per cell matches the historical per-cell sparse dot exactly (same
-  // partial-sum sequence), so scores are bit-identical.
-  detail::PspRowScorer scorer{&svt, {}, {}, std::vector<float>(nb, 0.0F)};
+  // The DP announces each row via prepare_row (or fills a row block), so
+  // one dense saxpy sweep per A column serves every cell of that row and
+  // the per-cell read is a plain array load. Term order per cell matches
+  // the historical per-cell sparse dot exactly (same partial-sum
+  // sequence), so scores are bit-identical.
+  scorer = PspRowScorer{&svt, {}, {}, std::vector<float>(nb, 0.0F)};
   scorer.offsets.reserve(a.num_cols() + 1);
   scorer.offsets.push_back(0);
   for (std::size_t ca = 0; ca < a.num_cols(); ++ca) {
@@ -59,8 +58,17 @@ ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
     }
     scorer.offsets.push_back(scorer.entries.size());
   }
-  return detail::profile_dp(a.num_cols(), b.num_cols(), scorer, occ_a, occ_b,
-                            opts);
+}
+
+ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
+                                  const ProfileAlignOptions& opts) {
+  const detail::PspProblem p(a, b);
+  ProfileAlignResult edge;
+  if (detail::profile_dp_edge(a.num_cols(), b.num_cols(), p.occ_a, p.occ_b,
+                              opts, edge))
+    return edge;
+  return detail::profile_dp_wavefront(a.num_cols(), b.num_cols(), p.scorer,
+                                      p.occ_a, p.occ_b, opts);
 }
 
 float score_profile_path(const Profile& a, const Profile& b,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "align/engine/engine.hpp"
@@ -23,20 +22,13 @@ struct ProfileAlignOptions {
   std::size_t band = 0;
   /// Full-traceback cell budget, on both kernels: DPs with (m+1)*(n+1)
   /// cells at or below this keep every cell's traceback decision (3 bytes
-  /// a cell on the scalar kernel, 1 on the vectorized one); larger ones
+  /// a cell on the row-major kernel, 1 on the wavefront one); larger ones
   /// switch to checkpointed traceback (row checkpoints every ~sqrt(m) rows
   /// + block recompute), so big-bucket merges never materialize an O(m·n)
   /// trace. 0 = default (4M cells). Results are identical on both paths.
   /// No production code sets it: it is the test seam through which the
   /// differential tests reach the checkpointed traceback on small inputs.
   std::size_t max_trace_cells = 0;
-  /// Kernel selection for the PSP scorer: kVector runs the blocked
-  /// anti-diagonal wavefront kernel (profile_dp_simd.cpp), kScalar the
-  /// retained row-major reference below — the differential oracle. Scores,
-  /// paths and tie-breaks are bit-identical on both. Scorers without dense
-  /// row preparation (e.g. the T-Coffee consistency scorer) always take the
-  /// reference path.
-  align::engine::Backend backend = align::engine::default_backend();
 };
 
 struct ProfileAlignResult {
@@ -54,7 +46,7 @@ using PspEntry = std::pair<std::uint8_t, float>;
 /// Fills `out[0..len)` with the dense PSP scores of one A column against B
 /// columns [cb_lo, cb_lo + len): sum over the column's nonzero residues of
 /// f * svt(code, cb), as contiguous vectorizable sweeps. The single source
-/// of this accumulation — PspRowScorer::prepare_row (the scalar DP) and
+/// of this accumulation — PspRowScorer::prepare_row (the row-major DP) and
 /// the wavefront kernel's block fill (profile_dp_simd.cpp) both call it,
 /// and its exact operation order is part of their bit-identity contract.
 inline void psp_fill_row(const util::Matrix<float>& svt,
@@ -93,6 +85,45 @@ struct PspRowScorer {
   float operator()(std::size_t, std::size_t cb) const { return row[cb]; }
 };
 
+/// align_profiles' DP inputs for profiles A and B: the PSP scorer (whose
+/// svt points into this object, hence no copy or move) and each side's
+/// column occupancies (the gap-penalty scale). Tests and benches hand these
+/// to the row-major profile_dp to compare it with the wavefront kernel
+/// align_profiles runs.
+struct PspProblem {
+  /// Throws std::invalid_argument when the profiles' alphabets differ.
+  PspProblem(const Profile& a, const Profile& b);
+  PspProblem(const PspProblem&) = delete;
+  PspProblem& operator=(const PspProblem&) = delete;
+
+  util::Matrix<float> svt;
+  PspRowScorer scorer;
+  std::vector<float> occ_a, occ_b;
+};
+
+/// Both kernels' result when a side has no columns: one occupancy-scaled
+/// gap run through the other (empty when both are). Returns false, leaving
+/// `out` untouched, when m >= 1 and n >= 1.
+inline bool profile_dp_edge(std::size_t m, std::size_t n,
+                            std::span<const float> occ_a,
+                            std::span<const float> occ_b,
+                            const ProfileAlignOptions& opts,
+                            ProfileAlignResult& out) {
+  if (m != 0 && n != 0) return false;
+  const float open = opts.gaps.open;
+  const float ext = opts.gaps.extend;
+  if (m == 0) {
+    out.ops.assign(n, align::EditOp::GapInA);
+    for (std::size_t j = 0; j < n; ++j)
+      out.score -= (j == 0 ? open : ext) * occ_b[j];
+  } else {
+    out.ops.assign(m, align::EditOp::GapInB);
+    for (std::size_t i = 0; i < m; ++i)
+      out.score -= (i == 0 ? open : ext) * occ_a[i];
+  }
+  return true;
+}
+
 /// Blocked anti-diagonal (wavefront) PSP profile DP over engine::simd
 /// vectors (profile_dp_simd.cpp). Materializes dense scorer rows one row
 /// block at a time, sweeps each block's anti-diagonals with element-wise
@@ -102,8 +133,10 @@ struct PspRowScorer {
 /// max_trace_cells it keeps one decision byte per cell; above it, it keeps
 /// a checkpoint every ~sqrt(m)-th row and reruns one row block at a time
 /// during traceback. Scores, paths and tie-breaks are bit-identical to the
-/// scalar profile_dp below (pinned by tests/msa_parallel_test.cpp).
-/// Requires m >= 1 and n >= 1.
+/// row-major profile_dp below (pinned by tests/msa_parallel_test.cpp).
+/// It is align_profiles' kernel in every build: VecF lanes, or one lane in
+/// scalar builds (align/engine/simd.hpp). Requires m >= 1 and n >= 1
+/// (profile_dp_edge covers the rest).
 [[nodiscard]] ProfileAlignResult profile_dp_wavefront(
     std::size_t m, std::size_t n, const PspRowScorer& scorer,
     std::span<const float> occ_a, std::span<const float> occ_b,
@@ -200,8 +233,9 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
 /// column cb of B; it is invoked row-major (ca outer, cb inner), so scorers
 /// may cache per-row state. Gap penalties are scaled by the occupancy of the
 /// column being consumed, so gaps preferentially stack where the other
-/// profile is already gappy (standard PSP treatment). Shared by the PSP
-/// aligner and the T-Coffee consistency aligner.
+/// profile is already gappy (standard PSP treatment). The T-Coffee
+/// consistency aligner's kernel, and the oracle the PSP wavefront kernel is
+/// tested against.
 ///
 /// Memory: small problems keep a full traceback matrix; above
 /// ProfileAlignOptions::max_trace_cells the pass checkpoints every ~sqrt(m)
@@ -217,26 +251,7 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
   const float ext = opts.gaps.extend;
 
   ProfileAlignResult out;
-  if (m == 0 && n == 0) return out;
-  if (m == 0) {
-    out.ops.assign(n, align::EditOp::GapInA);
-    for (std::size_t j = 0; j < n; ++j)
-      out.score -= (j == 0 ? open : ext) * occ_b[j];
-    return out;
-  }
-  if (n == 0) {
-    out.ops.assign(m, align::EditOp::GapInB);
-    for (std::size_t i = 0; i < m; ++i)
-      out.score -= (i == 0 ? open : ext) * occ_a[i];
-    return out;
-  }
-
-  // Dense-row scorers take the vectorized wavefront kernel unless the
-  // scalar reference path is requested; results are bit-identical.
-  if constexpr (std::is_same_v<Scorer, PspRowScorer>) {
-    if (opts.backend == align::engine::Backend::kVector)
-      return profile_dp_wavefront(m, n, scorer, occ_a, occ_b, opts);
-  }
+  if (profile_dp_edge(m, n, occ_a, occ_b, opts, out)) return out;
 
   const std::size_t diff = m > n ? m - n : n - m;
   const bool banded = opts.band > 0;

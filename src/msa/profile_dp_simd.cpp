@@ -1,6 +1,6 @@
 // Blocked anti-diagonal (wavefront) PSP profile DP.
 //
-// The scalar profile_dp's inner loop carries a dependency through the
+// The row-major profile_dp's inner loop carries a dependency through the
 // gap-in-A state (cx[j] reads cx[j-1] of the same row), so rows cannot be
 // vectorized directly, and the occupancy-scaled gap penalties rule out the
 // closed-form carry scans the striped integer kernels use (float rounding
@@ -29,7 +29,7 @@
 // vector step by comparing each operand against the max it fed (see
 // kChoice), which reproduces the scalar kernel's tie chains, so paths are
 // identical too. The randomized differential suite in
-// tests/msa_parallel_test.cpp pins this against the retained scalar path.
+// tests/msa_parallel_test.cpp pins this against the row-major profile_dp.
 //
 // Memory: the forward pass keeps three diagonals and one score block. DPs
 // within ProfileAlignOptions::max_trace_cells also keep one decision byte

@@ -2,8 +2,8 @@
 // distance-matrix layer (src/align/engine/batch.hpp, align/distance.hpp):
 //
 //  * randomized differential suite — ScoreBatch through every tier start
-//    (auto/int8/int16/float), both backends, must equal the retained
-//    reference kernel's score EXACTLY on every input, including wildcard
+//    (auto/int8/int16/float) must equal the retained reference kernel's
+//    score EXACTLY on every input, including wildcard
 //    codes, non-integral gap penalties, and open < extend;
 //  * adversarial saturation/promotion — high-score pairs force int8->int16
 //    at run time, huge-score pairs force int16->float, long sequences skip
@@ -27,6 +27,7 @@
 #include "align/engine/engine.hpp"
 #include "bio/sequence.hpp"
 #include "bio/substitution_matrix.hpp"
+#include "oracles/reference.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 
@@ -36,7 +37,6 @@ namespace {
 using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
-using engine::Backend;
 using engine::ScoreBatch;
 using engine::ScoreTier;
 
@@ -83,15 +83,11 @@ TEST(ScoreBatchDifferential, AllTiersMatchReferenceExactly) {
                           ? 0.0F
                           : engine::reference::global_align(a, b, *sc.matrix,
                                                             g).score;
-    for (Backend be : {Backend::kScalar, Backend::kVector}) {
-      for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                             ScoreTier::kInt16, ScoreTier::kFloat}) {
-        ScoreBatch batch(a, *sc.matrix, g, be, tier);
-        EXPECT_EQ(ref, batch.score(b))
-            << "trial " << trial << " backend "
-            << engine::backend_name(be) << " tier "
-            << engine::tier_name(tier);
-      }
+    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
+                           ScoreTier::kInt16, ScoreTier::kFloat}) {
+      ScoreBatch batch(a, *sc.matrix, g, tier);
+      EXPECT_EQ(ref, batch.score(b))
+          << "trial " << trial << " tier " << engine::tier_name(tier);
     }
   }
 }
@@ -124,7 +120,7 @@ TEST(ScoreBatchPromotion, HighScorePairPromotesInt8ToInt16) {
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{10.0F, 1.0F};
   const auto a = random_codes(rng, 80, 20);
-  ScoreBatch batch(a, m, g, engine::default_backend(), ScoreTier::kInt8);
+  ScoreBatch batch(a, m, g, ScoreTier::kInt8);
   const float ref = engine::reference::global_align(a, a, m, g).score;
   EXPECT_EQ(ref, batch.score(a));
   EXPECT_GE(batch.stats().int8_runs, 1u) << "int8 must have been attempted";
@@ -141,7 +137,7 @@ TEST(ScoreBatchPromotion, HugeScorePairPromotesInt16ToFloat) {
   const auto& m = SubstitutionMatrix::dna_default();
   const GapPenalties g{11.0F, 1.0F};
   const auto a = random_codes(rng, 7000, 4);
-  ScoreBatch batch(a, m, g, engine::default_backend(), ScoreTier::kInt16);
+  ScoreBatch batch(a, m, g, ScoreTier::kInt16);
   const float got = batch.score(a);
   EXPECT_EQ(got, 5.0F * 7000.0F);  // all-match diagonal
   EXPECT_GE(batch.stats().int16_runs, 1u);
@@ -188,12 +184,12 @@ TEST(ScoreBatchEdge, EmptyAndTinyInputs) {
 
   for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
                          ScoreTier::kInt16, ScoreTier::kFloat}) {
-    ScoreBatch be(empty, m, g, engine::default_backend(), tier);
+    ScoreBatch be(empty, m, g, tier);
     EXPECT_EQ(be.score(empty), 0.0F);
     EXPECT_FLOAT_EQ(be.score(three), -13.0F);
-    ScoreBatch bt(three, m, g, engine::default_backend(), tier);
+    ScoreBatch bt(three, m, g, tier);
     EXPECT_FLOAT_EQ(bt.score(empty), -13.0F);
-    ScoreBatch b1(one, m, g, engine::default_backend(), tier);
+    ScoreBatch b1(one, m, g, tier);
     EXPECT_EQ(engine::reference::global_align(one, three, m, g).score,
               b1.score(three));
   }
@@ -278,8 +274,7 @@ TEST(AlignmentDistanceMatrix, BandedOptionMatchesBandedKernel) {
   for (std::size_t i = 1; i < seqs.size(); ++i)
     for (std::size_t j = 0; j < i; ++j) {
       const PairwiseAlignment pw = engine::banded_global_align(
-          seqs[i].codes(), seqs[j].codes(), m, g, 16,
-          engine::default_backend());
+          seqs[i].codes(), seqs[j].codes(), m, g, 16);
       EXPECT_EQ(kimura_distance(fractional_identity(
                     seqs[i].codes(), seqs[j].codes(), pw.ops)),
                 got(i, j));
@@ -305,9 +300,8 @@ TEST(AlignmentDistanceMatrix, VisitorRunsSeriallyInPairOrder) {
             engine::global_align(seqs[i].codes(), seqs[j].codes(), m, g);
         EXPECT_EQ(pw.score, pair.global.score);
         EXPECT_EQ(pw.ops, pair.global.ops);
-        const LocalAlignment loc = engine::local_align(
-            seqs[i].codes(), seqs[j].codes(), m, g,
-            engine::default_backend());
+        const LocalAlignment loc =
+            engine::local_align(seqs[i].codes(), seqs[j].codes(), m, g);
         EXPECT_EQ(loc.score, pair.local.score);
         EXPECT_EQ(loc.ops, pair.local.ops);
       });
@@ -344,12 +338,11 @@ TEST(ScoreDistanceMatrix, MatchesPerPairFormulaAndThreadInvariant) {
   // Per-pair formula against direct engine scores.
   std::vector<float> self(n);
   for (std::size_t i = 0; i < n; ++i)
-    self[i] = engine::global_score(seqs[i].codes(), seqs[i].codes(), m, g,
-                                   engine::default_backend());
+    self[i] = engine::global_score(seqs[i].codes(), seqs[i].codes(), m, g);
   for (std::size_t i = 1; i < n; ++i)
     for (std::size_t j = 0; j < i; ++j) {
-      const float sij = engine::global_score(
-          seqs[i].codes(), seqs[j].codes(), m, g, engine::default_backend());
+      const float sij =
+          engine::global_score(seqs[i].codes(), seqs[j].codes(), m, g);
       const double denom = std::min(self[i], self[j]);
       const double want =
           denom <= 0.0 ? kMaxScoreDistance

@@ -1,9 +1,13 @@
 // Tests for the vectorized alignment-kernel engine (src/align/engine/):
 //
-//  * randomized differential suite — the anti-diagonal engine (scalar and
-//    vector backends) must match the retained scalar reference kernels
-//    EXACTLY: bit-equal scores, identical edit-op paths, identical local
-//    start offsets, across DNA and protein alphabets and lengths 0..512;
+//  * randomized differential suite — the anti-diagonal engine must match
+//    the retained scalar reference kernels (tests/oracles/) EXACTLY:
+//    bit-equal scores, identical edit-op paths, identical local start
+//    offsets, across DNA and protein alphabets and lengths 0..512. Each
+//    build runs its one kernel width (VecF lanes, or 1 lane in the
+//    release-scalar lane), so CI covers both widths;
+//  * the library and this test see the same kernel types (the
+//    SALIGN_ENGINE_FORCE_SCALAR definition reaches every TU);
 //  * kNegInf sentinel arithmetic — no overflow / NaN when gap penalties
 //    propagate through unreachable cells;
 //  * linear-memory guarantee of the score-only pass (10k x 10k).
@@ -14,8 +18,12 @@
 #include <vector>
 
 #include "align/engine/engine.hpp"
+#include "align/engine/pair_batch.hpp"
+#include "align/engine/simd.hpp"
+#include "align/engine/simd_int.hpp"
 #include "align/pairwise.hpp"
 #include "bio/substitution_matrix.hpp"
+#include "oracles/reference.hpp"
 #include "util/rng.hpp"
 
 namespace salign::align {
@@ -23,7 +31,6 @@ namespace {
 
 using bio::GapPenalties;
 using bio::SubstitutionMatrix;
-using engine::Backend;
 
 std::vector<std::uint8_t> random_codes(util::Rng& rng, std::size_t len,
                                        int letters) {
@@ -80,19 +87,11 @@ TEST(EngineDifferential, GlobalMatchesReferenceExactly) {
 
     const PairwiseAlignment ref =
         engine::reference::global_align(a, b, *sc.matrix, g);
-    const PairwiseAlignment scl =
-        engine::global_align(a, b, *sc.matrix, g, Backend::kScalar);
-    const PairwiseAlignment vec =
-        engine::global_align(a, b, *sc.matrix, g, Backend::kVector);
-    expect_same_pairwise(ref, scl, "global scalar", trial);
-    expect_same_pairwise(ref, vec, "global vector", trial);
+    const PairwiseAlignment got = engine::global_align(a, b, *sc.matrix, g);
+    expect_same_pairwise(ref, got, "global", trial);
 
-    const float score_scl =
-        engine::global_score(a, b, *sc.matrix, g, Backend::kScalar);
-    const float score_vec =
-        engine::global_score(a, b, *sc.matrix, g, Backend::kVector);
-    EXPECT_EQ(ref.score, score_scl) << "score-only scalar trial " << trial;
-    EXPECT_EQ(ref.score, score_vec) << "score-only vector trial " << trial;
+    const float score = engine::global_score(a, b, *sc.matrix, g);
+    EXPECT_EQ(ref.score, score) << "score-only trial " << trial;
   }
 }
 
@@ -110,12 +109,9 @@ TEST(EngineDifferential, BandedMatchesReferenceExactly) {
 
     const PairwiseAlignment ref =
         engine::reference::banded_global_align(a, b, *sc.matrix, g, band);
-    const PairwiseAlignment scl = engine::banded_global_align(
-        a, b, *sc.matrix, g, band, Backend::kScalar);
-    const PairwiseAlignment vec = engine::banded_global_align(
-        a, b, *sc.matrix, g, band, Backend::kVector);
-    expect_same_pairwise(ref, scl, "banded scalar", trial);
-    expect_same_pairwise(ref, vec, "banded vector", trial);
+    const PairwiseAlignment got =
+        engine::banded_global_align(a, b, *sc.matrix, g, band);
+    expect_same_pairwise(ref, got, "banded", trial);
   }
 }
 
@@ -132,16 +128,10 @@ TEST(EngineDifferential, LocalMatchesReferenceExactly) {
 
     const LocalAlignment ref =
         engine::reference::local_align(a, b, *sc.matrix, g);
-    const LocalAlignment scl =
-        engine::local_align(a, b, *sc.matrix, g, Backend::kScalar);
-    const LocalAlignment vec =
-        engine::local_align(a, b, *sc.matrix, g, Backend::kVector);
-    expect_same_pairwise(ref, scl, "local scalar", trial);
-    expect_same_pairwise(ref, vec, "local vector", trial);
-    EXPECT_EQ(ref.a_begin, scl.a_begin) << "trial " << trial;
-    EXPECT_EQ(ref.b_begin, scl.b_begin) << "trial " << trial;
-    EXPECT_EQ(ref.a_begin, vec.a_begin) << "trial " << trial;
-    EXPECT_EQ(ref.b_begin, vec.b_begin) << "trial " << trial;
+    const LocalAlignment got = engine::local_align(a, b, *sc.matrix, g);
+    expect_same_pairwise(ref, got, "local", trial);
+    EXPECT_EQ(ref.a_begin, got.a_begin) << "trial " << trial;
+    EXPECT_EQ(ref.b_begin, got.b_begin) << "trial " << trial;
   }
 }
 
@@ -151,19 +141,16 @@ TEST(EngineDifferential, DegenerateInputsShareOneCodePath) {
   const std::vector<std::uint8_t> a{1, 2, 3};
   const std::vector<std::uint8_t> empty;
 
-  for (Backend be : {Backend::kScalar, Backend::kVector}) {
-    const PairwiseAlignment r1 = engine::global_align(a, empty, m, g, be);
-    EXPECT_EQ(r1.ops, std::vector<EditOp>(3, EditOp::GapInB));
-    EXPECT_FLOAT_EQ(r1.score, -13.0F);
-    const PairwiseAlignment r2 =
-        engine::banded_global_align(empty, a, m, g, 4, be);
-    EXPECT_EQ(r2.ops, std::vector<EditOp>(3, EditOp::GapInA));
-    EXPECT_FLOAT_EQ(r2.score, -13.0F);
-    const PairwiseAlignment r3 = engine::global_align(empty, empty, m, g, be);
-    EXPECT_TRUE(r3.ops.empty());
-    EXPECT_EQ(r3.score, 0.0F);
-    EXPECT_TRUE(engine::local_align(a, empty, m, g, be).ops.empty());
-  }
+  const PairwiseAlignment r1 = engine::global_align(a, empty, m, g);
+  EXPECT_EQ(r1.ops, std::vector<EditOp>(3, EditOp::GapInB));
+  EXPECT_FLOAT_EQ(r1.score, -13.0F);
+  const PairwiseAlignment r2 = engine::banded_global_align(empty, a, m, g, 4);
+  EXPECT_EQ(r2.ops, std::vector<EditOp>(3, EditOp::GapInA));
+  EXPECT_FLOAT_EQ(r2.score, -13.0F);
+  const PairwiseAlignment r3 = engine::global_align(empty, empty, m, g);
+  EXPECT_TRUE(r3.ops.empty());
+  EXPECT_EQ(r3.score, 0.0F);
+  EXPECT_TRUE(engine::local_align(a, empty, m, g).ops.empty());
 }
 
 TEST(EngineNegInf, SurvivesGapExtendAccumulation) {
@@ -198,19 +185,22 @@ TEST(EngineMemory, ScoreOnlyTenKByTenKIsLinear) {
   const auto& m = SubstitutionMatrix::dna_default();
 
   std::size_t ws_bytes = 0;
-  const float score = engine::global_score(a, b, m, {}, Backend::kVector,
-                                           &ws_bytes);
+  const float score = engine::global_score(a, b, m, {}, &ws_bytes);
   EXPECT_TRUE(std::isfinite(score));
   EXPECT_GT(ws_bytes, 0u);
   EXPECT_LT(ws_bytes, 256 * (a.size() + b.size() + 64));
 }
 
-TEST(EngineBackend, ReportsDispatchInfo) {
-  EXPECT_STREQ(engine::backend_name(Backend::kScalar), "scalar");
-  EXPECT_EQ(engine::backend_lanes(Backend::kScalar), 1);
-  EXPECT_GE(engine::backend_lanes(Backend::kVector), 1);
-  const Backend def = engine::default_backend();
-  EXPECT_TRUE(def == Backend::kScalar || def == Backend::kVector);
+TEST(EngineKernel, LibraryAndHeadersAgreeOnLanes) {
+  // kernel_lanes() is VecF::kLanes as compiled into engine.cpp; the
+  // right-hand sides are what this TU's headers say. They differ when a
+  // build definition that picks the kernel types (SALIGN_ENGINE_FORCE_SCALAR)
+  // reaches the library's sources but not its users.
+  EXPECT_EQ(engine::kernel_lanes(), engine::VecF::kLanes);
+  EXPECT_EQ(engine::PairBatch(SubstitutionMatrix::blosum62(), {}).lanes(),
+            static_cast<std::size_t>(engine::VecI8::kLanes));
+  EXPECT_STREQ(engine::kernel_name(),
+               engine::VecF::kLanes > 1 ? "vector" : "scalar");
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // alignment_distance_matrix routing over them):
 //
 //  * randomized striped-traceback-vs-reference differential — AlignBatch
-//    through every tier start, both backends, score AND ops (tie-breaks
-//    included) must equal the retained reference kernel EXACTLY, on random,
+//    through every tier start, score AND ops (tie-breaks included) must
+//    equal the retained reference kernel EXACTLY, on random,
 //    degenerate and empty inputs, integral and non-integral penalties;
 //  * adversarial near-rail cases — the alignment tier's E/F floor rail is
 //    stricter than the score tier's H rails: pairs engineered to clamp E/F
@@ -34,6 +34,7 @@
 #include "align/engine/pair_batch.hpp"
 #include "bio/sequence.hpp"
 #include "bio/substitution_matrix.hpp"
+#include "oracles/reference.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 
@@ -44,7 +45,6 @@ using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 using engine::AlignBatch;
-using engine::Backend;
 using engine::PairBatch;
 using engine::ScoreTier;
 
@@ -114,16 +114,14 @@ TEST(StripedTracebackDifferential, AllTiersMatchReferenceExactly) {
     g.extend = static_cast<float>(1 + rng.below(4)) * 0.5F;  // incl. 0.5/1.5
 
     const PairwiseAlignment ref = ref_align(a, b, *sc.matrix, g);
-    for (Backend be : {Backend::kScalar, Backend::kVector}) {
-      for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                             ScoreTier::kInt16, ScoreTier::kFloat}) {
-        AlignBatch batch(a, *sc.matrix, g, be, tier);
-        const PairwiseAlignment got = batch.align(b);
-        char label[64];
-        std::snprintf(label, sizeof label, "trial %d %s/%s", trial,
-                      engine::backend_name(be), engine::tier_name(tier));
-        expect_same(ref, got, label);
-      }
+    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
+                           ScoreTier::kInt16, ScoreTier::kFloat}) {
+      AlignBatch batch(a, *sc.matrix, g, tier);
+      const PairwiseAlignment got = batch.align(b);
+      char label[64];
+      std::snprintf(label, sizeof label, "trial %d %s", trial,
+                    engine::tier_name(tier));
+      expect_same(ref, got, label);
     }
   }
 }
@@ -139,10 +137,8 @@ TEST(StripedTracebackDifferential, SimilarPairsAndLongerSequences) {
     const auto [a, b] = mutant_pair(rng, len, 20, 0.3 + 0.1 * (trial % 5));
     const GapPenalties g{static_cast<float>(8 + trial % 5), 1.0F};
     const PairwiseAlignment ref = ref_align(a, b, m, g);
-    for (Backend be : {Backend::kScalar, Backend::kVector}) {
-      AlignBatch batch(a, m, g, be);
-      expect_same(ref, batch.align(b), "homolog pair");
-    }
+    AlignBatch batch(a, m, g);
+    expect_same(ref, batch.align(b), "homolog pair");
   }
 }
 
@@ -174,7 +170,7 @@ TEST(StripedTracebackPromotion, HighScorePairPromotesAndStaysExact) {
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{10.0F, 1.0F};
   const auto a = random_codes(rng, 80, 20);
-  AlignBatch batch(a, m, g, engine::default_backend(), ScoreTier::kInt8);
+  AlignBatch batch(a, m, g, ScoreTier::kInt8);
   expect_same(ref_align(a, a, m, g), batch.align(a), "self pair");
   EXPECT_GE(batch.stats().int8_runs, 1u);
   EXPECT_GE(batch.stats().promotions, 1u);
@@ -198,14 +194,13 @@ TEST(StripedTracebackPromotion, AlignmentRailsAreStricterThanScoreRails) {
                          static_cast<float>(1 + rng.below(2))};
     const auto a = random_codes(rng, len, 20);
     const auto b = random_codes(rng, len, 20);
-    AlignBatch batch(a, m, g, engine::default_backend(), ScoreTier::kInt8);
+    AlignBatch batch(a, m, g, ScoreTier::kInt8);
     expect_same(ref_align(a, b, m, g), batch.align(b), "near-rail pair");
     if (batch.stats().trace_promotions > 0) {
       ++trace_promotions;
       // The same pair through the SCORE tier must not promote: the H rails
       // were fine — only the alignment-tier E/F check fired.
-      engine::ScoreBatch score(a, m, g, engine::default_backend(),
-                               ScoreTier::kInt8);
+      engine::ScoreBatch score(a, m, g, ScoreTier::kInt8);
       EXPECT_EQ(score.score(b), ref_align(a, b, m, g).score);
       EXPECT_EQ(score.stats().promotions, 0u)
           << "expected a pair that is score-exact in int8 yet "
@@ -222,15 +217,13 @@ TEST(StripedTracebackEdge, EmptyAndTinyInputs) {
   const std::vector<std::uint8_t> empty;
   const std::vector<std::uint8_t> one{3};
   const std::vector<std::uint8_t> three{1, 2, 3};
-  for (Backend be : {Backend::kScalar, Backend::kVector}) {
-    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                           ScoreTier::kInt16, ScoreTier::kFloat}) {
-      for (const auto* pa : {&empty, &one, &three}) {
-        for (const auto* pb : {&empty, &one, &three}) {
-          AlignBatch batch(*pa, m, g, be, tier);
-          expect_same(ref_align(*pa, *pb, m, g), batch.align(*pb),
-                      "degenerate");
-        }
+  for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
+                         ScoreTier::kInt16, ScoreTier::kFloat}) {
+    for (const auto* pa : {&empty, &one, &three}) {
+      for (const auto* pb : {&empty, &one, &three}) {
+        AlignBatch batch(*pa, m, g, tier);
+        expect_same(ref_align(*pa, *pb, m, g), batch.align(*pb),
+                    "degenerate");
       }
     }
   }
@@ -242,33 +235,30 @@ TEST(PairBatchKernel, OkLanesMatchReferenceExactly) {
   util::Rng rng(0xC5);
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{10.0F, 1.0F};
-  for (Backend be : {Backend::kScalar, Backend::kVector}) {
-    PairBatch pb(m, g, be);
-    ASSERT_GT(pb.max_len(), 8u);
-    for (int round = 0; round < 6; ++round) {
-      std::vector<std::vector<std::uint8_t>> store;
-      std::vector<PairBatch::Pair> pairs;
-      for (std::size_t l = 0; l < pb.lanes(); ++l) {
-        // Divergent short pairs of mixed lengths (padded-overhang path).
-        auto [a, b] = mutant_pair(
-            rng, 1 + rng.below(pb.max_len()), 20, 0.8);
-        store.push_back(std::move(a));
-        store.push_back(std::move(b));
-      }
-      for (std::size_t l = 0; l < pb.lanes(); ++l)
-        pairs.push_back({store[2 * l], store[2 * l + 1]});
-      std::vector<PairwiseAlignment> outs(pairs.size());
-      const std::unique_ptr<bool[]> ok(new bool[pairs.size()]());
-      pb.align(pairs, outs.data(), ok.get());
-      std::size_t ok_count = 0;
-      for (std::size_t l = 0; l < pairs.size(); ++l) {
-        if (!ok[l]) continue;
-        ++ok_count;
-        expect_same(ref_align(pairs[l].a, pairs[l].b, m, g), outs[l],
-                    "batched lane");
-      }
-      EXPECT_GT(ok_count, 0u) << "no lane survived the int8 rails";
+  PairBatch pb(m, g);
+  ASSERT_GT(pb.max_len(), 8u);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<std::vector<std::uint8_t>> store;
+    std::vector<PairBatch::Pair> pairs;
+    for (std::size_t l = 0; l < pb.lanes(); ++l) {
+      // Divergent short pairs of mixed lengths (padded-overhang path).
+      auto [a, b] = mutant_pair(rng, 1 + rng.below(pb.max_len()), 20, 0.8);
+      store.push_back(std::move(a));
+      store.push_back(std::move(b));
     }
+    for (std::size_t l = 0; l < pb.lanes(); ++l)
+      pairs.push_back({store[2 * l], store[2 * l + 1]});
+    std::vector<PairwiseAlignment> outs(pairs.size());
+    const std::unique_ptr<bool[]> ok(new bool[pairs.size()]());
+    pb.align(pairs, outs.data(), ok.get());
+    std::size_t ok_count = 0;
+    for (std::size_t l = 0; l < pairs.size(); ++l) {
+      if (!ok[l]) continue;
+      ++ok_count;
+      expect_same(ref_align(pairs[l].a, pairs[l].b, m, g), outs[l],
+                  "batched lane");
+    }
+    EXPECT_GT(ok_count, 0u) << "no lane survived the int8 rails";
   }
 }
 

@@ -174,6 +174,19 @@ TEST(ArgParserTest, UsageMentionsEverything) {
   EXPECT_NE(u.find("default: 4"), std::string::npos);
 }
 
+TEST(ArgParserTest, UsageShowsDeclaredDefaultsAfterParse) {
+  // usage() is printed after a failed command too, when parse() has
+  // already stored the user's values; it must still show the defaults.
+  ArgParser p("mycmd", "Does things.");
+  p.option("n", "count", "4", "how many").option("out", "path", "", "dest");
+  p.parse(argv({"--n", "0", "--out=t0.fa"}));
+  EXPECT_EQ(p.get("n"), "0");
+  const std::string u = p.usage();
+  EXPECT_NE(u.find("how many (default: 4)"), std::string::npos) << u;
+  EXPECT_NE(u.find("dest (default: none)"), std::string::npos) << u;
+  EXPECT_EQ(u.find("t0.fa"), std::string::npos) << u;
+}
+
 // ---- dispatch ---------------------------------------------------------------
 
 TEST_F(CliTest, HelpOnEmptyArgs) {
@@ -225,6 +238,14 @@ TEST_F(CliTest, GenerateRequiresOut) {
   const Result r = run(argv({"generate", "--kind", "rose"}));
   EXPECT_EQ(r.status, 2);
   EXPECT_NE(r.err.find("--out"), std::string::npos);
+}
+
+TEST_F(CliTest, UsageAfterBadValueShowsDefaultsNotTheValue) {
+  const Result r = run(argv({"generate", "--n", "0", "--out", "t0.fa"}));
+  EXPECT_EQ(r.status, 2);
+  EXPECT_NE(r.err.find("(default: 100)"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("(default: 0)"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("(default: t0.fa)"), std::string::npos) << r.err;
 }
 
 TEST_F(CliTest, GenerateUnknownKindFails) {

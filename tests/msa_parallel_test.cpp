@@ -1,5 +1,6 @@
-// PR 4 invariance suites: (a) the vectorized wavefront profile DP must be
-// bit-identical to the retained scalar path on randomized profiles, bands
+// PR 4 invariance suites: (a) the wavefront profile DP (align_profiles'
+// kernel, VecF lanes wide or one lane in scalar builds) must be
+// bit-identical to the row-major profile_dp on randomized profiles, bands
 // and trace budgets; (b) the guide-tree task scheduler must produce
 // bit-identical alignments for every thread count, across every aligner
 // built on it and the full Sample-Align-D pipeline; (c) the shared thread
@@ -31,7 +32,6 @@
 namespace salign::msa {
 namespace {
 
-using align::engine::Backend;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 
@@ -136,12 +136,21 @@ TEST(ScheduleTree, PropagatesNodeException) {
                std::runtime_error);
 }
 
-// ---- wavefront profile DP vs scalar reference ------------------------------
+// ---- wavefront profile DP vs row-major reference ---------------------------
+
+/// The row-major profile_dp on align_profiles' own scorer and occupancies:
+/// the oracle for the wavefront kernel align_profiles runs.
+ProfileAlignResult row_major(const Profile& a, const Profile& b,
+                             const ProfileAlignOptions& po) {
+  const detail::PspProblem p(a, b);
+  return detail::profile_dp(a.num_cols(), b.num_cols(), p.scorer, p.occ_a,
+                            p.occ_b, po);
+}
 
 /// Randomized differential: random sub-families aligned into two profiles,
 /// random weights, random gap penalties, random band / trace budget; the
-/// wavefront and scalar kernels must agree on score bits and ops exactly,
-/// on the full-trace and the checkpointed traceback paths alike.
+/// wavefront and row-major kernels must agree on score bits and ops
+/// exactly, on the full-trace and the checkpointed traceback paths alike.
 TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
   util::Rng rng(991);
   const MuscleAligner aligner;
@@ -167,22 +176,21 @@ TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
     po.gaps = bio::GapPenalties{static_cast<float>(rng.uniform(2.0, 14.0)),
                                 static_cast<float>(rng.uniform(0.2, 2.0))};
     if (rng.chance(0.4)) po.band = 1 + rng.below(24);
-    // Exercise tiny trace budgets so the scalar side checkpoints too.
+    // Exercise tiny trace budgets so the row-major side checkpoints too.
     if (rng.chance(0.5)) po.max_trace_cells = 1 + rng.below(4096);
 
-    po.backend = Backend::kScalar;
-    const ProfileAlignResult ref = align_profiles(pa, pb, po);
+    const ProfileAlignResult ref = row_major(pa, pb, po);
 
     // Both kernels at the drawn budget, the default (full trace), one cell
     // (checkpointed) and around the full-trace boundary (m+1)(n+1).
     const std::size_t cells = (pa.num_cols() + 1) * (pb.num_cols() + 1);
     const std::size_t drawn = po.max_trace_cells;
-    for (Backend backend : {Backend::kScalar, Backend::kVector})
+    for (bool wavefront : {false, true})
       for (std::size_t budget : {drawn, std::size_t{0}, std::size_t{1},
                                  cells - 1, cells, cells + 1}) {
-        po.backend = backend;
         po.max_trace_cells = budget;
-        const ProfileAlignResult got = align_profiles(pa, pb, po);
+        const ProfileAlignResult got = wavefront ? align_profiles(pa, pb, po)
+                                                 : row_major(pa, pb, po);
         ASSERT_EQ(ref.score, got.score) << "rep " << rep << " budget "
                                         << budget;
         ASSERT_EQ(ref.ops, got.ops) << "rep " << rep << " budget " << budget;
@@ -202,9 +210,7 @@ TEST(ProfileDpDifferential, DegenerateShapes) {
       const Profile pb(*b, B62());
       ProfileAlignOptions po;
       po.gaps = B62().default_gaps();
-      po.backend = Backend::kScalar;
-      const ProfileAlignResult ref = align_profiles(pa, pb, po);
-      po.backend = Backend::kVector;
+      const ProfileAlignResult ref = row_major(pa, pb, po);
       const ProfileAlignResult vec = align_profiles(pa, pb, po);
       EXPECT_EQ(ref.score, vec.score);
       EXPECT_EQ(ref.ops, vec.ops);
@@ -235,9 +241,7 @@ TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
           ProfileAlignOptions po;
           po.gaps = gaps;
           po.band = band;
-          po.backend = Backend::kScalar;
-          const ProfileAlignResult ref = align_profiles(pa, *other, po);
-          po.backend = Backend::kVector;
+          const ProfileAlignResult ref = row_major(pa, *other, po);
           for (std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
             po.max_trace_cells = budget;
             const ProfileAlignResult vec = align_profiles(pa, *other, po);

@@ -2,15 +2,17 @@
 //
 // These are the pre-engine row-major Gotoh implementations, kept verbatim
 // (full O(m·n) traceback matrix and all). They are NOT on any production
-// path: src/align/*.cpp routes through the checkpointed anti-diagonal engine
-// kernels. They exist because the engine promises *exact* score and
-// traceback equality with them, and the randomized differential tests in
-// tests/align_engine_test.cpp enforce that promise on every build.
+// path and are not part of libsalign: they build into the tests-only
+// salign_test_oracles library. They exist because the engine promises
+// *exact* score and traceback equality with them, and the randomized
+// differential tests in tests/align_*_test.cpp enforce that promise on
+// every build.
 
 #include <algorithm>
 #include <vector>
 
 #include "align/engine/engine.hpp"
+#include "oracles/reference.hpp"
 #include "util/matrix.hpp"
 
 namespace salign::align::engine::reference {
