@@ -25,6 +25,7 @@
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "msa/progressive.hpp"
+#include "oracles/profile_dp.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
@@ -420,10 +421,11 @@ BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 // ---- PSP profile-DP kernel (vectorized wavefront vs scalar reference) ----------
 //
 // Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
-// blocked anti-diagonal wavefront kernel (align_profiles' kernel),
-// BM_ProfileDpScalar the row-major profile_dp (T-Coffee's kernel and the
-// wavefront's test oracle) on the same scorer — the pair makes the kernel
-// speedup part of every baseline. Both DPs fit the default trace budget,
+// blocked anti-diagonal wavefront kernel (the library's one profile-DP
+// kernel, behind align_profiles and T-Coffee's merges), BM_ProfileDpScalar
+// the header-only row-major test oracle (tests/oracles/profile_dp.hpp) on
+// the same scorer — the pair makes the kernel speedup part of every
+// baseline. Both DPs fit the default trace budget,
 // so they keep full traceback tables; BM_ProfileDpCheckpointed runs the
 // wavefront kernel at max_trace_cells = 1, the checkpoint-and-rerun
 // traceback that DPs above the budget take.
@@ -447,8 +449,7 @@ void profile_dp_bench(benchmark::State& state, bool row_major,
     if (row_major) {
       // Scorer build included, as align_profiles includes it.
       const msa::detail::PspProblem p(pl, pr);
-      benchmark::DoNotOptimize(msa::detail::profile_dp(
-          pl.num_cols(), pr.num_cols(), p.scorer, p.occ_a, p.occ_b, po));
+      benchmark::DoNotOptimize(msa::reference::profile_dp(p, po));
     } else {
       benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
     }

@@ -79,8 +79,7 @@ int packed_kmer_bits(const bio::Alphabet& alpha) {
 }
 
 KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
-                                      const KmerParams& params,
-                                      KmerCountMode mode) {
+                                      const KmerParams& params) {
   if (params.k <= 0) throw std::invalid_argument("KmerParams.k must be > 0");
   const bool compress = params.compressed &&
                         seq.alphabet_kind() == bio::AlphabetKind::AminoAcid;
@@ -149,13 +148,7 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
     }
     if (++run >= k) ids.push_back(static_cast<std::uint32_t>(id));
   }
-  // Scratch of a two-level count run is bounded by one 16 KiB block per
-  // window; past this many windows on a huge id space the sort fallback is
-  // the safer memory/time trade (only reachable for multi-thousand-residue
-  // sequences on uncompressed amino alphabets with large k).
-  constexpr std::size_t kTwoLevelWindowCap = 2048;
-
-  if (space <= kDenseTableLimit && mode != KmerCountMode::kSort) {
+  if (space <= kDenseTableLimit) {
     // One-level dense counting: O(windows) with one table slot per possible
     // id. The scratch table persists across calls and only touched slots
     // are cleared, so building a whole set's profiles stays
@@ -174,9 +167,7 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
       p.counts_.emplace_back(v, table[v]);
       table[v] = 0;
     }
-  } else if (mode == KmerCountMode::kDense ||
-             (mode == KmerCountMode::kAuto &&
-              ids.size() <= kTwoLevelWindowCap)) {
+  } else if (ids.size() <= kTwoLevelWindowCap) {
     // Two-level dense counting for the big spaces (uncompressed amino
     // k >= 4): directory + lazily-assigned count blocks, still O(windows).
     thread_local TwoLevelTable table;
@@ -189,6 +180,7 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
       p.counts_.emplace_back(v, table.take(v));
     table.reset_blocks(touched);
   } else {
+    // Past kTwoLevelWindowCap windows on a big space: sort and group.
     std::sort(ids.begin(), ids.end());
     for (std::size_t i = 0; i < ids.size();) {
       std::size_t j = i;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -36,11 +37,13 @@ struct KmerParams {
 /// through KmerProfile::similarity's sorted merge.
 inline constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
 
-/// How from_sequence turns the rolled k-mer id stream into sorted counts.
-/// kAuto picks kDense (one-level table for small id spaces, a two-level
-/// lazily-allocated block table for large ones); kSort is the O(W log W)
-/// sort-and-group fallback retained as the differential-testing oracle.
-enum class KmerCountMode : std::uint8_t { kAuto, kDense, kSort };
+/// Above kDenseTableLimit, from_sequence counts sequences of at most this
+/// many windows through a two-level lazily-allocated block table, whose
+/// scratch is bounded by one 16 KiB block per window; longer ones sort and
+/// group their ids, the safer memory/time trade (only reachable for
+/// multi-thousand-residue sequences on uncompressed amino alphabets with
+/// large k).
+inline constexpr std::size_t kTwoLevelWindowCap = 2048;
 
 /// Sparse k-mer count vector of one sequence: sorted (kmer-id, count) pairs
 /// over bit-packed ids (see packed_kmer_bits).
@@ -54,8 +57,7 @@ class KmerProfile {
   KmerProfile() = default;
 
   static KmerProfile from_sequence(const bio::Sequence& seq,
-                                   const KmerParams& params,
-                                   KmerCountMode mode = KmerCountMode::kAuto);
+                                   const KmerParams& params);
 
   /// Fraction of common k-mers r(x, y) in [0, 1]. Sequences shorter than k
   /// yield 0 (no shared k-mer evidence). A sorted merge of the two count

@@ -72,14 +72,6 @@ double rank_from_mean_similarity(double mean_similarity) {
   return -std::log(0.1 + mean_similarity);
 }
 
-double mean_similarity(const KmerProfile& x,
-                       std::span<const KmerProfile> refs) {
-  if (refs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : refs) sum += x.similarity(r);
-  return sum / static_cast<double>(refs.size());
-}
-
 std::vector<double> ranks_against(std::span<const KmerProfile> seqs,
                                   std::span<const KmerProfile> refs) {
   std::vector<double> out;
@@ -87,7 +79,7 @@ std::vector<double> ranks_against(std::span<const KmerProfile> seqs,
   PairScorer scorer(dense_slots(seqs, refs));
   for (const KmerProfile& x : seqs) {
     scorer.load(x);
-    // Summed in ref order, exactly as mean_similarity does.
+    // Summed in ref order.
     double sum = 0.0;
     for (const KmerProfile& r : refs) sum += scorer.similarity(r);
     out.push_back(rank_from_mean_similarity(

@@ -21,11 +21,6 @@ namespace salign::kmer {
 /// similar-to-everything, high rank means divergent.
 [[nodiscard]] double rank_from_mean_similarity(double mean_similarity);
 
-/// Mean k-mer similarity of `x` against every profile in `refs`
-/// (self-comparisons included, as in the paper's D_i = (1/N) sum_j r_ij).
-[[nodiscard]] double mean_similarity(const KmerProfile& x,
-                                     std::span<const KmerProfile> refs);
-
 /// Centralized ranks: every sequence ranked against the full set. This is
 /// the O(N^2 L) reference the paper compares its sampling scheme to (Fig 1
 /// "centralized").
@@ -40,8 +35,9 @@ namespace salign::kmer {
     std::span<const bio::Sequence> samples, const KmerParams& params);
 
 /// Same, but with pre-built profiles (the pipeline builds the sample
-/// profiles once for every rank). Element i is
-/// rank_from_mean_similarity(mean_similarity(seqs[i], refs)), bit for bit:
+/// profiles once for every rank). Element i is rank_from_mean_similarity of
+/// the mean of seqs[i].similarity(r) over refs (self-comparisons included,
+/// as in the paper's D_i = (1/N) sum_j r_ij; 0 for no refs), bit for bit:
 /// each seqs[i] is scattered once into a dense k-mer table and every ref
 /// probes it, summed in ref order.
 [[nodiscard]] std::vector<double> ranks_against(

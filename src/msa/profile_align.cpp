@@ -42,12 +42,12 @@ detail::PspProblem::PspProblem(const Profile& a, const Profile& b) {
     }
   }
 
-  // The DP announces each row via prepare_row (or fills a row block), so
-  // one dense saxpy sweep per A column serves every cell of that row and
-  // the per-cell read is a plain array load. Term order per cell matches
-  // the historical per-cell sparse dot exactly (same partial-sum
-  // sequence), so scores are bit-identical.
-  scorer = PspRowScorer{&svt, {}, {}, std::vector<float>(nb, 0.0F)};
+  // The DP fills each row block through fill_row, so one dense saxpy sweep
+  // per A column serves every cell of that row and the per-cell read is a
+  // plain array load. Term order per cell matches the historical per-cell
+  // sparse dot exactly (same partial-sum sequence), so scores are
+  // bit-identical.
+  scorer = PspRowScorer{&svt, {}, {}};
   scorer.offsets.reserve(a.num_cols() + 1);
   scorer.offsets.push_back(0);
   for (std::size_t ca = 0; ca < a.num_cols(); ++ca) {
@@ -63,10 +63,6 @@ detail::PspProblem::PspProblem(const Profile& a, const Profile& b) {
 ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
                                   const ProfileAlignOptions& opts) {
   const detail::PspProblem p(a, b);
-  ProfileAlignResult edge;
-  if (detail::profile_dp_edge(a.num_cols(), b.num_cols(), p.occ_a, p.occ_b,
-                              opts, edge))
-    return edge;
   return detail::profile_dp_wavefront(a.num_cols(), b.num_cols(), p.scorer,
                                       p.occ_a, p.occ_b, opts);
 }

@@ -1,7 +1,8 @@
-// Blocked anti-diagonal (wavefront) PSP profile DP.
+// Blocked anti-diagonal (wavefront) profile DP: the library's one kernel for
+// the occupancy-scaled three-state Gotoh recurrence.
 //
-// The row-major profile_dp's inner loop carries a dependency through the
-// gap-in-A state (cx[j] reads cx[j-1] of the same row), so rows cannot be
+// A row-major sweep of this recurrence carries a dependency through the
+// gap-in-A state (cell j reads cell j-1 of the same row), so rows cannot be
 // vectorized directly, and the occupancy-scaled gap penalties rule out the
 // closed-form carry scans the striped integer kernels use (float rounding
 // would differ from the sequential subtraction chain). On an anti-diagonal,
@@ -10,9 +11,10 @@
 // as the engine's pairwise Gotoh kernel (align/engine/gotoh.cpp), with two
 // adaptations:
 //
-//  * scores come from dense PspRowScorer rows, materialized one row block
-//    (kRowBlock rows) at a time with the scorer's own saxpy sweeps, and
-//    gathered per diagonal — O(block * n) scratch, never O(m * n);
+//  * scores come from dense rows the row source writes (RowScorer::fill_row:
+//    PSP saxpy sweeps, or T-Coffee's scaled consistency matrix),
+//    materialized one row block (kRowBlock rows) at a time and gathered per
+//    diagonal — O(block * n) scratch, never O(m * n);
 //  * the gap penalties are position-dependent (open/extend scaled by the
 //    occupancy of the consumed column), so they are precomputed as gap
 //    vectors: forward along A for gap-in-B moves (contiguous in the
@@ -20,16 +22,16 @@
 //    copy makes the j-indexed factor contiguous in the row index too).
 //
 // Exactness: every cell performs the same IEEE single-precision multiplies,
-// subtractions, adds and maxes as the scalar kernel's per-cell chains, and
-// unreachable cells hold exactly align::kNegInf in both (subtracting any
-// realistic penalty from the sentinel is absorbed by rounding, and the
-// scalar path's `best > kNegInf / 2` clamp only ever fires on exact
-// sentinels, where `best + sub` rounds back to the sentinel anyway) — so
-// scores are bit-identical. Traceback decisions are taken in the same
-// vector step by comparing each operand against the max it fed (see
-// kChoice), which reproduces the scalar kernel's tie chains, so paths are
-// identical too. The randomized differential suite in
-// tests/msa_parallel_test.cpp pins this against the row-major profile_dp.
+// subtractions, adds and maxes as the row-major oracle's per-cell chains
+// (tests/oracles/profile_dp.hpp), and unreachable cells hold exactly
+// align::kNegInf in both (subtracting any realistic penalty from the
+// sentinel is absorbed by rounding, and the oracle's `best > kNegInf / 2`
+// clamp only ever fires on exact sentinels, where `best + sub` rounds back
+// to the sentinel anyway) — so scores are bit-identical. Traceback
+// decisions are taken in the same vector step by comparing each operand
+// against the max it fed (see kChoice), which reproduces the oracle's tie
+// chains, so paths are identical too. The randomized differential suites
+// in tests/msa_parallel_test.cpp pin this for both row sources.
 //
 // Memory: the forward pass keeps three diagonals and one score block. DPs
 // within ProfileAlignOptions::max_trace_cells also keep one decision byte
@@ -74,9 +76,9 @@ std::size_t checkpoint_interval(std::size_t m) {
   return std::clamp<std::size_t>(blocks * kRowBlock, kRowBlock, 1024);
 }
 
-/// Shared problem description: band geometry (the scalar kernel's formulas,
-/// verbatim) plus the precomputed occupancy-scaled gap vectors and the
-/// accumulated column-0 / row-0 boundary runs.
+/// Shared problem description: band geometry (the row-major oracle's
+/// formulas, verbatim) plus the precomputed occupancy-scaled gap vectors
+/// and the accumulated column-0 / row-0 boundary runs.
 struct Geometry {
   std::size_t m = 0, n = 0;
   float open = 0.0F, ext = 0.0F;
@@ -145,12 +147,13 @@ struct Geometry {
 
 /// Dense scorer rows of one row block: local row r (1-based, absolute row
 /// r0 + r) covers B columns cb in [0, n), filled only on the row's in-band
-/// range with the scorer's exact saxpy order.
+/// range by the row source.
 struct ScoreBlock {
   std::size_t stride = 0;
   std::vector<float> buf;
 
-  void fill(const PspRowScorer& scorer, const Geometry& g, std::size_t r0,
+  template <typename RowScorer>
+  void fill(const RowScorer& scorer, const Geometry& g, std::size_t r0,
             std::size_t rows, std::size_t jcap) {
     stride = g.n;
     buf.resize(rows * stride);
@@ -162,8 +165,7 @@ struct ScoreBlock {
       const std::size_t cb_lo = js - 1;
       const std::size_t len = je - js + 1;
       float* out = buf.data() + (r - 1) * stride;
-      psp_fill_row(*scorer.svt, scorer.column(i - 1), cb_lo, len,
-                   out + cb_lo);
+      scorer.fill_row(i - 1, cb_lo, len, out + cb_lo);
     }
   }
 
@@ -197,7 +199,7 @@ struct DiagWorkspace {
 ///   X: ext_x == xv, then open_x == xv;
 ///   Y: ext_y == yv, then open_y == yv.
 /// A max equals an operand exactly when that operand is >= every other, so
-/// these orders are the scalar kernel's tie chains.
+/// these orders are the row-major oracle's tie chains.
 constexpr std::uint8_t kChoice[3][3] = {
     {kPdM, kPdX, kPdY}, {kPdX, kPdM, kPdY}, {kPdY, kPdM, kPdX}};
 
@@ -333,7 +335,7 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
       std::uint8_t* dcodes = kCodes ? codes + d * rows : nullptr;
       for (std::size_t i = ilo; i <= ihi; i += kW) {
         const std::size_t off = i - ilo;
-        // M from the up-left diagonal; the scalar clamp is a no-op on the
+        // M from the up-left diagonal; the oracle's clamp is a no-op on the
         // exact-sentinel values both paths propagate (see file comment).
         const V pm = V::load(m2 + i - 1);
         const V px = V::load(x2 + i - 1);
@@ -375,7 +377,7 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
     }
 
     // Border cells: row r0 comes from the seed, column 0 from the
-    // accumulated leading-gap run (exactly the scalar boundary values).
+    // accumulated leading-gap run (exactly the oracle's boundary values).
     if (d <= jcap) {
       m0[0] = seed_m[d];
       x0[0] = seed_x[d];
@@ -404,11 +406,14 @@ void run_block(const Geometry& g, const ScoreBlock& sb, std::size_t r0,
 
 }  // namespace
 
+template <typename RowScorer>
 ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
-                                        const PspRowScorer& scorer,
+                                        const RowScorer& scorer,
                                         std::span<const float> occ_a,
                                         std::span<const float> occ_b,
                                         const ProfileAlignOptions& opts) {
+  ProfileAlignResult out;
+  if (profile_dp_edge(m, n, occ_a, occ_b, opts, out)) return out;
   const Geometry g(m, n, occ_a, occ_b, opts);
   const std::size_t budget = opts.max_trace_cells != 0
                                  ? opts.max_trace_cells
@@ -469,7 +474,6 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
     }
   }
 
-  ProfileAlignResult out;
   std::uint8_t state = kPdM;
   {
     float best = cur_m[n];
@@ -508,7 +512,7 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
   };
 
   auto came_from_at = [&](std::size_t i, std::size_t j) -> std::uint8_t {
-    // Boundary cells mirror the scalar path's preset decisions.
+    // Boundary cells mirror the oracle's preset decisions.
     if (i == 0) return state == kPdX ? kPdX : kPdM;
     if (j == 0) return state == kPdY && g.lo[i] == 0 ? kPdY : kPdM;
     if (blk.codes == nullptr || i <= blk.r0) load_block(i, j);
@@ -540,5 +544,13 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
   std::reverse(out.ops.begin(), out.ops.end());
   return out;
 }
+
+// The two row sources; no other instantiation exists.
+template ProfileAlignResult profile_dp_wavefront<PspRowScorer>(
+    std::size_t, std::size_t, const PspRowScorer&, std::span<const float>,
+    std::span<const float>, const ProfileAlignOptions&);
+template ProfileAlignResult profile_dp_wavefront<DenseRowScorer>(
+    std::size_t, std::size_t, const DenseRowScorer&, std::span<const float>,
+    std::span<const float>, const ProfileAlignOptions&);
 
 }  // namespace salign::msa::detail

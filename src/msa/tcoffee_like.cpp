@@ -215,9 +215,8 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
 
     ProfileAlignOptions po;
     po.gaps = bio::GapPenalties{options_.gap_open, options_.gap_extend};
-    const ProfileAlignResult res = detail::profile_dp(
-        left.num_cols(), right.num_cols(),
-        [&](std::size_t ca, std::size_t cb) { return score(ca, cb) * norm; },
+    const ProfileAlignResult res = detail::profile_dp_wavefront(
+        left.num_cols(), right.num_cols(), detail::DenseRowScorer{&score, norm},
         occ_a, occ_b, po);
 
     partial[static_cast<std::size_t>(id)] =

@@ -4,9 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kmer/kmer_profile.hpp"
 #include "kmer/kmer_rank.hpp"
+#include "oracles/kmer.hpp"
 #include "util/rng.hpp"
 #include "workload/rose.hpp"
 
@@ -84,58 +88,78 @@ TEST(KmerProfile, LargeKBeyondBitPackingStillCounts) {
   EXPECT_DOUBLE_EQ(p.similarity(p), 1.0);
 }
 
+/// A random uncompressed amino sequence of `len` residues; `wildcards`
+/// draws the wildcard X too, so some windows are skipped.
+Sequence random_amino(util::Rng& rng, std::size_t len, bool wildcards) {
+  const bio::Alphabet& amino = bio::Alphabet::amino_acid();
+  const auto letters = static_cast<std::uint64_t>(
+      wildcards ? amino.size() : amino.letters());
+  std::vector<std::uint8_t> codes(len);
+  for (auto& c : codes) c = static_cast<std::uint8_t>(rng.below(letters));
+  return Sequence("s", codes, bio::AlphabetKind::AminoAcid);
+}
+
+void expect_reference_counts(const Sequence& s, const KmerParams& params,
+                             const std::string& what) {
+  const KmerProfile p = KmerProfile::from_sequence(s, params);
+  const auto want = reference::sorted_counts(s, params);
+  ASSERT_EQ(p.distinct(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(p.counts()[i], want[i]) << what << " entry " << i;
+}
+
 TEST(KmerProfile, TwoLevelDenseMatchesSortFallback) {
   // Uncompressed amino k >= 4 blows past the one-level dense limit (2^20,
-  // 2^25, and the 21^7 base-N space): counting now goes through the
-  // two-level block table. Differential against the retained
-  // sort-and-group oracle, wildcards included.
+  // 2^25, and the 21^7 base-N space). Up to kTwoLevelWindowCap windows
+  // count through the two-level block table, beyond it through a sort;
+  // lengths on both sides of the cap check both paths against the
+  // tests-side sort-and-group counter, wildcards included.
   util::Rng rng(0xAB);
-  const bio::Alphabet& amino = bio::Alphabet::amino_acid();
   for (int k : {4, 5, 7}) {
-    for (int trial = 0; trial < 6; ++trial) {
-      const std::size_t len = 1 + rng.below(400);
-      std::vector<std::uint8_t> codes(len);
-      for (auto& c : codes)
-        c = static_cast<std::uint8_t>(
-            rng.below(static_cast<std::uint64_t>(amino.size())));  // incl X
-      const Sequence s("s", codes, bio::AlphabetKind::AminoAcid);
-
-      const KmerProfile dense =
-          KmerProfile::from_sequence(s, uncompressed(k), KmerCountMode::kDense);
-      const KmerProfile sorted =
-          KmerProfile::from_sequence(s, uncompressed(k), KmerCountMode::kSort);
-      const KmerProfile automatic =
-          KmerProfile::from_sequence(s, uncompressed(k));
-      ASSERT_EQ(dense.distinct(), sorted.distinct())
-          << "k=" << k << " trial " << trial;
-      for (std::size_t i = 0; i < dense.counts().size(); ++i) {
-        ASSERT_EQ(dense.counts()[i], sorted.counts()[i])
-            << "k=" << k << " trial " << trial << " entry " << i;
-        ASSERT_EQ(automatic.counts()[i], sorted.counts()[i])
-            << "k=" << k << " trial " << trial << " entry " << i;
-      }
+    ASSERT_GT(KmerProfile::from_sequence(Sequence("s", "A"), uncompressed(k))
+                  .id_space(),
+              kDenseTableLimit);
+    const std::size_t at_cap = kTwoLevelWindowCap + k - 1;  // cap windows
+    std::vector<std::pair<std::size_t, bool>> cases = {
+        {at_cap, false}, {at_cap + 1, false}, {at_cap + 300, false}};
+    for (int trial = 0; trial < 4; ++trial) {
+      cases.emplace_back(1 + rng.below(400), true);
+      cases.emplace_back(kTwoLevelWindowCap + 500 + rng.below(2000), true);
     }
+    for (const auto& [len, wildcards] : cases)
+      expect_reference_counts(random_amino(rng, len, wildcards),
+                              uncompressed(k),
+                              "k=" + std::to_string(k) +
+                                  " len=" + std::to_string(len));
   }
 }
 
 TEST(KmerProfile, TwoLevelScratchSurvivesReuse) {
   // The two-level scratch persists thread-locally; repeated builds with
-  // different sequences must not leak counts between calls.
+  // different sequences, interleaved with sort-path builds past the window
+  // cap, must not leak counts between calls.
   util::Rng rng(0xAC);
-  const bio::Alphabet& amino = bio::Alphabet::amino_acid();
   for (int round = 0; round < 12; ++round) {
-    std::vector<std::uint8_t> codes(64 + rng.below(128));
-    for (auto& c : codes)
-      c = static_cast<std::uint8_t>(
-          rng.below(static_cast<std::uint64_t>(amino.letters())));
-    const Sequence s("s", codes, bio::AlphabetKind::AminoAcid);
-    const KmerProfile dense =
-        KmerProfile::from_sequence(s, uncompressed(5), KmerCountMode::kDense);
-    const KmerProfile sorted =
-        KmerProfile::from_sequence(s, uncompressed(5), KmerCountMode::kSort);
-    ASSERT_EQ(dense.distinct(), sorted.distinct()) << "round " << round;
-    for (std::size_t i = 0; i < dense.counts().size(); ++i)
-      ASSERT_EQ(dense.counts()[i], sorted.counts()[i]) << "round " << round;
+    const std::size_t len = round % 3 == 2
+                                ? kTwoLevelWindowCap + 100 + rng.below(400)
+                                : 64 + rng.below(128);
+    expect_reference_counts(random_amino(rng, len, false), uncompressed(5),
+                            "round " + std::to_string(round));
+  }
+}
+
+TEST(KmerProfile, DenseTableMatchesReferenceCounts) {
+  // The one-level table on the default compressed alphabet and on DNA.
+  util::Rng rng(0xAD);
+  for (int trial = 0; trial < 6; ++trial) {
+    expect_reference_counts(random_amino(rng, 1 + rng.below(600), true),
+                            KmerParams{}, "compressed trial " +
+                                              std::to_string(trial));
+    std::string dna(1 + rng.below(600), 'A');
+    for (char& c : dna) c = "ACGTN"[rng.below(5)];
+    expect_reference_counts(
+        Sequence("d", dna, bio::AlphabetKind::Dna), uncompressed(6),
+        "dna trial " + std::to_string(trial));
   }
 }
 
@@ -287,7 +311,7 @@ TEST(KmerRank, GlobalizedTracksCentralized) {
 TEST(KmerRank, RanksAgainstEmptyReference) {
   const Sequence s("s", "ACDEFGH");
   const KmerProfile p = KmerProfile::from_sequence(s, KmerParams{});
-  EXPECT_DOUBLE_EQ(mean_similarity(p, {}), 0.0);
+  EXPECT_DOUBLE_EQ(reference::mean_similarity(p, {}), 0.0);
 }
 
 // ---- distance matrix ------------------------------------------------------------
@@ -391,7 +415,8 @@ std::vector<double> merge_ranks(std::span<const KmerProfile> seqs,
                                 std::span<const KmerProfile> refs) {
   std::vector<double> out;
   for (const KmerProfile& x : seqs)
-    out.push_back(rank_from_mean_similarity(mean_similarity(x, refs)));
+    out.push_back(
+        rank_from_mean_similarity(reference::mean_similarity(x, refs)));
   return out;
 }
 

@@ -1,6 +1,7 @@
-// PR 4 invariance suites: (a) the wavefront profile DP (align_profiles'
-// kernel, VecF lanes wide or one lane in scalar builds) must be
-// bit-identical to the row-major profile_dp on randomized profiles, bands
+// Invariance suites: (a) the wavefront profile DP (the library's one
+// profile-DP kernel, VecF lanes wide or one lane in scalar builds) must be
+// bit-identical to the row-major oracle (tests/oracles/profile_dp.hpp) on
+// randomized PSP profiles and T-Coffee-style dense score matrices, bands
 // and trace budgets; (b) the guide-tree task scheduler must produce
 // bit-identical alignments for every thread count, across every aligner
 // built on it and the full Sample-Align-D pipeline; (c) the shared thread
@@ -25,6 +26,8 @@
 #include "msa/progressive.hpp"
 #include "msa/tcoffee_like.hpp"
 #include "msa/tree_schedule.hpp"
+#include "oracles/profile_dp.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/rose.hpp"
@@ -138,13 +141,11 @@ TEST(ScheduleTree, PropagatesNodeException) {
 
 // ---- wavefront profile DP vs row-major reference ---------------------------
 
-/// The row-major profile_dp on align_profiles' own scorer and occupancies:
-/// the oracle for the wavefront kernel align_profiles runs.
+/// The row-major oracle on align_profiles' own scorer and occupancies.
 ProfileAlignResult row_major(const Profile& a, const Profile& b,
                              const ProfileAlignOptions& po) {
   const detail::PspProblem p(a, b);
-  return detail::profile_dp(a.num_cols(), b.num_cols(), p.scorer, p.occ_a,
-                            p.occ_b, po);
+  return reference::profile_dp(p, po);
 }
 
 /// Randomized differential: random sub-families aligned into two profiles,
@@ -251,6 +252,58 @@ TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
                 << band << " budget " << budget;
           }
         }
+  }
+}
+
+/// T-Coffee's row source: random sparse, non-negative, integer-valued dense
+/// score matrices (so exact ties between moves are common) times the
+/// 1/(|A||B|) merge scale, against the oracle on the per-cell product
+/// score(ca, cb) * scale. Gaps {4/1, 2/2, 0/0}, unbanded and banded, every
+/// budget around the full-trace boundary, and shapes with a one-column side.
+TEST(ProfileDpDifferential, DenseRowsMatchRowMajor) {
+  util::Rng rng(5151);
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::size_t m = rep % 8 == 0 ? 1 : 1 + rng.below(90);
+    const std::size_t n = rep % 8 == 1 ? 1 : 1 + rng.below(90);
+    util::Matrix<float> score(m, n, 0.0F);
+    const double density = rng.uniform(0.05, 0.6);
+    for (std::size_t ca = 0; ca < m; ++ca)
+      for (std::size_t cb = 0; cb < n; ++cb)
+        if (rng.chance(density))
+          score(ca, cb) = static_cast<float>(1 + rng.below(6));
+    const float scale = 1.0F / static_cast<float>(1 + rng.below(6)) /
+                        static_cast<float>(1 + rng.below(6));
+    std::vector<float> occ_a(m), occ_b(n);
+    for (auto& o : occ_a) o = rng.chance(0.7) ? 1.0F : 0.5F;
+    for (auto& o : occ_b) o = rng.chance(0.7) ? 1.0F : 0.5F;
+    const detail::DenseRowScorer rows{&score, scale};
+    const auto lambda = [&](std::size_t ca, std::size_t cb) {
+      return score(ca, cb) * scale;
+    };
+
+    const std::size_t cells = (m + 1) * (n + 1);
+    for (const auto& gaps : {bio::GapPenalties{4.0F, 1.0F},
+                             bio::GapPenalties{2.0F, 2.0F},
+                             bio::GapPenalties{0.0F, 0.0F}})
+      for (std::size_t band : {std::size_t{0}, 1 + rng.below(12)}) {
+        ProfileAlignOptions po;
+        po.gaps = gaps;
+        po.band = band;
+        const ProfileAlignResult ref =
+            reference::profile_dp(m, n, lambda, occ_a, occ_b, po);
+        for (std::size_t budget : {std::size_t{0}, std::size_t{1}, cells - 1,
+                                   cells, cells + 1}) {
+          po.max_trace_cells = budget;
+          const ProfileAlignResult got =
+              detail::profile_dp_wavefront(m, n, rows, occ_a, occ_b, po);
+          ASSERT_EQ(ref.score, got.score)
+              << "rep " << rep << " " << m << "x" << n << " open "
+              << gaps.open << " band " << band << " budget " << budget;
+          ASSERT_EQ(ref.ops, got.ops)
+              << "rep " << rep << " " << m << "x" << n << " open "
+              << gaps.open << " band " << band << " budget " << budget;
+        }
+      }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
+#include "oracles/profile_dp.hpp"
 #include "util/rng.hpp"
 #include "workload/rose.hpp"
 
@@ -141,12 +142,19 @@ TEST(ProfileAlign, DpIsOptimalVsImpliedPaths) {
 TEST(ProfileAlign, EmptySides) {
   const Alignment a = make({{"a", "ACD"}});
   const Profile pa(a, B62());
-  // Align against zero-column profile via the DP entry points.
-  const ProfileAlignResult r = detail::profile_dp(
+  // Align against zero-column profile via the row-major oracle.
+  const ProfileAlignResult r = reference::profile_dp(
       3, 0, [](std::size_t, std::size_t) { return 0.0F; },
       std::vector<float>{1, 1, 1}, std::vector<float>{}, ProfileAlignOptions{});
   ASSERT_EQ(r.ops.size(), 3u);
   for (EditOp op : r.ops) EXPECT_EQ(op, EditOp::GapInB);
+  // The library kernel takes the same edge path, with either row source.
+  const util::Matrix<float> none(3, 0);
+  const ProfileAlignResult w = detail::profile_dp_wavefront(
+      3, 0, detail::DenseRowScorer{&none, 1.0F}, std::vector<float>{1, 1, 1},
+      std::vector<float>{}, ProfileAlignOptions{});
+  EXPECT_EQ(w.ops, r.ops);
+  EXPECT_EQ(w.score, r.score);
 }
 
 TEST(ProfileAlign, CheckpointedTracebackMatchesFullTraceExactly) {
