@@ -394,20 +394,6 @@ void BM_EnginePairBatchAlign8(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePairBatchAlign8)->Arg(64)->Arg(90);
 
-void BM_BandedAlign(benchmark::State& state) {
-  const auto seqs = seqs_cache(2, 400);
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  const auto band = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(align::engine::banded_global_align(
-        seqs[0].codes(), seqs[1].codes(), m, {}, band));
-  // Approximate banded cell count: rows x (2 * band + 1), clipped.
-  const std::size_t width =
-      std::min(seqs[1].codes().size(), 2 * band + 1);
-  set_cells_per_second(state, seqs[0].codes().size() * width);
-}
-BENCHMARK(BM_BandedAlign)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_LocalAlign(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();

@@ -198,27 +198,17 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
   }
 
   // Row task: one ladder profile for the shared query, full alignments
-  // against each counterpart (banded passes keep the float banded kernel —
-  // the band changes the result set, and the reference semantics are the
-  // banded kernel's).
+  // against each counterpart.
   const std::size_t i = task.row;
-  std::unique_ptr<engine::AlignBatch> batch;
-  if (options.band == 0)
-    batch = std::make_unique<engine::AlignBatch>(
-        seqs[i].codes(), matrix, gaps, options.first_tier);
+  engine::AlignBatch batch(seqs[i].codes(), matrix, gaps, options.first_tier);
   for (const std::size_t p : task.slots) {
     const auto [pi, j] = util::pair_from_index(base + p);
-    if (batch)
-      block[p].global = batch->align(seqs[j].codes());
-    else
-      block[p].global =
-          engine::banded_global_align(seqs[pi].codes(), seqs[j].codes(),
-                                      matrix, gaps, options.band);
+    block[p].global = batch.align(seqs[j].codes());
     if (options.with_local)
       block[p].local = engine::local_align(seqs[pi].codes(), seqs[j].codes(),
                                            matrix, gaps);
   }
-  if (batch) stats.ladder += batch->stats();
+  stats.ladder += batch.stats();
 }
 
 }  // namespace
@@ -237,7 +227,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
   constexpr std::size_t kBlock = 256;
   std::size_t batch_cap = 0;
   std::size_t batch_lanes = 1;
-  if (options.band == 0 && options.first_tier <= engine::ScoreTier::kInt8) {
+  if (options.first_tier <= engine::ScoreTier::kInt8) {
     const engine::PairBatch probe(matrix, gaps);
     batch_cap = probe.max_len();
     batch_lanes = probe.lanes();

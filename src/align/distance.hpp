@@ -79,8 +79,6 @@ struct PairDistanceStats {
 };
 
 struct PairDistanceOptions {
-  /// Band half-width of the pairwise DP (0 = full global alignment).
-  std::size_t band = 0;
   /// util::parallel_for width of the pair loop (1 = serial). Results are
   /// bit-identical for any value.
   unsigned threads = 1;
@@ -90,8 +88,7 @@ struct PairDistanceOptions {
   /// Where the per-pair full-alignment tier ladder starts (kAuto = batched
   /// int8 lanes for short pairs, striped int8/int16 traceback otherwise,
   /// float on promotion; kFloat pins the pre-integer-traceback behavior).
-  /// Only band == 0 passes use the integer tiers — banded alignments keep
-  /// the float banded kernel. Results are identical for every value.
+  /// Results are identical for every value.
   engine::ScoreTier first_tier = engine::ScoreTier::kAuto;
   /// When non-null, receives the pass's per-tier pair counts.
   PairDistanceStats* stats = nullptr;
@@ -105,8 +102,8 @@ struct PairDistanceOptions {
 using PairVisitor = std::function<void(std::size_t i, std::size_t j,
                                        const PairAlignments& pair)>;
 
-/// All-pairs Kimura guide-tree distances from full global (or banded)
-/// pairwise alignments — the per-pair arithmetic of the historical consumer
+/// All-pairs Kimura guide-tree distances from full global pairwise
+/// alignments — the per-pair arithmetic of the historical consumer
 /// loops (ClustalW stage 1, T-Coffee's library pass, `salign tree --dist
 /// kimura`), unchanged, threaded over pairs. Output and visitor order are
 /// bit-identical to the serial nested loops for every thread count. When a

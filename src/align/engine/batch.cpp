@@ -81,8 +81,8 @@ struct ScoreBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_score_impl<VecF>(query, other, *matrix, gaps, 0,
-                                           false, &float_ws);
+    return detail::global_score_impl<VecF>(query, other, *matrix, gaps,
+                                           &float_ws);
   }
 
   [[nodiscard]] std::size_t bytes() const {
@@ -150,8 +150,7 @@ struct AlignBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_align_impl<VecF>(query, other, *matrix, gaps, 0,
-                                           false);
+    return detail::global_align_impl<VecF>(query, other, *matrix, gaps);
   }
 
   [[nodiscard]] std::size_t bytes() const {
@@ -179,8 +178,6 @@ PairwiseAlignment AlignBatch::align(std::span<const std::uint8_t> other) {
   return impl_->align(other);
 }
 
-std::size_t AlignBatch::query_length() const { return impl_->query.size(); }
-
 const AlignBatch::Stats& AlignBatch::stats() const { return impl_->stats; }
 
 std::size_t AlignBatch::workspace_bytes() const { return impl_->bytes(); }
@@ -203,8 +200,6 @@ ScoreBatch& ScoreBatch::operator=(ScoreBatch&&) noexcept = default;
 float ScoreBatch::score(std::span<const std::uint8_t> other) {
   return impl_->score(other);
 }
-
-std::size_t ScoreBatch::query_length() const { return impl_->query.size(); }
 
 const ScoreBatch::Stats& ScoreBatch::stats() const { return impl_->stats; }
 

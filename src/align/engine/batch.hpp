@@ -42,7 +42,6 @@ class ScoreBatch {
   /// reference kernels. Not thread-safe (mutates the reusable workspace).
   [[nodiscard]] float score(std::span<const std::uint8_t> other);
 
-  [[nodiscard]] std::size_t query_length() const;
   [[nodiscard]] const Stats& stats() const;
 
   /// Bytes currently held: striped profiles, striped DP columns, and the
@@ -98,7 +97,6 @@ class AlignBatch {
   /// reference kernels. Not thread-safe (mutates the reusable workspace).
   [[nodiscard]] PairwiseAlignment align(std::span<const std::uint8_t> other);
 
-  [[nodiscard]] std::size_t query_length() const;
   [[nodiscard]] const Stats& stats() const;
 
   /// Bytes currently held: striped profiles, DP columns, checkpoint and

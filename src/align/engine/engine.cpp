@@ -10,9 +10,8 @@ namespace salign::align::engine {
 
 namespace {
 
-/// Shared degenerate-input handling for the global aligners (hoisted from the
-/// historical global.cpp / banded.cpp duplicates): aligning against an empty
-/// sequence is a single gap run.
+/// Shared degenerate-input handling for the global aligners: aligning against
+/// an empty sequence is a single gap run.
 bool empty_edge_global(std::size_t m, std::size_t n, bio::GapPenalties gaps,
                        PairwiseAlignment& out) {
   if (m != 0 && n != 0) return false;
@@ -66,16 +65,6 @@ PairwiseAlignment global_align(std::span<const std::uint8_t> a,
   if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
   AlignBatch batch(a, matrix, gaps, first_tier);
   return batch.align(b);
-}
-
-PairwiseAlignment banded_global_align(std::span<const std::uint8_t> a,
-                                      std::span<const std::uint8_t> b,
-                                      const bio::SubstitutionMatrix& matrix,
-                                      bio::GapPenalties gaps,
-                                      std::size_t band) {
-  PairwiseAlignment out;
-  if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
-  return detail::global_align_impl<VecF>(a, b, matrix, gaps, band, true);
 }
 
 LocalAlignment local_align(std::span<const std::uint8_t> a,

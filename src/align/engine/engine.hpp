@@ -75,13 +75,6 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                              bio::GapPenalties gaps,
                                              ScoreTier first_tier = ScoreTier::kAuto);
 
-/// Banded global alignment (same band geometry as the historical
-/// banded_global_align: band half-width widened by the length difference).
-[[nodiscard]] PairwiseAlignment banded_global_align(
-    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-    const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band);
-
 /// Local (Smith–Waterman) alignment, checkpointed traceback.
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,

@@ -14,8 +14,7 @@
 // decisions — re-derived from stored state values with the reference's
 // comparison chains — are identical too. Unreachable cells use the
 // align::kNegInf sentinel; adding or subtracting any realistic score is
-// absorbed by float rounding (see engine.hpp), which is what makes the
-// reference's banded clamp (`best > kNegInf/2`) a no-op we can drop.
+// absorbed by float rounding (see engine.hpp).
 //
 // Memory: score-only passes keep three diagonals (O(m + n)). Full
 // alignments store every ~sqrt(m)-th row of state values during the forward
@@ -36,38 +35,6 @@ namespace salign::align::engine::detail {
 namespace {
 
 enum State : std::uint8_t { kM = 0, kX = 1, kY = 2, kStop = 3 };
-
-// ---- band geometry ---------------------------------------------------------
-
-/// Per-row DP column intervals [lo[i], hi[i]], identical to the historical
-/// banded_global_align geometry (band half-width widened by the length
-/// difference so the (m, n) corner stays inside). `banded == false` yields
-/// the full rectangle.
-struct RowBounds {
-  std::vector<std::size_t> lo, hi;  // indexed by row 0..m
-
-  [[nodiscard]] std::size_t bytes() const {
-    return (lo.capacity() + hi.capacity()) * sizeof(std::size_t);
-  }
-};
-
-RowBounds make_bounds(std::size_t m, std::size_t n, std::size_t band,
-                      bool banded) {
-  RowBounds rb;
-  rb.lo.assign(m + 1, 0);
-  rb.hi.assign(m + 1, n);
-  if (!banded) return rb;
-  const std::size_t diff = m > n ? m - n : n - m;
-  const std::size_t eff_band = std::max<std::size_t>(band, 1) + diff;
-  for (std::size_t i = 0; i <= m; ++i) {
-    const auto center = static_cast<std::size_t>(
-        static_cast<double>(i) * static_cast<double>(n) /
-        static_cast<double>(m));
-    rb.lo[i] = center > eff_band ? center - eff_band : 0;
-    rb.hi[i] = std::min(n, center + eff_band);
-  }
-  return rb;
-}
 
 // ---- forward-pass sinks ----------------------------------------------------
 
@@ -108,25 +75,15 @@ struct Block {
   std::size_t stride = 0;  // == rows: slots per diagonal
   std::vector<float> m, x, y;
 
-  /// `fill` preloads every slot with kNegInf; required for banded runs,
-  /// where out-of-band cells are never written but are read as neighbors
-  /// during the walk. Full-rectangle runs write every slot that is ever
-  /// read, so they skip it.
-  void init(std::size_t seed_row, std::size_t row_count, std::size_t jcap,
-            bool fill) {
+  /// No kNegInf preload: the run writes every slot the walk ever reads.
+  void init(std::size_t seed_row, std::size_t row_count, std::size_t jcap) {
     r0 = seed_row;
     rows = row_count;
     stride = row_count;
     const std::size_t need = (row_count + jcap) * stride;
-    if (fill) {
-      m.assign(need, kNegInf);
-      x.assign(need, kNegInf);
-      y.assign(need, kNegInf);
-    } else {
-      m.resize(need);
-      x.resize(need);
-      y.resize(need);
-    }
+    m.resize(need);
+    x.resize(need);
+    y.resize(need);
   }
   [[nodiscard]] std::size_t at(std::size_t i, std::size_t j) const {
     const std::size_t r = i - r0;
@@ -227,8 +184,6 @@ struct Problem {
   const float* const* score_rows = nullptr;   // per absolute row: QP row
   std::size_t m = 0, n = 0;                   // full DP extents
   float open = 0.0F, ext = 0.0F;
-  const std::size_t* jlo = nullptr;           // per absolute row 0..m
-  const std::size_t* jhi = nullptr;
 };
 
 /// Reusable diagonal workspace: 9 state diagonals + score scratch, padded so
@@ -277,26 +232,14 @@ void run_diagonals(const Problem& pb, std::size_t r0, std::size_t rows,
   const V vneg = V::splat(kNegInf);
   [[maybe_unused]] const V vzero = V::splat(0.0F);
 
-  // Monotone band pointers over block-local rows i' (absolute row r0 + i').
-  std::size_t pmin = 1;
-  std::size_t pmax = 0;
-  auto eff_hi = [&](std::size_t i) {
-    return std::min(pb.jhi[r0 + i], jcap);
-  };
-
   const std::size_t last = rows + jcap;
   for (std::size_t d = 0; d <= last; ++d) {
-    // Interior cells: i' in [1, rows], j = d - i' in [1, jcap], inside band.
+    // Interior cells: i' in [1, rows], j = d - i' in [1, jcap].
     std::size_t ilo = 1;
     std::size_t ihi = 0;
     if (d >= 2) {
       ilo = d > jcap ? d - jcap : 1;
       ihi = std::min(rows, d - 1);
-      while (pmin <= rows && pmin + eff_hi(pmin) < d) ++pmin;
-      while (pmax + 1 <= rows && (pmax + 1) + pb.jlo[r0 + pmax + 1] <= d)
-        ++pmax;
-      ilo = std::max(ilo, pmin);
-      ihi = std::min(ihi, pmax);
     }
 
     if (ilo <= ihi) {
@@ -370,9 +313,8 @@ void run_diagonals(const Problem& pb, std::size_t r0, std::size_t rows,
       m0[d] = kNegInf;
       x0[d] = kNegInf;
       const std::size_t abs_row = r0 + d;
-      y0[d] = (!kLocal && pb.jlo[abs_row] == 0)
-                  ? -(pb.open + pb.ext * static_cast<float>(abs_row - 1))
-                  : kNegInf;
+      y0[d] = kLocal ? kNegInf
+                     : -(pb.open + pb.ext * static_cast<float>(abs_row - 1));
     }
 
     sink.diagonal(d, has_b0, ilo, ihi, has_bd, r0, m0, x0, y0);
@@ -397,15 +339,15 @@ void run_diagonals(const Problem& pb, std::size_t r0, std::size_t rows,
 
 /// Standard first-row boundary values (cols 0..n): the seed of the top-level
 /// forward pass.
-void make_row0_seed(std::size_t n, float open, float ext, std::size_t hi0,
-                    bool local, std::vector<float>& sm, std::vector<float>& sx,
+void make_row0_seed(std::size_t n, float open, float ext, bool local,
+                    std::vector<float>& sm, std::vector<float>& sx,
                     std::vector<float>& sy) {
   sm.assign(n + 1, kNegInf);
   sx.assign(n + 1, kNegInf);
   sy.assign(n + 1, kNegInf);
   if (local) return;
   sm[0] = 0.0F;
-  for (std::size_t j = 1; j <= hi0; ++j)
+  for (std::size_t j = 1; j <= n; ++j)
     sx[j] = -(open + ext * static_cast<float>(j - 1));
 }
 
@@ -419,31 +361,25 @@ std::size_t checkpoint_interval(std::size_t m) {
 struct ForwardState {
   QueryProfile qp;
   std::vector<const float*> score_rows;  // per absolute row 1..m
-  RowBounds bounds;
   std::vector<float> seed_m, seed_x, seed_y;
   Problem pb;
-  bool banded = false;
 
   ForwardState(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
                const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-               std::size_t band, bool banded, bool local)
-      : qp(b, matrix), banded(banded) {
+               bool local)
+      : qp(b, matrix) {
     const std::size_t m = a.size();
     const std::size_t n = b.size();
     score_rows.assign(m + 1, nullptr);
     for (std::size_t i = 1; i <= m; ++i) score_rows[i] = qp.row(a[i - 1]);
-    bounds = make_bounds(m, n, band, banded);
-    make_row0_seed(n, gaps.open, gaps.extend, bounds.hi[0], local, seed_m,
-                   seed_x, seed_y);
-    pb = Problem{score_rows.data(), m,           n,
-                 gaps.open,         gaps.extend, bounds.lo.data(),
-                 bounds.hi.data()};
+    make_row0_seed(n, gaps.open, gaps.extend, local, seed_m, seed_x, seed_y);
+    pb = Problem{score_rows.data(), m, n, gaps.open, gaps.extend};
   }
 
   [[nodiscard]] std::size_t bytes() const {
     return qp.bytes() + score_rows.capacity() * sizeof(const float*) +
-           bounds.bytes() + (seed_m.capacity() + seed_x.capacity() +
-                             seed_y.capacity()) * sizeof(float);
+           (seed_m.capacity() + seed_x.capacity() + seed_y.capacity()) *
+               sizeof(float);
   }
 };
 
@@ -527,7 +463,7 @@ void load_block(const ForwardState& fs, const Checkpoints& cp, std::size_t top,
                 std::size_t jcap, DiagWorkspace& ws, Block& blk) {
   const std::size_t k = cp.interval;
   const std::size_t r0 = (top - 1) / k * k;
-  blk.init(r0, top - r0 + 1, jcap, fs.banded);
+  blk.init(r0, top - r0 + 1, jcap);
   const float* sm = cp.row_m(r0);
   const float* sx = cp.row_x(r0);
   const float* sy = cp.row_y(r0);
@@ -549,9 +485,8 @@ template <typename V>
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,
-                        bio::GapPenalties gaps, std::size_t band, bool banded,
-                        std::size_t* workspace_bytes) {
-  const ForwardState fs(a, b, matrix, gaps, band, banded, /*local=*/false);
+                        bio::GapPenalties gaps, std::size_t* workspace_bytes) {
+  const ForwardState fs(a, b, matrix, gaps, /*local=*/false);
   DiagWorkspace ws;
   float corner[3] = {kNegInf, kNegInf, kNegInf};
   run_diagonals<V, false>(fs.pb, 0, a.size(), b.size(), fs.seed_m.data(),
@@ -565,11 +500,10 @@ template <typename V>
 PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     std::span<const std::uint8_t> b,
                                     const bio::SubstitutionMatrix& matrix,
-                                    bio::GapPenalties gaps, std::size_t band,
-                                    bool banded) {
+                                    bio::GapPenalties gaps) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
-  const ForwardState fs(a, b, matrix, gaps, band, banded, /*local=*/false);
+  const ForwardState fs(a, b, matrix, gaps, /*local=*/false);
 
   Checkpoints cp;
   cp.init(checkpoint_interval(m), m, n + 1);
@@ -629,8 +563,7 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
                                 bio::GapPenalties gaps) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
-  const ForwardState fs(a, b, matrix, gaps, 0, /*banded=*/false,
-                        /*local=*/true);
+  const ForwardState fs(a, b, matrix, gaps, /*local=*/true);
 
   Checkpoints cp;
   cp.init(checkpoint_interval(m), m, n + 1);
@@ -680,11 +613,10 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
 template float global_score_impl<VecF>(std::span<const std::uint8_t>,
                                        std::span<const std::uint8_t>,
                                        const bio::SubstitutionMatrix&,
-                                       bio::GapPenalties, std::size_t, bool,
-                                       std::size_t*);
+                                       bio::GapPenalties, std::size_t*);
 template PairwiseAlignment global_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
+    const bio::SubstitutionMatrix&, bio::GapPenalties);
 template LocalAlignment local_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
     const bio::SubstitutionMatrix&, bio::GapPenalties);

@@ -14,15 +14,13 @@
 namespace salign::align::engine::detail {
 
 /// Score-only affine-gap global alignment over anti-diagonals. O(m + n)
-/// workspace; `banded` selects the sheared-band cell set of
-/// banded_global_align. `workspace_bytes` (optional) receives the total DP
-/// workspace allocated.
+/// workspace; `workspace_bytes` (optional) receives the total DP workspace
+/// allocated.
 template <typename V>
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,
-                        bio::GapPenalties gaps, std::size_t band, bool banded,
-                        std::size_t* workspace_bytes);
+                        bio::GapPenalties gaps, std::size_t* workspace_bytes);
 
 /// Full global alignment: anti-diagonal forward pass with row checkpoints
 /// every ~sqrt(m) rows, then block-wise recompute during traceback. Exact
@@ -31,8 +29,7 @@ template <typename V>
 PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     std::span<const std::uint8_t> b,
                                     const bio::SubstitutionMatrix& matrix,
-                                    bio::GapPenalties gaps, std::size_t band,
-                                    bool banded);
+                                    bio::GapPenalties gaps);
 
 /// Full local (Smith–Waterman) alignment with the same checkpointed
 /// traceback machinery.
@@ -44,11 +41,10 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
 
 extern template float global_score_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool,
-    std::size_t*);
+    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t*);
 extern template PairwiseAlignment global_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
+    const bio::SubstitutionMatrix&, bio::GapPenalties);
 extern template LocalAlignment local_align_impl<VecF>(
     std::span<const std::uint8_t>, std::span<const std::uint8_t>,
     const bio::SubstitutionMatrix&, bio::GapPenalties);

@@ -34,7 +34,7 @@ ArgParser make_parser() {
            "passes (distance matrices, progressive merges); 0 = auto:\n"
            "hardware concurrency capped at 16. Never changes the output");
   p.option("aligner", "name", "muscle",
-           "per-bucket sequential aligner: " + aligner_names());
+           aligner_help());
   p.option("rank-mode", "mode", "globalized",
            "'globalized' (paper) or 'local' (predecessor [34])");
   p.option("samples", "k", "0",
@@ -48,10 +48,6 @@ ArgParser make_parser() {
   p.flag("resume",
          "with --checkpoint-dir: load completed stages back instead of\n"
          "recomputing them. Bit-identical to a fresh run for any --threads");
-  p.flag("cache",
-         "serve repeated per-bucket aligner work (distance matrices,\n"
-         "guide trees) from the process-wide artifact cache (muscle only;\n"
-         "never changes output)");
   p.option("deadline", "dur", "0",
            "wall-clock budget, e.g. 30, 2.5s, 250ms, 1.5m (bare numbers are\n"
            "seconds; 0 = none). The pipeline stops\n"
@@ -86,20 +82,15 @@ int run_align(std::span<const std::string> args, std::ostream& out,
         static_cast<unsigned>(p.get_int("threads", 0, 1024));
     cfg.threads = threads == 0 ? util::default_threads() : threads;
     cfg.samples_per_proc = static_cast<int>(p.get_int("samples", 0, 1 << 20));
-    // "muscle" (the default) is left null so the pipeline constructs it,
-    // which is how --cache reaches it (use_artifact_cache applies only to
-    // the aligner the config constructs); the options are otherwise
-    // identical to make_aligner("muscle", threads). Phase stats come from
-    // the thread-local msa::PhaseLog for any aligner.
+    // "muscle" (the default) is left null so the pipeline constructs it;
+    // the options are identical to make_aligner("muscle", threads). Phase
+    // stats come from the thread-local msa::PhaseLog for any aligner.
     if (p.get("aligner") != "muscle")
       cfg.local_aligner = make_aligner(p.get("aligner"), cfg.threads);
     cfg.checkpoint.dir = p.get("checkpoint-dir");
     cfg.checkpoint.resume = p.get_flag("resume");
     if (cfg.checkpoint.resume && cfg.checkpoint.dir.empty())
       throw UsageError("--resume requires --checkpoint-dir");
-    cfg.use_artifact_cache = p.get_flag("cache");
-    if (cfg.use_artifact_cache && p.get("aligner") != "muscle")
-      throw UsageError("--cache applies to the default muscle aligner only");
     cfg.ancestor_refinement = !p.get_flag("no-ancestor");
     cfg.polish_divergent = p.get_flag("polish");
     const std::string& mode = p.get("rank-mode");

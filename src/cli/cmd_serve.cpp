@@ -68,7 +68,7 @@ ArgParser make_submit_parser() {
   p.option("out", "file", "", "output alignment file (written durably)");
   p.option("format", "name", "fasta", "output format: fasta or clustal");
   p.option("aligner", "name", "muscle",
-           "per-bucket sequential aligner: " + aligner_names());
+           aligner_help());
   p.option("procs", "p", "4", "simulated processors");
   p.option("threads", "t", "0",
            "worker threads within the job (0 = daemon auto)");

@@ -3,6 +3,7 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "bio/fasta.hpp"
 #include "cli/arg_parser.hpp"
@@ -86,6 +87,15 @@ std::shared_ptr<const msa::MsaAlgorithm> make_aligner(
 std::string aligner_names() {
   return "muscle, muscle-refine, muscle-fast, clustalw, tcoffee, nwnsi, "
          "fftnsi, probcons";
+}
+
+std::string aligner_help() {
+  std::string help = "per-bucket sequential aligner: ";
+  help += aligner_names();
+  help += ".\ntcoffee and probcons take at most ";
+  help += std::to_string(msa::kMaxConsistencySequences);
+  help += " sequences per bucket\n(a larger --procs makes buckets smaller)";
+  return help;
 }
 
 int dispatch(std::span<const std::string> args, std::ostream& out,

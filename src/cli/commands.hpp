@@ -103,4 +103,8 @@ int dispatch(std::span<const std::string> args, std::ostream& out,
 /// All valid aligner names, for help/error text.
 [[nodiscard]] std::string aligner_names();
 
+/// Help text of an --aligner option: the names and the per-bucket sequence
+/// cap of the consistency aligners (msa::kMaxConsistencySequences).
+[[nodiscard]] std::string aligner_help();
+
 }  // namespace salign::cli

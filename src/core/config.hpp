@@ -64,11 +64,8 @@ struct SampleAlignDConfig {
 
   /// Polish parameters (used only when polish_divergent is set). max_rows
   /// defaults to 32 here to bound the root-side cost on large glues.
-  msa::PolishOptions polish{.fraction = 0.15,
-                            .max_rows = 32,
-                            .passes = 1,
-                            .gaps = {},
-                            .min_gain = 1e-4F};
+  msa::PolishOptions polish{
+      .fraction = 0.15, .max_rows = 32, .passes = 1, .gaps = {}};
 
   /// Externalized-state options: checkpoint.dir enables per-stage artifact
   /// persistence, checkpoint.resume loads completed stages back. Resumed
@@ -77,9 +74,10 @@ struct SampleAlignDConfig {
   stage::CheckpointOptions checkpoint{};
 
   /// Serve repeated per-bucket aligner work (distance matrices, guide
-  /// trees) from the process-wide util::ArtifactCache. Opt-in; never
-  /// changes output. Only applies to the default aligner this config
-  /// constructs — a caller-provided local_aligner manages its own caching.
+  /// trees) from the process-wide util::ArtifactCache. Opt-in (`salign
+  /// serve` sets it); never changes output. Only applies to the default
+  /// aligner this config constructs — a caller-provided local_aligner
+  /// manages its own caching.
   bool use_artifact_cache = false;
 
   /// Wall-clock budget of a run in seconds (`--deadline`; 0 = none). With

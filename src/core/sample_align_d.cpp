@@ -328,7 +328,7 @@ util::Digest128 SampleAlignD::pipeline_hash(
   h.u64(config_.polish.max_rows);
   h.u32(static_cast<std::uint32_t>(config_.polish.passes));
   bio::hash_gaps(h, config_.polish.gaps);
-  h.f64(static_cast<double>(config_.polish.min_gain));
+  h.f64(static_cast<double>(msa::kPolishMinGain));
   bio::hash_matrix(h, bio::SubstitutionMatrix::blosum62());
   config_.local_aligner->hash_config(h);
   // threads is deliberately NOT hashed: any thread count is bit-identical,

@@ -20,18 +20,11 @@ Alignment ClustalWAligner::align(std::span<const bio::Sequence> seqs) const {
 
   const bio::GapPenalties gaps = matrix_->default_gaps();
 
-  // Stage 1: all-pairs distances through the batched drivers.
-  util::SymmetricMatrix<double> d(0);
-  if (options_.distance == ClustalWOptions::Distance::kScore) {
-    align::ScoreDistanceOptions sdo;
-    sdo.threads = options_.threads;
-    d = align::score_distance_matrix(seqs, *matrix_, gaps, sdo);
-  } else {
-    align::PairDistanceOptions pdo;
-    pdo.band = options_.pairwise_band;
-    pdo.threads = options_.threads;
-    d = align::alignment_distance_matrix(seqs, *matrix_, gaps, pdo);
-  }
+  // Stage 1: all-pairs Kimura distances through the batched driver.
+  align::PairDistanceOptions pdo;
+  pdo.threads = options_.threads;
+  const util::SymmetricMatrix<double> d =
+      align::alignment_distance_matrix(seqs, *matrix_, gaps, pdo);
 
   // Stage 2 + 3: NJ tree and branch-proportional weights.
   const GuideTree tree = GuideTree::neighbor_joining(d);

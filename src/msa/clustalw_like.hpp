@@ -7,26 +7,10 @@ namespace salign::msa {
 
 /// Configuration of the CLUSTALW-style aligner.
 struct ClustalWOptions {
-  /// Band half-width for the O(L^2) pairwise distance pass (0 = full DP).
-  /// A modest band accelerates the N^2 pairwise stage with negligible
-  /// distance error on homologous inputs.
-  std::size_t pairwise_band = 0;
   /// Worker threads of the stage-1 distance matrix and of the stage-4
   /// progressive merge schedule (1 = serial). Any value produces
   /// bit-identical alignments — both passes are deterministic.
   unsigned threads = 1;
-  /// Distance source of the guide tree.
-  enum class Distance : std::uint8_t {
-    /// Classic CLUSTALW: full pairwise alignments -> fractional identity ->
-    /// Kimura correction. The default; matches the historical output
-    /// exactly.
-    kKimura,
-    /// Score-only distances through the striped integer engine
-    /// (align::score_distance_matrix): no tracebacks, one query profile
-    /// per row — several times faster, slightly different guide trees.
-    kScore,
-  };
-  Distance distance = Distance::kKimura;
 };
 
 /// "MiniClustal": a from-scratch CLUSTALW-style progressive aligner

@@ -14,6 +14,10 @@ namespace salign::msa {
 
 namespace {
 
+/// Base DP band half-width of an FFT-anchored merge; fft_band widens it by
+/// the correlation peak's offset.
+constexpr std::size_t kBaseBand = 24;
+
 // Grantham (Science 1974) side-chain volume and polarity, indexed by the
 // amino-acid alphabet order A R N D C Q E G H I L K M F P S T W Y V; the
 // wildcard X gets the mean. Katoh et al. correlate exactly these two
@@ -64,8 +68,7 @@ std::vector<double> property_signal(const Alignment& aln,
 
 /// FFT anchor: correlation peak offset between the two groups' property
 /// signals. Returns the band half-width to use for the merge.
-std::size_t fft_band(const Alignment& a, const Alignment& b,
-                     std::size_t base_band) {
+std::size_t fft_band(const Alignment& a, const Alignment& b) {
   if (a.num_cols() < 8 || b.num_cols() < 8) return 0;  // full DP for tiny
   const std::vector<double> av = property_signal(a, kVolume);
   const std::vector<double> ap = property_signal(a, kPolarity);
@@ -86,7 +89,7 @@ std::size_t fft_band(const Alignment& a, const Alignment& b,
   // Lag (b_len - 1) is zero shift; the band must cover the peak offset.
   const auto zero = static_cast<long>(b.num_cols()) - 1;
   const long delta = static_cast<long>(arg) - zero;
-  return base_band + static_cast<std::size_t>(std::labs(delta));
+  return kBaseBand + static_cast<std::size_t>(std::labs(delta));
 }
 
 }  // namespace
@@ -105,8 +108,10 @@ Alignment MafftAligner::align(std::span<const bio::Sequence> seqs) const {
   if (seqs.empty()) throw std::invalid_argument("MafftAligner: no sequences");
   if (seqs.size() == 1) return Alignment::from_sequence(seqs[0]);
 
+  // MAFFT counts 6-mers; on our compressed alphabet the default k = 4 gives
+  // a comparable space.
   const util::SymmetricMatrix<double> kd =
-      kmer::distance_matrix(seqs, options_.kmer, options_.threads);
+      kmer::distance_matrix(seqs, kmer::KmerParams{}, options_.threads);
   const GuideTree tree = GuideTree::upgma(kd);
 
   ProgressiveOptions po;
@@ -114,9 +119,8 @@ Alignment MafftAligner::align(std::span<const bio::Sequence> seqs) const {
   po.weights = tree.leaf_weights();
   po.threads = options_.threads;
   if (options_.use_fft) {
-    const std::size_t base = options_.base_band;
-    po.band_provider = [base](const Alignment& a, const Alignment& b) {
-      return fft_band(a, b, base);
+    po.band_provider = [](const Alignment& a, const Alignment& b) {
+      return fft_band(a, b);
     };
   }
   // Rows in input order: leaf i == sequence i == row i afterwards.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "bio/substitution_matrix.hpp"
-#include "kmer/kmer_profile.hpp"
 #include "msa/msa_algorithm.hpp"
 
 namespace salign::msa {
@@ -17,11 +16,6 @@ struct MafftOptions {
   bool use_fft = true;
   /// Iterative refinement sweeps (the "-i" suffix in FFTNSI/NWNSI).
   int refine_passes = 2;
-  /// Base DP band half-width when FFT anchoring is active.
-  std::size_t base_band = 24;
-  /// k-mer distance parameters of the guide-tree stage (MAFFT counts
-  /// 6-mers; on our compressed alphabet k = 4 gives a comparable space).
-  kmer::KmerParams kmer{};
   /// Worker threads (1 = serial) of the k-mer distance pass and the
   /// progressive merge schedule (the FFT band provider is pure, so
   /// concurrent merges are safe). Any value produces bit-identical

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "bio/sequence.hpp"
 #include "msa/alignment.hpp"
@@ -38,6 +40,16 @@ class MsaAlgorithm {
   /// free parameters (MuscleAligner) override it.
   virtual void hash_config(util::StableHash& h) const { h.str(name()); }
 };
+
+/// Most sequences one TCoffeeAligner or ProbConsAligner call accepts: their
+/// consistency libraries hold O(N^2 L) residue pairs. PREFAB-style sets
+/// (20-30 sequences), the regime the paper evaluates them in, fit easily.
+inline constexpr std::size_t kMaxConsistencySequences = 64;
+
+/// Throws the std::invalid_argument of a consistency aligner given `n` >
+/// kMaxConsistencySequences sequences; the message names the cap and the
+/// remedies. Returns when `n` is within the cap.
+void check_consistency_cap(std::string_view aligner, std::size_t n);
 
 /// The default sequential aligner used by the pipeline (MiniMuscle with the
 /// paper's configuration: k-mer distances, UPGMA, PSP progressive pass,

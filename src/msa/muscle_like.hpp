@@ -40,9 +40,9 @@ struct MuscleOptions {
   /// util::ArtifactCache::process_cache(), keyed by the content hash of
   /// (options, matrix, input sequences); the progressive alignments are
   /// always recomputed. Off by default: repeated-alignment workloads opt in
-  /// (`salign align --cache`). Hits decode through the same codecs a cold
-  /// run's artifacts were encoded with, so cached and fresh runs are
-  /// bit-identical.
+  /// (`salign serve`, library embedders). Hits decode through the same
+  /// codecs a cold run's artifacts were encoded with, so cached and fresh
+  /// runs are bit-identical.
   bool use_artifact_cache = false;
 };
 

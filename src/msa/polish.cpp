@@ -129,7 +129,7 @@ std::size_t polish_divergent_rows(Alignment& aln,
           new_contrib +=
               induced_pair_score(candidate, r, o, matrix, opts.gaps);
 
-      if (new_contrib > old_contrib + opts.min_gain) {
+      if (new_contrib > old_contrib + kPolishMinGain) {
         aln = std::move(candidate);
         ++accepted;
         ++accepted_this_pass;

@@ -8,6 +8,10 @@
 
 namespace salign::msa {
 
+/// Minimum sum-of-pairs gain for polish_divergent_rows to accept a
+/// re-alignment (guards churn and float noise).
+inline constexpr float kPolishMinGain = 1e-4F;
+
 /// Options of the divergent-row polish pass.
 struct PolishOptions {
   /// Fraction of rows (the lowest-scoring ones) considered divergent and
@@ -20,9 +24,6 @@ struct PolishOptions {
   int passes = 1;
   /// Gap penalties of the row-vs-profile re-alignment.
   bio::GapPenalties gaps;
-  /// Minimum PSP objective gain to accept a re-alignment (guards churn and
-  /// float noise).
-  float min_gain = 1e-4F;
 };
 
 /// Per-row fit diagnostic: the occupancy-weighted mean PSP score of the
@@ -36,8 +37,8 @@ struct PolishOptions {
 /// heuristic, §5): each pass ranks rows by row_profile_scores, takes the
 /// worst `fraction` (capped by `max_rows`), and re-aligns each such row
 /// against the profile of the remaining rows; a re-alignment is kept only
-/// when the PSP objective of the (row vs rest) split improves by at least
-/// `min_gain`. Row order and degapped row contents are preserved.
+/// when the sum-of-pairs score of the row's pairs improves by more than
+/// kPolishMinGain. Row order and degapped row contents are preserved.
 ///
 /// Returns the number of accepted re-alignments across all passes.
 std::size_t polish_divergent_rows(Alignment& aln,

@@ -1,6 +1,7 @@
 #include "msa/probcons_like.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "align/distance.hpp"
 #include "msa/guide_tree.hpp"
+#include "msa/pairhmm.hpp"
 #include "msa/profile_align.hpp"
 #include "msa/tree_schedule.hpp"
 #include "util/matrix.hpp"
@@ -19,6 +21,11 @@ namespace {
 
 using align::EditOp;
 using bio::Sequence;
+
+/// Pair-HMM parameters (transitions, emission temperature, sparsity).
+constexpr PairHmmParams kHmm{};
+/// Seed of the deterministic bipartition choice of the refinement stage.
+constexpr std::uint64_t kRefineSeed = 11;
 
 /// Ordered-pair table of sparse posteriors: post(x, y) has |x| rows and
 /// |y| columns; the diagonal is unused.
@@ -190,8 +197,6 @@ std::vector<EditOp> mea_merge_path(const Alignment& a, const Alignment& b,
 ProbConsAligner::ProbConsAligner(ProbConsOptions options,
                                  const bio::SubstitutionMatrix& matrix)
     : options_(std::move(options)), matrix_(&matrix) {
-  if (options_.max_sequences < 2)
-    throw std::invalid_argument("ProbConsAligner: max_sequences must be >= 2");
   if (options_.consistency_reps < 0 || options_.refine_passes < 0)
     throw std::invalid_argument("ProbConsAligner: negative repetition count");
 }
@@ -199,17 +204,14 @@ ProbConsAligner::ProbConsAligner(ProbConsOptions options,
 Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
   if (seqs.empty())
     throw std::invalid_argument("ProbConsAligner: no sequences");
-  if (seqs.size() > options_.max_sequences)
-    throw std::invalid_argument(
-        "ProbConsAligner: input exceeds max_sequences (" +
-        std::to_string(options_.max_sequences) + ")");
+  check_consistency_cap("ProbConsAligner", seqs.size());
   for (const Sequence& s : seqs)
     if (s.empty())
       throw std::invalid_argument("ProbConsAligner: empty sequence " + s.id());
   if (seqs.size() == 1) return Alignment::from_sequence(seqs[0]);
 
   const std::size_t n = seqs.size();
-  const PairHmm hmm(*matrix_, options_.hmm);
+  const PairHmm hmm(*matrix_, kHmm);
 
   // Stage 1: pairwise posteriors (and expected-accuracy distances) — the
   // heavy O(N^2 L^2) distance pass, threaded through the shared all-pairs
@@ -231,7 +233,7 @@ Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
 
   // Stage 3: consistency transform.
   for (int rep = 0; rep < options_.consistency_reps; ++rep)
-    post = relax(post, options_.hmm.posterior_cutoff);
+    post = relax(post, kHmm.posterior_cutoff);
 
   // Stage 4: progressive MEA alignment along the tree. Merges of
   // independent subtrees run concurrently (the posterior table is read-only
@@ -265,7 +267,7 @@ Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
 
   // Stage 5: random-bipartition iterative refinement (accepted
   // unconditionally, as in ProbCons).
-  util::Rng rng(options_.refine_seed);
+  util::Rng rng(kRefineSeed);
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     std::vector<std::size_t> ga;
     std::vector<std::size_t> gb;

@@ -1,18 +1,12 @@
 #pragma once
 
-#include <cstdint>
-
 #include "bio/substitution_matrix.hpp"
 #include "msa/msa_algorithm.hpp"
-#include "msa/pairhmm.hpp"
 
 namespace salign::msa {
 
 /// Configuration of the ProbCons-style aligner.
 struct ProbConsOptions {
-  /// Posterior storage is O(N² L); inputs larger than this are rejected.
-  /// The PREFAB-style sets (20-30 sequences) fit comfortably.
-  std::size_t max_sequences = 64;
   /// Rounds of the probabilistic consistency transform
   /// P'(x,y) = (1/N) Σ_z P(x,z)·P(z,y). ProbCons defaults to 2.
   int consistency_reps = 2;
@@ -20,10 +14,6 @@ struct ProbConsOptions {
   /// alignment (ProbCons stage 4); each pass re-aligns a random row split
   /// under the posterior objective and accepts unconditionally.
   int refine_passes = 2;
-  /// Seed of the deterministic bipartition choice.
-  std::uint64_t refine_seed = 11;
-  /// Pair-HMM parameters (transitions, emission temperature, sparsity).
-  PairHmmParams hmm{};
   /// Worker threads of the stage-1 posterior/distance pass and of the
   /// stage-4 progressive MEA merge schedule (1 = serial). Each pair's
   /// posterior is independent and each merge is a pure function of its
@@ -44,6 +34,9 @@ struct ProbConsOptions {
 ///   4. progressive alignment maximizing the sum of matched posteriors
 ///      (gap moves are free — the maximum-expected-accuracy objective);
 ///   5. random-bipartition iterative refinement under the same objective.
+///
+/// The pair-HMM runs at its default PairHmmParams. Posterior storage is
+/// O(N² L), so inputs over kMaxConsistencySequences sequences are rejected.
 ///
 /// This is an extension beyond the paper's Table 2 set: it exercises the
 /// Sample-Align-D pipeline with a consistency-based local aligner and

@@ -12,6 +12,10 @@ namespace salign::msa {
 
 namespace {
 
+/// Minimum gain, of the PSP objective and of the cross-group SP score, for
+/// a re-alignment to be kept (guards float noise and churn).
+constexpr float kMinGain = 1e-4F;
+
 std::vector<double> gather_weights(std::span<const double> weights,
                                    std::span<const std::size_t> rows) {
   std::vector<double> out;
@@ -78,7 +82,7 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
           implied_path(aln, group_a, group_b);
       const float current_score = score_profile_path(pa, pb, current, po);
       const ProfileAlignResult fresh = align_profiles(pa, pb, po);
-      if (fresh.score <= current_score + opts.min_gain) continue;
+      if (fresh.score <= current_score + kMinGain) continue;
 
       // Candidate alignment in the original row order.
       const Alignment merged = merge_alignments(sub_a, sub_b, fresh.ops);
@@ -98,7 +102,7 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
         for (const std::size_t rb : group_b)
           delta += induced_pair_score(candidate, ra, rb, matrix, opts.gaps) -
                    induced_pair_score(aln, ra, rb, matrix, opts.gaps);
-      if (delta <= opts.min_gain) continue;
+      if (delta <= kMinGain) continue;
 
       aln = std::move(candidate);
       ++accepted;

@@ -15,17 +15,15 @@ struct RefineOptions {
   /// Full sweeps over all internal edges.
   int passes = 1;
   bio::GapPenalties gaps;
-  /// Minimum score improvement to accept a re-alignment (guards float
-  /// noise / churn); applies to both the PSP and the SP gain.
-  float min_gain = 1e-4F;
 };
 
 /// Refines `aln` by repeatedly deleting a guide-tree edge, splitting the
 /// rows into the two leaf sets, degapping each side and re-aligning the two
 /// profiles. The profile DP proposes the re-alignment; it is kept only when
 /// its PSP objective improves on the incumbent path's score *and* the
-/// cross-group sum-of-pairs score improves too (the SP check costs
-/// O(|A|·|B|·cols) per candidate). Row order of `aln` is preserved.
+/// cross-group sum-of-pairs score improves too, each by more than 1e-4 to
+/// rule out float noise and churn (the SP check costs O(|A|·|B|·cols) per
+/// candidate). Row order of `aln` is preserved.
 ///
 /// `tree` must be the guide tree over the same sequences; `row_of_leaf[l]`
 /// maps the tree's leaf index `l` to the alignment row carrying that

@@ -15,6 +15,11 @@ namespace salign::msa {
 
 namespace {
 
+/// Gap penalties of the consistency DP. T-Coffee relies on the extended
+/// library to place gaps and uses a small opening penalty on its 0-100
+/// identity-weighted scores.
+constexpr bio::GapPenalties kConsistencyGaps{50.0F, 1.0F};
+
 /// One library edge: residue x of sequence s is supported as homologous to
 /// residue `pos` of sequence `seq` with weight `w`.
 struct LibEdge {
@@ -112,10 +117,7 @@ TCoffeeAligner::TCoffeeAligner(TCoffeeOptions options,
 Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
   if (seqs.empty()) throw std::invalid_argument("TCoffeeAligner: no sequences");
   if (seqs.size() == 1) return Alignment::from_sequence(seqs[0]);
-  if (seqs.size() > options_.max_sequences)
-    throw std::invalid_argument(
-        "TCoffeeAligner: input exceeds max_sequences (consistency library "
-        "is quadratic; raise TCoffeeOptions::max_sequences explicitly)");
+  check_consistency_cap("TCoffeeAligner", seqs.size());
   if (seqs.size() > 0xFFFF || [&] {
         for (const auto& s : seqs)
           if (s.size() > 0xFFFF) return true;
@@ -134,13 +136,13 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
   for (std::size_t i = 0; i < n; ++i) primary[i].resize(seqs[i].size());
   align::PairDistanceOptions pdo;
   pdo.threads = options_.threads;
-  pdo.with_local = options_.add_local_library;
+  pdo.with_local = true;
   const util::SymmetricMatrix<double> dist = align::alignment_distance_matrix(
       seqs, *matrix_, gaps, pdo,
       [&](std::size_t i, std::size_t j, const align::PairAlignments& pair) {
         add_pair_alignment(primary, i, j, seqs[i].codes(), seqs[j].codes(),
                            pair.global.ops, 0, 0);
-        if (options_.add_local_library && !pair.local.ops.empty())
+        if (!pair.local.ops.empty())
           add_pair_alignment(primary, i, j, seqs[i].codes(), seqs[j].codes(),
                              pair.local.ops, pair.local.a_begin,
                              pair.local.b_begin);
@@ -214,7 +216,7 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
       occ_b[c] = pr.occupancy(c);
 
     ProfileAlignOptions po;
-    po.gaps = bio::GapPenalties{options_.gap_open, options_.gap_extend};
+    po.gaps = kConsistencyGaps;
     const ProfileAlignResult res = detail::profile_dp_wavefront(
         left.num_cols(), right.num_cols(), detail::DenseRowScorer{&score, norm},
         occ_a, occ_b, po);

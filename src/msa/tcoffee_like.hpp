@@ -7,19 +7,6 @@ namespace salign::msa {
 
 /// Configuration of the T-Coffee-style aligner.
 struct TCoffeeOptions {
-  /// Consistency scoring is O(N^2 L) in memory for the extended library;
-  /// inputs larger than this are rejected. PREFAB-style sets (20-30
-  /// sequences) — the regime the paper evaluates T-Coffee in — fit easily.
-  std::size_t max_sequences = 64;
-  /// Include one local (Smith–Waterman) alignment per pair in the primary
-  /// library alongside the global one (T-Coffee mixes ClustalW + Lalign
-  /// sources; we use our own kernels).
-  bool add_local_library = true;
-  /// Gap penalties of the consistency DP. T-Coffee relies on the extended
-  /// library to place gaps and uses a small opening penalty on its
-  /// 0-100 identity-weighted scores.
-  float gap_open = 50.0F;
-  float gap_extend = 1.0F;
   /// Worker threads of the stage-1 pairwise library/distance pass and of
   /// the stage-3 progressive merge schedule (1 = serial). The library is
   /// assembled serially in deterministic pair order and each merge is a
@@ -31,13 +18,16 @@ struct TCoffeeOptions {
 /// "MiniCoffee": a from-scratch consistency-based aligner following
 /// T-Coffee (Notredame, Higgins & Heringa, JMB 2000), a Table 2 comparator:
 ///
-///   1. primary library: every pair globally (and optionally locally)
-///      aligned; each aligned residue pair enters the library weighted by
-///      the alignment's percent identity;
+///   1. primary library: every pair aligned globally and locally (T-Coffee
+///      mixes ClustalW + Lalign sources; we use our own kernels); each
+///      aligned residue pair enters the library weighted by the alignment's
+///      percent identity;
 ///   2. library extension through intermediate sequences
 ///      (min-of-two-weights triplet rule);
 ///   3. progressive alignment maximizing extended-library consistency
 ///      instead of substitution scores.
+///
+/// Inputs over kMaxConsistencySequences sequences are rejected.
 class TCoffeeAligner final : public MsaAlgorithm {
  public:
   explicit TCoffeeAligner(TCoffeeOptions options = {},

@@ -23,11 +23,12 @@ namespace salign::util {
 /// guarantees rather than needing separate reasoning.
 ///
 /// A process-wide instance (process_cache()) lets repeated in-process runs
-/// (the library embedding case, and the planned `salign serve`) reuse guide
-/// trees, distance matrices, and finished profiles/alignments keyed by
-/// sequence-set hash. It starts *disabled*; opting in is explicit
-/// (SampleAlignDConfig::use_artifact_cache, MuscleOptions::use_artifact_cache,
-/// `salign align --cache`).
+/// (`salign serve` and library embedders) reuse guide trees, distance
+/// matrices, and finished profiles/alignments keyed by sequence-set hash.
+/// It starts *disabled*; opting in is explicit
+/// (SampleAlignDConfig::use_artifact_cache, MuscleOptions::use_artifact_cache;
+/// `salign serve` opts in unless given --no-cache). A one-shot
+/// `salign align` never hits: its buckets and ancestor set hash differently.
 class ArtifactCache {
  public:
   using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;

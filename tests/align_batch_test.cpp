@@ -262,25 +262,6 @@ TEST(AlignmentDistanceMatrix, MatchesHistoricalLoopForEveryThreadCount) {
   }
 }
 
-TEST(AlignmentDistanceMatrix, BandedOptionMatchesBandedKernel) {
-  util::Rng rng(0xB9);
-  const auto& m = SubstitutionMatrix::blosum62();
-  const GapPenalties g = m.default_gaps();
-  const auto seqs = random_seqs(rng, 6, 80);
-  PairDistanceOptions opt;
-  opt.band = 16;
-  opt.threads = 2;
-  const auto got = alignment_distance_matrix(seqs, m, g, opt);
-  for (std::size_t i = 1; i < seqs.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j) {
-      const PairwiseAlignment pw = engine::banded_global_align(
-          seqs[i].codes(), seqs[j].codes(), m, g, 16);
-      EXPECT_EQ(kimura_distance(fractional_identity(
-                    seqs[i].codes(), seqs[j].codes(), pw.ops)),
-                got(i, j));
-    }
-}
-
 TEST(AlignmentDistanceMatrix, VisitorRunsSeriallyInPairOrder) {
   util::Rng rng(0xBA);
   const auto& m = SubstitutionMatrix::blosum62();

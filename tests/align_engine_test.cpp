@@ -95,26 +95,6 @@ TEST(EngineDifferential, GlobalMatchesReferenceExactly) {
   }
 }
 
-TEST(EngineDifferential, BandedMatchesReferenceExactly) {
-  util::Rng rng(0xE2);
-  const auto scen = scenarios();
-  for (int trial = 0; trial < 60; ++trial) {
-    const Scenario& sc = scen[trial % scen.size()];
-    const std::size_t la = rng.below(400);
-    const std::size_t lb = rng.below(400);
-    const auto a = random_codes(rng, la, sc.letters);
-    const auto b = random_codes(rng, lb, sc.letters);
-    const GapPenalties g = random_gaps(rng);
-    const std::size_t band = 1 + rng.below(64);
-
-    const PairwiseAlignment ref =
-        engine::reference::banded_global_align(a, b, *sc.matrix, g, band);
-    const PairwiseAlignment got =
-        engine::banded_global_align(a, b, *sc.matrix, g, band);
-    expect_same_pairwise(ref, got, "banded", trial);
-  }
-}
-
 TEST(EngineDifferential, LocalMatchesReferenceExactly) {
   util::Rng rng(0xE3);
   const auto scen = scenarios();
@@ -144,7 +124,7 @@ TEST(EngineDifferential, DegenerateInputsShareOneCodePath) {
   const PairwiseAlignment r1 = engine::global_align(a, empty, m, g);
   EXPECT_EQ(r1.ops, std::vector<EditOp>(3, EditOp::GapInB));
   EXPECT_FLOAT_EQ(r1.score, -13.0F);
-  const PairwiseAlignment r2 = engine::banded_global_align(empty, a, m, g, 4);
+  const PairwiseAlignment r2 = engine::global_align(empty, a, m, g);
   EXPECT_EQ(r2.ops, std::vector<EditOp>(3, EditOp::GapInA));
   EXPECT_FLOAT_EQ(r2.score, -13.0F);
   const PairwiseAlignment r3 = engine::global_align(empty, empty, m, g);

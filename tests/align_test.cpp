@@ -179,61 +179,6 @@ TEST(GlobalAlign, SymmetricScore) {
   EXPECT_FLOAT_EQ(s1, s2);
 }
 
-// ---- banded alignment --------------------------------------------------------------
-
-class BandedTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BandedTest, WideBandMatchesExact) {
-  util::Rng rng(33 + GetParam());
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<std::uint8_t> a(20 + rng.below(20));
-    std::vector<std::uint8_t> b(20 + rng.below(20));
-    for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
-    for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    const PairwiseAlignment exact = engine::global_align(a, b, B62(), {});
-    const PairwiseAlignment banded =
-        engine::banded_global_align(a, b, B62(), {}, 64);
-    EXPECT_FLOAT_EQ(banded.score, exact.score) << "trial " << trial;
-    validate_global_path(banded.ops, a.size(), b.size());
-  }
-}
-
-TEST_P(BandedTest, NarrowBandStillValidPath) {
-  const std::size_t band = GetParam();
-  util::Rng rng(44);
-  std::vector<std::uint8_t> a(60);
-  std::vector<std::uint8_t> b(50);
-  for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
-  for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-  const PairwiseAlignment r =
-      engine::banded_global_align(a, b, B62(), {}, band);
-  validate_global_path(r.ops, a.size(), b.size());
-  // Banded is a restriction: never better than exact.
-  const PairwiseAlignment exact = engine::global_align(a, b, B62(), {});
-  EXPECT_LE(r.score, exact.score + 1e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Bands, BandedTest, ::testing::Values(1, 2, 4, 8, 16));
-
-TEST(BandedAlign, SimilarSequencesExactWithSmallBand) {
-  // One substitution apart: the optimal path hugs the diagonal, so even a
-  // tiny band finds the true optimum.
-  const auto a = codes("MKVLATTWYGGSDERKLAAC");
-  auto bc = codes("MKVLATTWYGGSDERKLAAC");
-  bc[7] = codes("P")[0];
-  const float exact = engine::global_align(a, bc, B62(), {}).score;
-  const float banded = engine::banded_global_align(a, bc, B62(), {}, 2).score;
-  EXPECT_FLOAT_EQ(banded, exact);
-}
-
-TEST(BandedAlign, EmptyInput) {
-  const auto a = codes("ACD");
-  const PairwiseAlignment r =
-      engine::banded_global_align(a, {}, B62(), GapPenalties{11.0F, 1.0F}, 4);
-  EXPECT_EQ(r.a_consumed(), 3u);
-  EXPECT_FLOAT_EQ(r.score, -13.0F);
-}
-
 // ---- local alignment ----------------------------------------------------------------
 
 TEST(LocalAlign, FindsEmbeddedMotif) {

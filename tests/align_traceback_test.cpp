@@ -383,25 +383,6 @@ TEST(DistanceMatrixAligned, VisitorOrderAndPairsPreserved) {
   EXPECT_EQ(p, order.size());
 }
 
-TEST(DistanceMatrixAligned, BandedPassKeepsBandedSemantics) {
-  util::Rng rng(0xC9);
-  const auto seqs = random_family(rng, 6, 40, 90);
-  const auto& m = SubstitutionMatrix::blosum62();
-  const GapPenalties g = m.default_gaps();
-  PairDistanceOptions opt;
-  opt.band = 8;
-  opt.threads = 2;
-  const auto got = alignment_distance_matrix(seqs, m, g, opt);
-  for (std::size_t i = 0; i < seqs.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j) {
-      const PairwiseAlignment aln = engine::reference::banded_global_align(
-          seqs[i].codes(), seqs[j].codes(), m, g, 8);
-      EXPECT_EQ(kimura_distance(fractional_identity(
-                    seqs[i].codes(), seqs[j].codes(), aln.ops)),
-                got(i, j));
-    }
-}
-
 // ---- kimura saturation (shared guide-tree clamp) -------------------------------
 
 TEST(KimuraSaturation, ClampIsConsistentAcrossDrivers) {

@@ -597,6 +597,34 @@ TEST_F(CliTest, ExitCodeDeadlineIs4AndStatesResume) {
   EXPECT_NE(r.err.find("deadline"), std::string::npos);
 }
 
+TEST_F(CliTest, ConsistencyAlignerOverTheCapExits3AndNamesTheRemedies) {
+  const std::string in = path("in.fasta");
+  write_demo_fasta(in, 65);
+  for (const char* name : {"tcoffee", "probcons"}) {
+    SCOPED_TRACE(name);
+    const Result r = run(argv({"align", "--in", in, "--procs", "1",
+                               "--aligner", name}));
+    EXPECT_EQ(r.status, kExitInvalidInput) << r.err;
+    EXPECT_NE(r.err.find("65 sequences exceed the 64-sequence cap"),
+              std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("a larger --procs"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("another --aligner"), std::string::npos) << r.err;
+  }
+  const Result help = run(argv({"align", "--help"}));
+  EXPECT_NE(help.out.find("tcoffee and probcons take at most 64 sequences"),
+            std::string::npos)
+      << help.out;
+}
+
+TEST_F(CliTest, AlignCacheIsUnknownOption) {
+  // A one-shot run never hits the artifact cache; `salign serve` owns it.
+  const std::string in = path("in.fasta");
+  write_demo_fasta(in, 4);
+  const Result r = run(argv({"align", "--in", in, "--cache"}));
+  EXPECT_EQ(r.status, kExitUsage) << r.err;
+}
+
 TEST_F(CliTest, AlignMaxMemoryIsUnknownOption) {
   const std::string in = path("in.fasta");
   write_demo_fasta(in, 4);

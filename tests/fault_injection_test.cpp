@@ -14,6 +14,8 @@
 
 #include "bio/fasta.hpp"
 #include "cli/commands.hpp"
+#include "core/sample_align_d.hpp"
+#include "msa/alignment.hpp"
 #include "util/artifact_cache.hpp"
 #include "util/budget.hpp"
 #include "util/fault_injection.hpp"
@@ -376,9 +378,22 @@ class FaultMatrixTest : public ::testing::Test {
   /// A clean pipeline run (no checkpointing) — the byte-identity reference.
   [[nodiscard]] std::string clean_output(const std::string& threads) const {
     const CliResult r = run_cli({"align", "--in", input_, "--procs", "4",
-                                 "--threads", threads, "--cache"});
+                                 "--threads", threads});
     EXPECT_EQ(r.status, 0) << r.err;
     return r.out;
+  }
+
+  /// The same run through the library with the process-wide artifact cache
+  /// on, as `salign serve` runs its jobs, written as aligned FASTA.
+  [[nodiscard]] std::string cached_output(unsigned threads) const {
+    core::SampleAlignDConfig cfg;
+    cfg.num_procs = 4;
+    cfg.threads = threads;
+    cfg.use_artifact_cache = true;
+    std::ostringstream out;
+    msa::write_aligned_fasta(
+        out, core::SampleAlignD(cfg).align(bio::read_fasta_file(input_)));
+    return out.str();
   }
 
   fs::path dir_;
@@ -386,18 +401,17 @@ class FaultMatrixTest : public ::testing::Test {
 };
 
 TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
-  // Open-ended hard faults at every hardened site. Write-side faults kill
-  // the run (exit 1); read-side and cache faults are recovered in-flight
-  // (quarantine + recompute, cache miss). Either way the checkpoint left
-  // behind must be valid and a clean resume must reproduce the alignment
-  // byte for byte — at one worker thread and several.
+  // Open-ended hard faults at every hardened checkpoint site. Write-side
+  // faults kill the run (exit 1); read-side faults are recovered in-flight
+  // (quarantine + recompute). Either way the checkpoint left behind must be
+  // valid and a clean resume must reproduce the alignment byte for byte —
+  // at one worker thread and several.
   const struct {
     const char* site;
     bool fault_on_resume;  // read-side sites only fire when resuming
     bool run_survives;     // does the faulted run itself still succeed?
   } kMatrix[] = {
       {"checkpoint.write", false, false}, {"manifest.store", false, false},
-      {"cache.insert", false, true},      {"cache.lookup", false, true},
       {"checkpoint.read", true, true},    {"manifest.load", true, true},
   };
   for (const char* threads : {"1", "3"}) {
@@ -407,11 +421,8 @@ TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
       const std::string ckpt = path(std::string("ckpt_") + entry.site +
                                     "_t" + threads);
       const std::vector<std::string> base_args{
-          "align",   "--in",    input_,             "--procs", "4",
-          "--threads", threads, "--cache", "--checkpoint-dir", ckpt};
-      // The process-wide cache would serve hits from earlier runs in this
-      // test binary, starving cache.insert of misses: start cold.
-      util::ArtifactCache::process_cache().clear();
+          "align",     "--in",  input_, "--procs",          "4",
+          "--threads", threads, "--checkpoint-dir", ckpt};
       auto& fi = FaultInjector::instance();
       fi.disarm();
       if (entry.fault_on_resume) {
@@ -440,6 +451,48 @@ TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
                                    << " fault diverged";
     }
   }
+}
+
+TEST_F(FaultMatrixTest, CacheFaultsAreMissesAndKeepOutputByteIdentical) {
+  // Open-ended hard faults at both artifact-cache sites, on a cold cache and
+  // then a warm one. A failed lookup is a miss and a failed insert leaves
+  // the value unshared, so every run must still produce the uncached
+  // alignment byte for byte — at one worker thread and several.
+  auto& cache = util::ArtifactCache::process_cache();
+  auto& fi = FaultInjector::instance();
+  for (const unsigned threads : {1U, 3U}) {
+    const std::string want = clean_output(std::to_string(threads));
+    for (const std::string site : {"cache.insert", "cache.lookup"}) {
+      SCOPED_TRACE(site + " threads=" + std::to_string(threads));
+      const std::string spec = site + ":0:*!";
+
+      // Cold: hits from earlier runs in this binary would starve
+      // cache.insert of misses.
+      cache.clear();
+      fi.arm(spec);
+      const std::string cold = cached_output(threads);
+      const auto cold_stats = fi.stats(site);  // before disarm clears
+      fi.disarm();
+      EXPECT_GT(cold_stats.failures, 0u) << "site never hit — drill is stale";
+      EXPECT_EQ(cold, want);
+
+      // Warm: an unfaulted run fills the cache, then the faulted run
+      // finds every phase there.
+      EXPECT_EQ(cached_output(threads), want);
+      const std::uint64_t hits_before = cache.stats().hits;
+      fi.arm(spec);
+      const std::string warm = cached_output(threads);
+      const auto warm_stats = fi.stats(site);
+      fi.disarm();
+      EXPECT_EQ(warm, want);
+      if (site == "cache.lookup") {
+        EXPECT_GT(warm_stats.failures, 0u);
+      } else {
+        EXPECT_GT(cache.stats().hits, hits_before);
+      }
+    }
+  }
+  cache.clear();
 }
 
 TEST_F(FaultMatrixTest, CliOutputWriteFaultsExitRuntimeOrAreRetried) {
@@ -485,18 +538,36 @@ TEST_F(FaultMatrixTest, MidRunWriteFaultLeavesResumablePrefix) {
 
 TEST_F(FaultMatrixTest, TransientFaultsEverywhereAreAbsorbedSilently) {
   // One transient failure at the first hit of every site: the retry layer
-  // must ride them all out and the run must succeed with clean output.
+  // (or, for the cache sites, a miss) must ride them all out and the run
+  // must succeed with clean output.
   const std::string want = clean_output("2");
   auto& fi = FaultInjector::instance();
   fi.arm(
       "checkpoint.write:0,checkpoint.read:0,manifest.store:0,"
-      "manifest.load:0,cache.insert:0,cache.lookup:0,fasta.read:0");
+      "manifest.load:0,fasta.read:0");
   const CliResult r =
       run_cli({"align", "--in", input_, "--procs", "4", "--threads", "2",
-               "--cache", "--checkpoint-dir", path("ckpt_transient")});
+               "--checkpoint-dir", path("ckpt_transient")});
   fi.disarm();
   ASSERT_EQ(r.status, 0) << r.err;
   EXPECT_EQ(r.out, want);
+
+  // The cache sites, through the library: cold, then warm.
+  auto& cache = util::ArtifactCache::process_cache();
+  cache.clear();
+  for (int run = 0; run < 2; ++run) {
+    fi.arm("cache.insert:0,cache.lookup:0");
+    const std::string cached = cached_output(2);
+    const auto insert_stats = fi.stats("cache.insert");
+    const auto lookup_stats = fi.stats("cache.lookup");
+    fi.disarm();
+    EXPECT_EQ(cached, want) << "run " << run;
+    EXPECT_EQ(lookup_stats.failures, 1u) << "run " << run;
+    if (run == 0) {
+      EXPECT_EQ(insert_stats.failures, 1u);
+    }
+  }
+  cache.clear();
 }
 
 // ---- deadline / cancellation through the pipeline ---------------------------

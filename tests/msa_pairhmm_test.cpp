@@ -9,6 +9,7 @@
 #include "msa/muscle_like.hpp"
 #include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
+#include "util/string_util.hpp"
 #include "workload/evolver.hpp"
 
 namespace salign::msa {
@@ -337,18 +338,14 @@ TEST(PairHmm, CheckpointedForwardShortSequences) {
 // ---- ProbConsAligner specifics ----------------------------------------------
 
 TEST(ProbConsAligner, RejectsOversizedInput) {
-  ProbConsOptions o;
-  o.max_sequences = 3;
-  std::vector<Sequence> seqs{aa("a", "ACDEF"), aa("b", "ACDFF"),
-                             aa("c", "ACEFF"), aa("d", "ACEEF")};
-  EXPECT_THROW((void)ProbConsAligner(o).align(seqs), std::invalid_argument);
+  std::vector<Sequence> seqs;
+  for (std::size_t i = 0; i <= kMaxConsistencySequences; ++i)
+    seqs.push_back(aa(util::indexed_name("s", i), "ACDEF"));
+  EXPECT_THROW((void)ProbConsAligner().align(seqs), std::invalid_argument);
 }
 
 TEST(ProbConsAligner, RejectsInvalidOptions) {
   ProbConsOptions o;
-  o.max_sequences = 1;
-  EXPECT_THROW(ProbConsAligner{o}, std::invalid_argument);
-  o = ProbConsOptions{};
   o.consistency_reps = -1;
   EXPECT_THROW(ProbConsAligner{o}, std::invalid_argument);
   o = ProbConsOptions{};

@@ -116,8 +116,8 @@ TEST(PolishDivergent, PreservesRowOrderAndContents) {
 }
 
 TEST(PolishDivergent, NeverLowersSpScore) {
-  // Acceptance is gated on the PSP objective of the (row vs rest) split;
-  // the SP score of the whole alignment tracks it.
+  // Acceptance is gated on the SP gain of the re-aligned row's pairs, the
+  // only pairs a re-alignment changes, so the whole SP score cannot fall.
   workload::EvolveParams ep;
   ep.num_sequences = 9;
   ep.root_length = 50;

@@ -166,152 +166,6 @@ PairwiseAlignment global_align(std::span<const std::uint8_t> a,
   return out;
 }
 
-PairwiseAlignment banded_global_align(std::span<const std::uint8_t> a,
-                                      std::span<const std::uint8_t> b,
-                                      const bio::SubstitutionMatrix& matrix,
-                                      bio::GapPenalties gaps,
-                                      std::size_t band) {
-  const std::size_t m = a.size();
-  const std::size_t n = b.size();
-
-  PairwiseAlignment out;
-  if (m == 0 || n == 0) {
-    out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
-    if (!out.ops.empty())
-      out.score = -(gaps.open +
-                    gaps.extend * static_cast<float>(out.ops.size() - 1));
-    return out;
-  }
-
-  // Widen the band by the length difference so the (m, n) corner is always
-  // inside it regardless of shear.
-  const std::size_t diff = m > n ? m - n : n - m;
-  const std::size_t eff_band = std::max<std::size_t>(band, 1) + diff;
-
-  auto j_lo = [&](std::size_t i) -> std::size_t {
-    const auto center = static_cast<std::size_t>(
-        static_cast<double>(i) * static_cast<double>(n) /
-        static_cast<double>(m));
-    return center > eff_band ? center - eff_band : 0;
-  };
-  auto j_hi = [&](std::size_t i) -> std::size_t {
-    const auto center = static_cast<std::size_t>(
-        static_cast<double>(i) * static_cast<double>(n) /
-        static_cast<double>(m));
-    return std::min(n, center + eff_band);
-  };
-
-  std::vector<float> prev_m(n + 1, kNegInf), prev_x(n + 1, kNegInf),
-      prev_y(n + 1, kNegInf);
-  std::vector<float> cur_m(n + 1, kNegInf), cur_x(n + 1, kNegInf),
-      cur_y(n + 1, kNegInf);
-  util::Matrix<Cell> trace(m + 1, n + 1);
-
-  prev_m[0] = 0.0F;
-  for (std::size_t j = 1; j <= j_hi(0); ++j) {
-    prev_x[j] = -(gaps.open + gaps.extend * static_cast<float>(j - 1));
-    trace(0, j).came_from[kX] = kX;
-  }
-
-  for (std::size_t i = 1; i <= m; ++i) {
-    const std::size_t lo = j_lo(i);
-    const std::size_t hi = j_hi(i);
-    std::fill(cur_m.begin(), cur_m.end(), kNegInf);
-    std::fill(cur_x.begin(), cur_x.end(), kNegInf);
-    std::fill(cur_y.begin(), cur_y.end(), kNegInf);
-    if (lo == 0) {
-      cur_y[0] = -(gaps.open + gaps.extend * static_cast<float>(i - 1));
-      trace(i, 0).came_from[kY] = kY;
-    }
-
-    for (std::size_t j = std::max<std::size_t>(lo, 1); j <= hi; ++j) {
-      Cell& t = trace(i, j);
-
-      const float sub = matrix.score(a[i - 1], b[j - 1]);
-      float best = prev_m[j - 1];
-      std::uint8_t from = kM;
-      if (prev_x[j - 1] > best) {
-        best = prev_x[j - 1];
-        from = kX;
-      }
-      if (prev_y[j - 1] > best) {
-        best = prev_y[j - 1];
-        from = kY;
-      }
-      cur_m[j] = best > kNegInf / 2 ? best + sub : kNegInf;
-      t.came_from[kM] = from;
-
-      const float open_x = cur_m[j - 1] - gaps.open;
-      const float ext_x = cur_x[j - 1] - gaps.extend;
-      const float via_y = cur_y[j - 1] - gaps.open;
-      if (ext_x >= open_x && ext_x >= via_y) {
-        cur_x[j] = ext_x;
-        t.came_from[kX] = kX;
-      } else if (open_x >= via_y) {
-        cur_x[j] = open_x;
-        t.came_from[kX] = kM;
-      } else {
-        cur_x[j] = via_y;
-        t.came_from[kX] = kY;
-      }
-
-      const float open_y = prev_m[j] - gaps.open;
-      const float ext_y = prev_y[j] - gaps.extend;
-      const float via_x = prev_x[j] - gaps.open;
-      if (ext_y >= open_y && ext_y >= via_x) {
-        cur_y[j] = ext_y;
-        t.came_from[kY] = kY;
-      } else if (open_y >= via_x) {
-        cur_y[j] = open_y;
-        t.came_from[kY] = kM;
-      } else {
-        cur_y[j] = via_x;
-        t.came_from[kY] = kX;
-      }
-    }
-    std::swap(prev_m, cur_m);
-    std::swap(prev_x, cur_x);
-    std::swap(prev_y, cur_y);
-  }
-
-  std::uint8_t state = kM;
-  float best = prev_m[n];
-  if (prev_x[n] > best) {
-    best = prev_x[n];
-    state = kX;
-  }
-  if (prev_y[n] > best) {
-    best = prev_y[n];
-    state = kY;
-  }
-  out.score = best;
-
-  std::size_t i = m;
-  std::size_t j = n;
-  while (i > 0 || j > 0) {
-    const std::uint8_t from = trace(i, j).came_from[state];
-    switch (state) {
-      case kM:
-        out.ops.push_back(EditOp::Match);
-        --i;
-        --j;
-        break;
-      case kX:
-        out.ops.push_back(EditOp::GapInA);
-        --j;
-        break;
-      case kY:
-        out.ops.push_back(EditOp::GapInB);
-        --i;
-        break;
-      default: break;
-    }
-    state = from;
-  }
-  std::reverse(out.ops.begin(), out.ops.end());
-  return out;
-}
-
 LocalAlignment local_align(std::span<const std::uint8_t> a,
                            std::span<const std::uint8_t> b,
                            const bio::SubstitutionMatrix& matrix,

@@ -20,11 +20,6 @@ namespace salign::align::engine::reference {
                                              const bio::SubstitutionMatrix& matrix,
                                              bio::GapPenalties gaps);
 
-[[nodiscard]] PairwiseAlignment banded_global_align(
-    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-    const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band);
-
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,
                                          const bio::SubstitutionMatrix& matrix,
