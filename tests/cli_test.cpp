@@ -617,19 +617,16 @@ TEST_F(CliTest, ConsistencyAlignerOverTheCapExits3AndNamesTheRemedies) {
       << help.out;
 }
 
-TEST_F(CliTest, AlignCacheIsUnknownOption) {
-  // A one-shot run never hits the artifact cache; `salign serve` owns it.
+TEST_F(CliTest, AlignRemovedOptionsAreUnknown) {
+  // A one-shot run never hits the artifact cache, so `align` takes no
+  // --cache; `salign serve` owns the cache.
   const std::string in = path("in.fasta");
   write_demo_fasta(in, 4);
-  const Result r = run(argv({"align", "--in", in, "--cache"}));
-  EXPECT_EQ(r.status, kExitUsage) << r.err;
-}
-
-TEST_F(CliTest, AlignMaxMemoryIsUnknownOption) {
-  const std::string in = path("in.fasta");
-  write_demo_fasta(in, 4);
-  const Result r = run(argv({"align", "--in", in, "--max-memory", "1g"}));
-  EXPECT_EQ(r.status, kExitUsage) << r.err;
+  for (const auto& args : {argv({"align", "--in", in, "--max-memory", "1g"}),
+                           argv({"align", "--in", in, "--cache"})}) {
+    const Result r = run(args);
+    EXPECT_EQ(r.status, kExitUsage) << args[3] << ": " << r.err;
+  }
 }
 
 // ---- duration parsing -------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include "bio/fasta.hpp"
 #include "cli/commands.hpp"
+#include "core/pipeline_stats.hpp"
 #include "core/sample_align_d.hpp"
 #include "msa/alignment.hpp"
 #include "util/artifact_cache.hpp"
@@ -384,16 +385,35 @@ class FaultMatrixTest : public ::testing::Test {
   }
 
   /// The same run through the library with the process-wide artifact cache
-  /// on, as `salign serve` runs its jobs, written as aligned FASTA.
-  [[nodiscard]] std::string cached_output(unsigned threads) const {
+  /// on, written as aligned FASTA. With `ckpt` set it checkpoints there and,
+  /// with `resume`, loads completed stages back — as `salign serve` runs
+  /// every job.
+  [[nodiscard]] std::string cached_output(
+      unsigned threads, const std::string& ckpt = {}, bool resume = false,
+      core::PipelineStats* stats = nullptr) const {
     core::SampleAlignDConfig cfg;
     cfg.num_procs = 4;
     cfg.threads = threads;
     cfg.use_artifact_cache = true;
+    cfg.checkpoint.dir = ckpt;
+    cfg.checkpoint.resume = resume;
     std::ostringstream out;
     msa::write_aligned_fasta(
-        out, core::SampleAlignD(cfg).align(bio::read_fasta_file(input_)));
+        out,
+        core::SampleAlignD(cfg).align(bio::read_fasta_file(input_), stats));
     return out.str();
+  }
+
+  /// A clean resume from the checkpoint a faulted run left in `ckpt`: every
+  /// stage must load back and the output must be `want` byte for byte.
+  void expect_clean_resume(unsigned threads, const std::string& ckpt,
+                           const std::string& want) const {
+    core::PipelineStats stats;
+    EXPECT_EQ(cached_output(threads, ckpt, /*resume=*/true, &stats), want)
+        << "resume from " << ckpt << " diverged";
+    ASSERT_FALSE(stats.stages.empty());
+    for (const auto& stage : stats.stages)
+      EXPECT_TRUE(stage.resumed) << stage.name << " was recomputed";
   }
 
   fs::path dir_;
@@ -455,9 +475,10 @@ TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
 
 TEST_F(FaultMatrixTest, CacheFaultsAreMissesAndKeepOutputByteIdentical) {
   // Open-ended hard faults at both artifact-cache sites, on a cold cache and
-  // then a warm one. A failed lookup is a miss and a failed insert leaves
-  // the value unshared, so every run must still produce the uncached
-  // alignment byte for byte — at one worker thread and several.
+  // then a warm one, in checkpointed runs. A failed lookup is a miss and a
+  // failed insert leaves the value unshared, so every run must still produce
+  // the uncached alignment byte for byte, and the checkpoint it leaves must
+  // resume to the same bytes — at one worker thread and several.
   auto& cache = util::ArtifactCache::process_cache();
   auto& fi = FaultInjector::instance();
   for (const unsigned threads : {1U, 3U}) {
@@ -465,23 +486,26 @@ TEST_F(FaultMatrixTest, CacheFaultsAreMissesAndKeepOutputByteIdentical) {
     for (const std::string site : {"cache.insert", "cache.lookup"}) {
       SCOPED_TRACE(site + " threads=" + std::to_string(threads));
       const std::string spec = site + ":0:*!";
+      const std::string ckpt =
+          path("ckpt_" + site + "_t" + std::to_string(threads));
 
       // Cold: hits from earlier runs in this binary would starve
       // cache.insert of misses.
       cache.clear();
       fi.arm(spec);
-      const std::string cold = cached_output(threads);
+      const std::string cold = cached_output(threads, ckpt + "_cold");
       const auto cold_stats = fi.stats(site);  // before disarm clears
       fi.disarm();
       EXPECT_GT(cold_stats.failures, 0u) << "site never hit — drill is stale";
       EXPECT_EQ(cold, want);
+      expect_clean_resume(threads, ckpt + "_cold", want);
 
       // Warm: an unfaulted run fills the cache, then the faulted run
       // finds every phase there.
       EXPECT_EQ(cached_output(threads), want);
       const std::uint64_t hits_before = cache.stats().hits;
       fi.arm(spec);
-      const std::string warm = cached_output(threads);
+      const std::string warm = cached_output(threads, ckpt + "_warm");
       const auto warm_stats = fi.stats(site);
       fi.disarm();
       EXPECT_EQ(warm, want);
@@ -490,6 +514,7 @@ TEST_F(FaultMatrixTest, CacheFaultsAreMissesAndKeepOutputByteIdentical) {
       } else {
         EXPECT_GT(cache.stats().hits, hits_before);
       }
+      expect_clean_resume(threads, ckpt + "_warm", want);
     }
   }
   cache.clear();
@@ -552,12 +577,17 @@ TEST_F(FaultMatrixTest, TransientFaultsEverywhereAreAbsorbedSilently) {
   ASSERT_EQ(r.status, 0) << r.err;
   EXPECT_EQ(r.out, want);
 
-  // The cache sites, through the library: cold, then warm.
+  // The cache sites fire alongside the checkpoint sites in one checkpointed
+  // library run: cold, then warm.
   auto& cache = util::ArtifactCache::process_cache();
   cache.clear();
   for (int run = 0; run < 2; ++run) {
-    fi.arm("cache.insert:0,cache.lookup:0");
-    const std::string cached = cached_output(2);
+    const std::string ckpt =
+        path("ckpt_transient_cache_" + std::to_string(run));
+    fi.arm(
+        "checkpoint.write:0,manifest.store:0,cache.insert:0,"
+        "cache.lookup:0");
+    const std::string cached = cached_output(2, ckpt);
     const auto insert_stats = fi.stats("cache.insert");
     const auto lookup_stats = fi.stats("cache.lookup");
     fi.disarm();
@@ -566,6 +596,7 @@ TEST_F(FaultMatrixTest, TransientFaultsEverywhereAreAbsorbedSilently) {
     if (run == 0) {
       EXPECT_EQ(insert_stats.failures, 1u);
     }
+    expect_clean_resume(2, ckpt, want);
   }
   cache.clear();
 }
