@@ -58,21 +58,25 @@ void BM_KmerProfileBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_KmerProfileBuild)->Arg(100)->Arg(300)->Arg(1000);
 
+// 500 is the block each rank of the rose2k-p4 end-to-end workload ranks
+// in its local-rank stage (2000 sequences over 4 ranks).
 void BM_KmerRankCentralized(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 300);
   for (auto _ : state)
     benchmark::DoNotOptimize(kmer::centralized_ranks(seqs, {}));
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_KmerRankCentralized)->Arg(32)->Arg(64)->Arg(128)->Complexity();
+BENCHMARK(BM_KmerRankCentralized)->Arg(32)->Arg(64)->Arg(128)->Arg(500)
+    ->Complexity();
 
-// The stage-1 k-mer distance matrix of a 1000x300 rose family at 1 and 4
-// workers. pairs_per_second is computed against wall time measured here
-// (rate counters divide by the bench thread's CPU time, which is blind to
-// pool workers), so the /1-vs-/4 ratio is the pair-chunking speedup.
+// The stage-1 k-mer distance matrix of 1000x300 and 2000x300 rose families
+// (the latter the rose2k end-to-end shape) at 1 and 4 workers.
+// pairs_per_second is computed against wall time measured here (rate
+// counters divide by the bench thread's CPU time, which is blind to pool
+// workers), so the /1-vs-/4 ratio is the chunking speedup.
 void BM_KmerDistanceMatrix(benchmark::State& state) {
-  const auto seqs = seqs_cache(1000, 300);
-  const auto threads = static_cast<unsigned>(state.range(0));
+  const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 300);
+  const auto threads = static_cast<unsigned>(state.range(1));
   const double pairs =
       static_cast<double>(seqs.size() * (seqs.size() - 1) / 2);
   double wall = 0.0;
@@ -86,7 +90,8 @@ void BM_KmerDistanceMatrix(benchmark::State& state) {
                  : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_KmerDistanceMatrix)->Arg(1)->Arg(4)
+BENCHMARK(BM_KmerDistanceMatrix)
+    ->ArgsProduct({{1000, 2000}, {1, 4}})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // MiniMuscle's stage-2 induced-Kimura matrix over the stage-1 alignment of

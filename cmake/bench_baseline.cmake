@@ -7,8 +7,9 @@
 # Schema 3 adds a "context" block (logical core count of the machine that
 # produced the numbers + configure-preset name) so cross-machine comparisons
 # are at least flagged: bench_compare prints both contexts next to any
-# regression warning. The embedded google-benchmark output keeps its own
-# context minus the executable path and host name.
+# regression warning. Schema 4 adds the kernel_pairs_per_second summary.
+# The embedded google-benchmark output keeps its own context minus the
+# executable path and host name.
 
 if(NOT MICRO_KERNELS OR NOT FIG5_SPEEDUP OR NOT OUT_JSON)
   message(FATAL_ERROR
@@ -69,23 +70,28 @@ if(NOT PRESET_NAME)
   set(PRESET_NAME "none")
 endif()
 
-# Pull every benchmark's cells_per_second counter (added by the alignment
-# engine benches) into a flat summary so perf PRs can diff kernel throughput
-# without walking the full google-benchmark JSON.
+# Pull every benchmark's cells_per_second counter (the alignment engine
+# benches) and pairs_per_second counter (the all-pairs distance benches,
+# e.g. BM_KmerDistanceMatrix and BM_InducedKimura) into flat summaries so
+# perf PRs can diff kernel throughput without walking the full
+# google-benchmark JSON.
 # The name class admits ':' and '.' for suffixed benchmark names like
 # BM_ProgressiveAlign/4/real_time or future threads:N arg labels.
-set(kernel_entries "")
-string(REGEX MATCHALL
-  "\"name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"cells_per_second\": ([0-9.e+-]+)"
-  kernel_lines "${micro_content}")
-foreach(line IN LISTS kernel_lines)
-  string(REGEX REPLACE
-    "\"name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"cells_per_second\": ([0-9.e+-]+)"
-    "{\"name\": \"\\1\", \"cells_per_second\": \\2}"
-    entry "${line}")
-  list(APPEND kernel_entries "${entry}")
-endforeach()
-list(JOIN kernel_entries ",\n      " kernel_array)
+function(summarise_counter counter out_var)
+  set(pattern
+      "\"name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"${counter}\": ([0-9.e+-]+)")
+  set(entries "")
+  string(REGEX MATCHALL "${pattern}" lines "${micro_content}")
+  foreach(line IN LISTS lines)
+    string(REGEX REPLACE "${pattern}"
+      "{\"name\": \"\\1\", \"${counter}\": \\2}" entry "${line}")
+    list(APPEND entries "${entry}")
+  endforeach()
+  list(JOIN entries ",\n      " joined)
+  set(${out_var} "${joined}" PARENT_SCOPE)
+endfunction()
+summarise_counter(cells_per_second kernel_array)
+summarise_counter(pairs_per_second pairs_array)
 
 # google-benchmark's own context names the micro_kernels executable's path
 # and the host; a committed baseline records what ran, not where it was
@@ -96,7 +102,7 @@ string(REGEX REPLACE "\n[ ]*\"(executable|host_name)\": \"[^\"\n]*\","
        "" micro_content "${micro_content}")
 
 file(WRITE "${OUT_JSON}" "{
-  \"schema\": 3,
+  \"schema\": 4,
   \"generated_utc\": \"${now}\",
   \"context\": {
     \"hardware_concurrency\": ${host_cores},
@@ -106,6 +112,11 @@ file(WRITE "${OUT_JSON}" "{
   \"kernel_cells_per_second\": {
     \"entries\": [
       ${kernel_array}
+    ]
+  },
+  \"kernel_pairs_per_second\": {
+    \"entries\": [
+      ${pairs_array}
     ]
   },
   \"fig5_speedup\": {

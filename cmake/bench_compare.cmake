@@ -6,7 +6,10 @@
 # engine kernels, the distance-matrix drivers, and since PR 4 the
 # profile-DP kernels BM_ProfileDp* and the task-parallel progressive pass
 # BM_ProgressiveAlign/<threads> — whose counter is measured against wall
-# time, so the 1-vs-4-thread entries carry the scheduler speedup). A kernel
+# time, so the 1-vs-4-thread entries carry the scheduler speedup).
+# The kernel_pairs_per_second summary (the all-pairs k-mer and
+# induced-Kimura matrices, BM_KmerDistanceMatrix and BM_InducedKimura, also
+# against wall time) is compared by the same rule. A kernel
 # present in the committed baseline but absent from the current run also
 # warns: a silently dropped or renamed bench must not pass as green.
 # Invoked as:
@@ -77,55 +80,81 @@ describe_context("${current_json}" current_ctx)
 set(context_note
     " [baseline: ${baseline_ctx}; current: ${current_ctx}]")
 
-# name -> cells_per_second of the committed baseline.
-string(JSON base_entries GET "${baseline_json}" kernel_cells_per_second entries)
-string(JSON base_len LENGTH "${base_entries}")
-math(EXPR base_last "${base_len} - 1")
-set(base_names "")
-foreach(i RANGE 0 ${base_last})
-  string(JSON name GET "${base_entries}" ${i} name)
-  string(JSON cps GET "${base_entries}" ${i} cells_per_second)
-  string(MAKE_C_IDENTIFIER "${name}" key)
-  sci_to_int("${cps}" base_${key})
-  list(APPEND base_names "${name}")
-endforeach()
+# Compares one summary section (`counter` per benchmark name) of the
+# current run against the committed baseline. A baseline without the
+# section (schema < 4 has no kernel_pairs_per_second) counts as having no
+# entries: each current kernel prints "no baseline entry" and nothing
+# warns. Adds to `compared` and `regressed` in the caller's scope.
+function(compare_section section counter)
+  # name -> counter value of the committed baseline.
+  set(base_names "")
+  string(JSON base_entries ERROR_VARIABLE base_err
+         GET "${baseline_json}" ${section} entries)
+  if(base_err)
+    set(base_len 0)
+  else()
+    string(JSON base_len LENGTH "${base_entries}")
+  endif()
+  if(base_len GREATER 0)
+    math(EXPR base_last "${base_len} - 1")
+    foreach(i RANGE 0 ${base_last})
+      string(JSON name GET "${base_entries}" ${i} name)
+      string(JSON value GET "${base_entries}" ${i} ${counter})
+      string(MAKE_C_IDENTIFIER "${name}" key)
+      sci_to_int("${value}" base_${key})
+      list(APPEND base_names "${name}")
+    endforeach()
+  endif()
 
-string(JSON cur_entries GET "${current_json}" kernel_cells_per_second entries)
-string(JSON cur_len LENGTH "${cur_entries}")
-math(EXPR cur_last "${cur_len} - 1")
+  string(JSON cur_entries ERROR_VARIABLE cur_err
+         GET "${current_json}" ${section} entries)
+  if(cur_err)
+    set(cur_len 0)
+  else()
+    string(JSON cur_len LENGTH "${cur_entries}")
+  endif()
+  if(cur_len GREATER 0)
+    math(EXPR cur_last "${cur_len} - 1")
+    foreach(i RANGE 0 ${cur_last})
+      string(JSON name GET "${cur_entries}" ${i} name)
+      string(JSON value GET "${cur_entries}" ${i} ${counter})
+      string(MAKE_C_IDENTIFIER "${name}" key)
+      list(REMOVE_ITEM base_names "${name}")
+      if(NOT DEFINED base_${key} OR base_${key} STREQUAL "" OR
+         base_${key} EQUAL 0)
+        message(STATUS "bench_compare: ${name}: no baseline entry (new bench)")
+        continue()
+      endif()
+      sci_to_int("${value}" cur_int)
+      if(cur_int STREQUAL "")
+        continue()
+      endif()
+      math(EXPR compared "${compared} + 1")
+      math(EXPR lhs "${cur_int} * 100")
+      math(EXPR rhs "${base_${key}} * ${THRESHOLD_PERCENT}")
+      if(lhs LESS rhs)
+        math(EXPR regressed "${regressed} + 1")
+        message(WARNING "bench_compare: ${name} regressed: ${value} "
+                        "${counter} vs baseline ${base_${key}} (below "
+                        "${THRESHOLD_PERCENT}%)${context_note}")
+      endif()
+    endforeach()
+  endif()
+
+  # Baseline kernels the current run did not report at all.
+  foreach(name IN LISTS base_names)
+    message(WARNING "bench_compare: ${name} is in ${BASELINE} but missing "
+                    "from the current run (bench dropped or renamed?)"
+                    "${context_note}")
+  endforeach()
+  set(compared ${compared} PARENT_SCOPE)
+  set(regressed ${regressed} PARENT_SCOPE)
+endfunction()
+
 set(compared 0)
 set(regressed 0)
-foreach(i RANGE 0 ${cur_last})
-  string(JSON name GET "${cur_entries}" ${i} name)
-  string(JSON cps GET "${cur_entries}" ${i} cells_per_second)
-  string(MAKE_C_IDENTIFIER "${name}" key)
-  list(REMOVE_ITEM base_names "${name}")
-  if(NOT DEFINED base_${key} OR base_${key} STREQUAL "" OR
-     base_${key} EQUAL 0)
-    message(STATUS "bench_compare: ${name}: no baseline entry (new bench)")
-    continue()
-  endif()
-  sci_to_int("${cps}" cur_int)
-  if(cur_int STREQUAL "")
-    continue()
-  endif()
-  math(EXPR compared "${compared} + 1")
-  math(EXPR lhs "${cur_int} * 100")
-  math(EXPR rhs "${base_${key}} * ${THRESHOLD_PERCENT}")
-  if(lhs LESS rhs)
-    math(EXPR regressed "${regressed} + 1")
-    message(WARNING "bench_compare: ${name} regressed: ${cps} cells/s vs "
-                    "baseline ${base_${key}} (below ${THRESHOLD_PERCENT}%)"
-                    "${context_note}")
-  endif()
-endforeach()
-
-# Baseline kernels the current run did not report at all.
-foreach(name IN LISTS base_names)
-  message(WARNING "bench_compare: ${name} is in ${BASELINE} but missing "
-                  "from the current run (bench dropped or renamed?)"
-                  "${context_note}")
-endforeach()
+compare_section(kernel_cells_per_second cells_per_second)
+compare_section(kernel_pairs_per_second pairs_per_second)
 
 message(STATUS "bench_compare: ${compared} kernels compared against "
                "${BASELINE}; ${regressed} below ${THRESHOLD_PERCENT}%"

@@ -7,6 +7,7 @@
 #include "kmer/kmer_rank.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace salign::cli {
 
@@ -48,15 +49,16 @@ int run_rank(std::span<const std::string> args, std::ostream& out,
 
     const auto sample_n =
         static_cast<std::size_t>(p.get_int("sample", 0, 1 << 20));
+    const unsigned threads = util::default_threads();
     std::vector<double> ranks;
     if (sample_n == 0 || sample_n >= seqs.size()) {
-      ranks = kmer::centralized_ranks(seqs, kp);
+      ranks = kmer::centralized_ranks(seqs, kp, threads);
     } else {
       std::vector<bio::Sequence> samples;
       for (std::size_t i = 0; i < sample_n; ++i)
         samples.push_back(
             seqs[(i + 1) * seqs.size() / (sample_n + 1)]);
-      ranks = kmer::globalized_ranks(seqs, samples, kp);
+      ranks = kmer::globalized_ranks(seqs, samples, kp, threads);
     }
 
     if (p.get_flag("hist")) {

@@ -4,6 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace salign::kmer {
 
 namespace {
@@ -218,10 +220,16 @@ double KmerProfile::similarity(const KmerProfile& other) const {
 }
 
 std::vector<KmerProfile> build_profiles(std::span<const bio::Sequence> seqs,
-                                        const KmerParams& params) {
-  std::vector<KmerProfile> out;
-  out.reserve(seqs.size());
-  for (const auto& s : seqs) out.push_back(KmerProfile::from_sequence(s, params));
+                                        const KmerParams& params,
+                                        unsigned threads) {
+  std::vector<KmerProfile> out(seqs.size());
+  util::parallel_for(
+      seqs.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          out[i] = KmerProfile::from_sequence(seqs[i], params);
+      },
+      threads);
   return out;
 }
 

@@ -30,8 +30,9 @@ struct KmerParams {
 /// into a dense table instead of being sorted.
 [[nodiscard]] int packed_kmer_bits(const bio::Alphabet& alpha);
 
-/// k-mer id spaces of at most this many ids (256 Ki = 1 MiB of uint32
-/// slots) count and score through one-level dense tables indexed by id:
+/// k-mer id spaces of at most this many ids count through a one-level
+/// dense table indexed by id (256 Ki = 1 MiB of uint32 slots) and score
+/// through kmer_rank.hpp's lane-group table (16 B per id in vector builds):
 /// every default fits (compressed amino k = 4 is 2^16 ids, DNA k <= 9).
 /// Larger spaces count through a two-level table or a sort and score
 /// through KmerProfile::similarity's sorted merge.
@@ -61,8 +62,8 @@ class KmerProfile {
 
   /// Fraction of common k-mers r(x, y) in [0, 1]. Sequences shorter than k
   /// yield 0 (no shared k-mer evidence). A sorted merge of the two count
-  /// vectors: the single-pair API, and the oracle of the batched dense
-  /// kernel behind kmer_rank.hpp's set-level scores.
+  /// vectors: the single-pair API, the oracle of the lane-group kernel
+  /// behind kmer_rank.hpp's set-level scores, and that kernel's fallback.
   [[nodiscard]] double similarity(const KmerProfile& other) const;
 
   /// Residue length of the originating sequence.
@@ -85,8 +86,10 @@ class KmerProfile {
   int k_ = 0;
 };
 
-/// Builds profiles for a whole set with shared parameters.
+/// Builds profiles for a whole set with shared parameters, split over
+/// `threads` workers (each profile depends only on its own sequence).
 [[nodiscard]] std::vector<KmerProfile> build_profiles(
-    std::span<const bio::Sequence> seqs, const KmerParams& params);
+    std::span<const bio::Sequence> seqs, const KmerParams& params,
+    unsigned threads = 1);
 
 }  // namespace salign::kmer

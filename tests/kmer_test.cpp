@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -348,12 +349,14 @@ TEST(KmerDistanceMatrix, RelatedCloserThanUnrelated) {
   EXPECT_LT(d(0, 1), d(0, 2));
 }
 
-// ---- dense scoring kernel vs the sorted merge -------------------------------------
+// ---- lane-group scoring kernel vs the sorted merge ---------------------------------
 //
-// distance_matrix and the rank functions score through a dense-table kernel
-// (or the merge, for id spaces past kDenseTableLimit). Their doubles must be
-// bit-identical to nested loops over the single-pair merge, for every
-// thread count, alphabet and id encoding.
+// distance_matrix and the rank functions score kLanes profiles at a time
+// through an interleaved int16 count table (or the merge, for id spaces past
+// kDenseTableLimit and sequences past INT16_MAX windows). Their doubles must
+// be bit-identical to nested loops over the single-pair merge, for every
+// thread count, alphabet, id encoding and set size on either side of the
+// lane width. The scalar build runs the same checks one lane wide.
 
 struct KernelCase {
   const char* name;
@@ -420,57 +423,112 @@ std::vector<double> merge_ranks(std::span<const KmerProfile> seqs,
   return out;
 }
 
+std::vector<double> lower_triangle(std::size_t n, auto&& entry) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) out.push_back(entry(i, j));
+  return out;
+}
+
+// Every public scoring entry point on `seqs` against nested merge loops.
+void expect_matches_merge(const std::vector<Sequence>& seqs,
+                          const KmerParams& params, const std::string& label) {
+  const std::size_t n = seqs.size();
+  const std::vector<KmerProfile> prof = build_profiles(seqs, params);
+  const std::vector<double> want = lower_triangle(n, [&](auto i, auto j) {
+    return i == j ? 0.0 : 1.0 - prof[i].similarity(prof[j]);
+  });
+
+  // Every third sequence as the sample (empty for n = 0).
+  std::vector<Sequence> samples;
+  std::vector<KmerProfile> sample_prof;
+  for (std::size_t i = 0; i < n; i += 3) {
+    samples.push_back(seqs[i]);
+    sample_prof.push_back(prof[i]);
+  }
+  const std::span<const KmerProfile> all(prof);
+  for (unsigned threads = 1; threads <= 7; ++threads) {
+    const std::string at = label + " n=" + std::to_string(n) +
+                           " threads=" + std::to_string(threads);
+    const std::vector<KmerProfile> built =
+        build_profiles(seqs, params, threads);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_TRUE(std::ranges::equal(built[i].counts(), prof[i].counts()))
+          << at << " profile " << i;
+
+    const auto d = distance_matrix(seqs, params, threads);
+    ASSERT_EQ(d.size(), n);
+    EXPECT_TRUE(same_bits(
+        lower_triangle(n, [&](auto i, auto j) { return d(i, j); }), want))
+        << at;
+    EXPECT_TRUE(same_bits(centralized_ranks(seqs, params, threads),
+                          merge_ranks(prof, prof)))
+        << at;
+    EXPECT_TRUE(same_bits(globalized_ranks(seqs, samples, params, threads),
+                          merge_ranks(prof, sample_prof)))
+        << at;
+    EXPECT_TRUE(same_bits(ranks_against(prof, {}, threads),
+                          merge_ranks(prof, {})))
+        << at;
+    // Seq and ref counts off the lane width, from both ends of the set,
+    // inline and split over workers.
+    if (threads != 1 && threads != 4) continue;
+    for (const std::size_t a : {1, 7, 9, 13, 17}) {
+      for (const std::size_t b : {1, 3, 9, 15}) {
+        if (a > n || b > n) continue;
+        EXPECT_TRUE(
+            same_bits(ranks_against(all.first(a), all.last(b), threads),
+                      merge_ranks(all.first(a), all.last(b))))
+            << at << " seqs=" << a << " refs=" << b;
+      }
+    }
+  }
+}
+
 TEST(KmerDenseKernel, MatchesMergeBitForBit) {
   std::uint64_t seed = 0xD15;
-  for (const KernelCase& c : kKernelCases) {
-    for (const std::size_t n : {0, 1, 2, 3, 37}) {
-      const std::vector<Sequence> seqs =
-          kernel_set(c.kind, c.params.k, n, ++seed);
-      const std::vector<KmerProfile> prof = build_profiles(seqs, c.params);
+  for (const KernelCase& c : kKernelCases)
+    for (const std::size_t n : {0, 1, 2, 3, 7, 8, 9, 16, 17, 37, 61})
+      expect_matches_merge(kernel_set(c.kind, c.params.k, n, ++seed),
+                           c.params, c.name);
+}
 
-      // Lower triangle, diagonal included, row by row.
-      std::vector<double> want;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j)
-          want.push_back(1.0 - prof[i].similarity(prof[j]));
-        want.push_back(0.0);
-      }
-      for (const unsigned threads : {1U, 2U, 3U, 4U, 7U}) {
-        const auto d = distance_matrix(seqs, c.params, threads);
-        ASSERT_EQ(d.size(), n);
-        std::vector<double> got;
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t j = 0; j <= i; ++j) got.push_back(d(i, j));
-        EXPECT_TRUE(same_bits(got, want))
-            << c.name << " n=" << n << " threads=" << threads;
-      }
-
-      // Every third sequence as the sample (empty for n = 0).
-      std::vector<Sequence> samples;
-      std::vector<KmerProfile> sample_prof;
-      for (std::size_t i = 0; i < n; i += 3) {
-        samples.push_back(seqs[i]);
-        sample_prof.push_back(prof[i]);
-      }
-      EXPECT_TRUE(same_bits(centralized_ranks(seqs, c.params),
-                            merge_ranks(prof, prof)))
-          << c.name << " n=" << n;
-      EXPECT_TRUE(same_bits(globalized_ranks(seqs, samples, c.params),
-                            merge_ranks(prof, sample_prof)))
-          << c.name << " n=" << n;
-      EXPECT_TRUE(same_bits(ranks_against(prof, {}), merge_ranks(prof, {})))
-          << c.name << " n=" << n;
-    }
+// A count or shared sum past INT16_MAX cannot sit in an int16 lane: one
+// homopolymer of more than INT16_MAX windows sends its whole set to the
+// merge, and one of exactly INT16_MAX windows still scores in lanes. Two
+// copies per set so the triangle scores the homopolymer against itself.
+TEST(KmerDenseKernel, Int16GuardKeepsLongSequencesExact) {
+  const KmerParams params;
+  const auto k = static_cast<std::size_t>(params.k);
+  for (const std::size_t len : {std::size_t{32767} + k - 1,
+                                std::size_t{32767} + k, std::size_t{33000}}) {
+    std::vector<Sequence> seqs =
+        kernel_set(bio::AlphabetKind::AminoAcid, params.k, 9, len);
+    seqs.insert(seqs.begin() + 4, Sequence("h1", std::string(len, 'A')));
+    seqs.emplace_back("h2", std::string(len, 'A'));
+    expect_matches_merge(seqs, params,
+                         "homopolymer length " + std::to_string(len));
   }
 }
 
 TEST(KmerDenseKernel, MismatchedKThrows) {
   const Sequence s("s", "ACDEFGHIKL");
-  const std::vector<KmerProfile> k3{
-      KmerProfile::from_sequence(s, uncompressed(3))};
-  const std::vector<KmerProfile> k4{
-      KmerProfile::from_sequence(s, uncompressed(4))};
+  const auto profile = [&](int k) {
+    return KmerProfile::from_sequence(s, uncompressed(k));
+  };
+  // k = 4 is past kDenseTableLimit (the merge); k = 2 and 3 both fit the
+  // lane table.
+  const std::vector<KmerProfile> k2{profile(2)};
+  const std::vector<KmerProfile> k3{profile(3)};
+  const std::vector<KmerProfile> k4{profile(4)};
+  const std::vector<KmerProfile> mixed{profile(3), profile(2)};
   EXPECT_THROW((void)ranks_against(k3, k4), std::invalid_argument);
+  EXPECT_THROW((void)ranks_against(k3, k2), std::invalid_argument);
+  EXPECT_THROW((void)ranks_against(mixed, k3), std::invalid_argument);
+  EXPECT_THROW((void)ranks_against(k3, mixed), std::invalid_argument);
+  // No pair is scored, so nothing mismatches.
+  EXPECT_NO_THROW((void)ranks_against(mixed, {}));
+  EXPECT_NO_THROW((void)ranks_against({}, mixed));
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // window's id independently of KmerProfile::from_sequence's rolling window
 // and dense tables, so tests/kmer_test.cpp can check each counting path
 // (one-level table, two-level table, sort) against it; mean_similarity is
-// the per-pair form of the batched dense rank kernel.
+// the per-pair form of the lane-group rank kernel.
 
 #include "oracles/kmer.hpp"
 
