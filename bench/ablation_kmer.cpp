@@ -53,8 +53,10 @@ int main() {
   std::vector<bio::Sequence> sample;
   for (std::size_t i = 0; i < static_cast<std::size_t>(p * (p - 1)); ++i)
     sample.push_back(seqs[(i * seqs.size()) / (p * (p - 1))]);
+  // Each alphabet up to its largest k (kmer::kDenseTableLimit): 4 on the
+  // compressed alphabet, 3 on plain amino acids.
   for (const bool compressed : {true, false}) {
-    for (int k : {2, 3, 4, 5}) {
+    for (int k = 2; k <= (compressed ? 4 : 3); ++k) {
       const kmer::KmerParams params{k, compressed};
       const auto central = kmer::centralized_ranks(seqs, params);
       const auto global = kmer::globalized_ranks(seqs, sample, params);

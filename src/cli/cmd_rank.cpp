@@ -20,7 +20,9 @@ ArgParser make_parser() {
               "the similarity index Sample-Align-D buckets on, and the\n"
               "diagnostic behind the paper's Figs. 1/3 and Table 1.");
   p.option("in", "file", "", "input FASTA file");
-  p.option("k", "len", "0", "k-mer length (0 = library default)");
+  p.option("k", "len", "0",
+           "k-mer length (0 = library default, 4); at most 4, as k-mers "
+           "count over the compressed amino alphabet");
   p.option("sample", "n", "0",
            "rank against n evenly spaced samples instead of the full set "
            "(the pipeline's globalized mode; 0 = centralized)");

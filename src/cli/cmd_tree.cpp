@@ -35,7 +35,8 @@ ArgParser make_parser() {
            "(striped-integer score-only alignments — kimura accuracy "
            "class without tracebacks)");
   p.option("k", "len", "0",
-           "k-mer length for --dist kmer (0 = library default)");
+           "k-mer length for --dist kmer (0 = library default, 4); at most "
+           "4, as k-mers count over the compressed amino alphabet");
   p.option("threads", "n", "1",
            "worker threads of the distance pass "
            "(0 = auto: hardware concurrency, capped)");

@@ -385,14 +385,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     for (const RankedRef& ref : part) out.push_back(seqs[ref.index]);
     return out;
   };
-  const auto profiles_of = [&](const std::vector<RankedRef>& part) {
-    std::vector<kmer::KmerProfile> out;
-    out.reserve(part.size());
-    for (const RankedRef& ref : part)
-      out.push_back(kmer::KmerProfile::from_sequence(seqs[ref.index],
-                                                     config_.kmer));
-    return out;
-  };
   const auto seqs_of_indices = [&](const std::vector<std::uint64_t>& idx) {
     std::vector<Sequence> out;
     out.reserve(idx.size());
@@ -429,7 +421,8 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           RankedPartition out = blocks;
           rs.for_each_rank([&](int r) {
             auto& part = out[static_cast<std::size_t>(r)];
-            const std::vector<kmer::KmerProfile> prof = profiles_of(part);
+            const std::vector<kmer::KmerProfile> prof =
+                kmer::build_profiles(seqs_of(part), config_.kmer);
             const std::vector<double> ranks = kmer::ranks_against(prof, prof);
             for (std::size_t i = 0; i < part.size(); ++i)
               part[i].rank = ranks[i];
@@ -505,7 +498,8 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
             rs.for_each_rank([&](int r) {
               auto& part = out[static_cast<std::size_t>(r)];
               const std::vector<double> ranks =
-                  kmer::ranks_against(profiles_of(part), ref);
+                  kmer::ranks_against(
+                      kmer::build_profiles(seqs_of(part), config_.kmer), ref);
               for (std::size_t i = 0; i < part.size(); ++i)
                 part[i].rank = ranks[i];
             });

@@ -18,6 +18,8 @@ namespace salign::kmer {
 /// 14-letter compressed alphabet is a good default for protein lengths
 /// around 300 (the paper's regime).
 struct KmerParams {
+  /// At most 18 / packed_kmer_bits of the counted alphabet (see
+  /// kDenseTableLimit).
   int k = 4;
   /// Count over the SE-B(14)-style compressed alphabet (proteins only).
   bool compressed = true;
@@ -26,28 +28,20 @@ struct KmerParams {
 /// Bits per residue of the packed k-mer id encoding for `alpha`: 2 for DNA,
 /// 4 for the compressed 14-letter alphabet, 5 for amino acids. A k-mer id
 /// is the concatenation of its residues' packed codes (one shift-or per
-/// window position), so k-mer spaces are powers of two and small ones count
-/// into a dense table instead of being sorted.
+/// window position), so a k-mer space holds 2^(bits*k) ids.
 [[nodiscard]] int packed_kmer_bits(const bio::Alphabet& alpha);
 
-/// k-mer id spaces of at most this many ids count through a one-level
-/// dense table indexed by id (256 Ki = 1 MiB of uint32 slots) and score
-/// through kmer_rank.hpp's lane-group table (16 B per id in vector builds):
-/// every default fits (compressed amino k = 4 is 2^16 ids, DNA k <= 9).
-/// Larger spaces count through a two-level table or a sort and score
-/// through KmerProfile::similarity's sorted merge.
+/// Every k-mer id space fits this many ids (2^18): profiles count through a
+/// one-level dense table indexed by id (1 MiB of uint32 slots) and score
+/// through kmer_rank.hpp's lane-group table (16 B per id in vector builds).
+/// KmerProfile::from_sequence therefore takes k up to 18 / packed_kmer_bits:
+/// 9 on DNA, 4 on the compressed alphabet (the default k) and 3 on plain
+/// amino acids.
 inline constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
 
-/// Above kDenseTableLimit, from_sequence counts sequences of at most this
-/// many windows through a two-level lazily-allocated block table, whose
-/// scratch is bounded by one 16 KiB block per window; longer ones sort and
-/// group their ids, the safer memory/time trade (only reachable for
-/// multi-thousand-residue sequences on uncompressed amino alphabets with
-/// large k).
-inline constexpr std::size_t kTwoLevelWindowCap = 2048;
-
-/// Sparse k-mer count vector of one sequence: sorted (kmer-id, count) pairs
-/// over bit-packed ids (see packed_kmer_bits).
+/// Sparse k-mer count vector of one sequence: (kmer-id, count) pairs over
+/// bit-packed ids (see packed_kmer_bits), one per distinct k-mer, in the
+/// order the k-mers first occur in the sequence.
 ///
 /// Windows containing the alphabet wildcard are skipped. Profiles are the
 /// unit of comparison for the k-mer fractional-identity measure
@@ -57,20 +51,24 @@ class KmerProfile {
  public:
   KmerProfile() = default;
 
+  /// Throws std::invalid_argument, naming the largest k, when k < 1 or the
+  /// k-mer space of the sequence's (possibly compressed) alphabet exceeds
+  /// kDenseTableLimit.
   static KmerProfile from_sequence(const bio::Sequence& seq,
                                    const KmerParams& params);
 
   /// Fraction of common k-mers r(x, y) in [0, 1]. Sequences shorter than k
-  /// yield 0 (no shared k-mer evidence). A sorted merge of the two count
-  /// vectors: the single-pair API, the oracle of the lane-group kernel
-  /// behind kmer_rank.hpp's set-level scores, and that kernel's fallback.
+  /// yield 0 (no shared k-mer evidence). Scatters one count vector into the
+  /// thread's dense table and gathers the other's: the single-pair API, and
+  /// the fallback of kmer_rank.hpp's lane-group kernel for sequences too
+  /// long for int16 lanes.
   [[nodiscard]] double similarity(const KmerProfile& other) const;
 
   /// Residue length of the originating sequence.
   [[nodiscard]] std::size_t length() const { return length_; }
   [[nodiscard]] int k() const { return k_; }
-  /// Size of the id space the counts are drawn from (2^(bits*k) for
-  /// bit-packed ids, |alphabet|^k for base-N ids); every id is below it.
+  /// Size of the id space the counts are drawn from, 2^(bits*k) (at most
+  /// kDenseTableLimit); every id is below it.
   [[nodiscard]] std::uint64_t id_space() const { return id_space_; }
   /// Number of distinct k-mers.
   [[nodiscard]] std::size_t distinct() const { return counts_.size(); }

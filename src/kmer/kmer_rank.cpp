@@ -23,21 +23,19 @@ constexpr auto kMaxLaneWindows =
     static_cast<std::size_t>(std::numeric_limits<std::int16_t>::max());
 
 /// Slots of a lane table covering every id in `a` and `b`: one past the
-/// largest id (at least 1), or 0 when the sets keep the sorted merge. That
-/// is when some profile's id space exceeds kDenseTableLimit, or some
-/// sequence has more than INT16_MAX windows: the windows bound every count
-/// and every shared sum, so below it no lane can overflow.
+/// largest id (at least 1), or 0 when the sets keep the per-pair
+/// KmerProfile::similarity. That is when some sequence has more than
+/// INT16_MAX windows: the windows bound every count and every shared sum,
+/// so below it no lane can overflow.
 std::size_t lane_table_slots(std::span<const KmerProfile> a,
                              std::span<const KmerProfile> b) {
   std::size_t slots = 1;
   for (const auto set : {a, b}) {
     for (const KmerProfile& p : set) {
-      if (p.id_space() > kDenseTableLimit) return 0;
       if (p.length() >= static_cast<std::size_t>(p.k()) + kMaxLaneWindows)
         return 0;
-      // counts() is sorted by id, so its last entry holds the largest id.
-      if (!p.counts().empty())
-        slots = std::max<std::size_t>(slots, p.counts().back().first + 1U);
+      for (const auto& [id, n] : p.counts())
+        slots = std::max<std::size_t>(slots, id + 1U);
     }
   }
   return slots;
@@ -48,9 +46,9 @@ std::size_t lane_table_slots(std::span<const KmerProfile> a,
 /// k-mer id holds the kLanes counts side by side; score() walks the
 /// partner's sparse counts once, adding one lane-wise min(table, n) per
 /// entry, so one pass yields every lane's shared count. That is the same
-/// integer KmerProfile::similarity's merge finds, and the division is the
-/// same, so the doubles are bit-identical. A scorer with zero slots runs
-/// that merge per lane instead. One per worker: a scorer is not
+/// integer KmerProfile::similarity finds, and the division is the same, so
+/// the doubles are bit-identical. A scorer with zero slots calls
+/// similarity per lane instead. One per worker: a scorer is not
 /// thread-safe.
 class LaneGroupScorer {
  public:

@@ -46,14 +46,14 @@ namespace salign::kmer {
 /// The lane-group kernel: seqs are loaded a group at a time, one per lane of
 /// align::engine::VecI16 (8 int16 lanes in vector builds, 1 in the scalar
 /// build), into one table whose slot per k-mer id holds the group's counts
-/// side by side. One pass over a ref's sparse counts, one lane-wise min and
-/// add per entry, yields the shared-k-mer integer of every lane, which is
-/// the integer the sorted merge finds; each lane sums in ref order. Sets
-/// that int16 lanes cannot hold exactly keep the sorted merge: an id space
-/// past kDenseTableLimit, or a sequence with more than INT16_MAX windows
-/// (length - k + 1), which bound every count and shared sum. Groups are
-/// split over `threads` workers (util::parallel_for); the output does not
-/// depend on the thread count.
+/// side by side. One pass over a ref's sparse counts (in any order), one
+/// lane-wise min and add per entry, yields the shared-k-mer integer of
+/// every lane, which is the integer KmerProfile::similarity finds; each lane
+/// sums in ref order. Sets that int16 lanes cannot hold exactly, those with
+/// a sequence of more than INT16_MAX windows (length - k + 1), which bound
+/// every count and shared sum, score each pair through similarity. Groups
+/// are split over `threads` workers (util::parallel_for); the output does
+/// not depend on the thread count.
 [[nodiscard]] std::vector<double> ranks_against(
     std::span<const KmerProfile> seqs, std::span<const KmerProfile> refs,
     unsigned threads = 1);
@@ -61,7 +61,7 @@ namespace salign::kmer {
 /// Pairwise k-mer distance matrix d = 1 - r, the guide-tree input of the
 /// MUSCLE- and MAFFT-style aligners' first iteration. Profiles are built on
 /// `threads` workers; the lower triangle is walked in row groups through
-/// ranks_against's lane-group kernel (same merge fallback), and the groups
+/// ranks_against's lane-group kernel (same fallback), and the groups
 /// are cut into `threads` chunks of about equal pair count whose
 /// bounds depend only on (n, threads). Every entry equals
 /// 1 - KmerProfile::similarity bit for bit, for any thread count.

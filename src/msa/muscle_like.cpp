@@ -100,8 +100,10 @@ std::string MuscleAligner::name() const {
 void MuscleAligner::hash_config(util::StableHash& h) const {
   h.str("salign.muscle.v1");
   h.u8(static_cast<std::uint8_t>(options_.stage1_distance));
-  h.u32(static_cast<std::uint32_t>(options_.kmer.k));
-  h.u8(options_.kmer.compressed ? 1 : 0);
+  // The k-mer parameters are constant, but stay in the hash so artifact
+  // cache keys do not move.
+  h.u32(static_cast<std::uint32_t>(MuscleOptions::kmer.k));
+  h.u8(MuscleOptions::kmer.compressed ? 1 : 0);
   h.u8(options_.reestimate_tree ? 1 : 0);
   h.u32(static_cast<std::uint32_t>(options_.refine_passes));
   bio::hash_matrix(h, *matrix_);
@@ -143,7 +145,8 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
             return align::score_distance_matrix(seqs, *matrix_,
                                                 matrix_->default_gaps(), sdo);
           }
-          return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
+          return kmer::distance_matrix(seqs, MuscleOptions::kmer,
+                                       options_.threads);
         },
         write_distance_matrix, read_distance_matrix);
     return pc.get("stage1 guide tree", [&] { return GuideTree::upgma(kd); },

@@ -21,8 +21,9 @@ struct MuscleOptions {
     kScore,
   };
   GuideTree stage1_distance = GuideTree::kKmer;
-  /// k-mer parameters of the stage-1 distance estimate (kKmer mode).
-  kmer::KmerParams kmer{};
+  /// k-mer parameters of the stage-1 distance estimate (kKmer mode):
+  /// always k = 4 on the compressed alphabet, MUSCLE's choice.
+  static constexpr kmer::KmerParams kmer{};
   /// Second progressive iteration with Kimura distances recomputed from the
   /// stage-1 alignment (MUSCLE's "improved progressive" stage 2).
   bool reestimate_tree = true;

@@ -432,6 +432,32 @@ TEST_F(CliTest, RankEmptyFastaIsRuntimeError) {
   EXPECT_EQ(r.status, 1);
 }
 
+TEST_F(CliTest, KmerLengthPastTheDenseTableExits3) {
+  // Protein k-mers count over the 4-bit compressed alphabet into a table of
+  // 2^18 ids, so --k stops at 4 for rank and for tree --dist kmer.
+  const std::string in = path("in.fasta");
+  write_demo_fasta(in, 6);
+  for (const auto& cmd : {argv({"rank", "--in", in}),
+                          argv({"tree", "--in", in, "--dist", "kmer"})}) {
+    SCOPED_TRACE(cmd[0]);
+    auto with_k = [&](const char* k) {
+      std::vector<std::string> args = cmd;
+      args.insert(args.end(), {"--k", k});
+      return run(args);
+    };
+    const Result past = with_k("5");
+    EXPECT_EQ(past.status, kExitInvalidInput) << past.err;
+    EXPECT_NE(past.err.find("the largest k is 4"), std::string::npos)
+        << past.err;
+    const Result at = with_k("4");
+    EXPECT_EQ(at.status, 0) << at.err;
+    const Result help = run(argv({cmd[0], "--help"}));
+    EXPECT_NE(help.out.find("at most 4, as k-mers count over the compressed"),
+              std::string::npos)
+        << help.out;
+  }
+}
+
 TEST_F(CliTest, AlignClustalFormatRoundTrips) {
   const std::string in = path("in.fasta");
   const std::string aln = path("out.aln");

@@ -33,12 +33,14 @@ TEST(KmerProfile, CountsSimpleKmers) {
   EXPECT_EQ(p.length(), 4u);
 }
 
-TEST(KmerProfile, DistinctKmersSorted) {
-  const Sequence s("s", "ACDC");
+TEST(KmerProfile, DistinctKmersHaveDistinctIds) {
+  const Sequence s("s", "ACDCAC");
   const KmerProfile p = KmerProfile::from_sequence(s, uncompressed(2));
-  EXPECT_EQ(p.distinct(), 3u);  // AC, CD, DC
-  for (std::size_t i = 1; i < p.counts().size(); ++i)
-    EXPECT_LT(p.counts()[i - 1].first, p.counts()[i].first);
+  EXPECT_EQ(p.distinct(), 4u);  // AC(2), CD, DC, CA; in no required order
+  std::vector<std::uint32_t> ids;
+  for (const auto& [id, count] : p.counts()) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
 }
 
 TEST(KmerProfile, ShorterThanKIsEmpty) {
@@ -76,17 +78,34 @@ TEST(KmerProfile, InvalidKThrows) {
                std::invalid_argument);
 }
 
-TEST(KmerProfile, LargeKBeyondBitPackingStillCounts) {
-  // k = 7 over uncompressed amino acids needs 35 packed bits, but the exact
-  // 21^7 id space still fits 32 bits: the base-N fallback must keep the
-  // historically accepted k range working (windows, counts, similarity).
-  const Sequence s("s", "ACDEFGHIKLACDEFGHIKL");
-  const KmerProfile p = KmerProfile::from_sequence(s, uncompressed(7));
-  EXPECT_EQ(p.distinct(), 10u);  // 14 windows; ACDEFGH..KLACDEF repeat once
-  std::uint64_t windows = 0;
-  for (const auto& [id, count] : p.counts()) windows += count;
-  EXPECT_EQ(windows, 14u);
-  EXPECT_DOUBLE_EQ(p.similarity(p), 1.0);
+TEST(KmerProfile, KPastDenseTableThrows) {
+  // k is bounded by the 2^18 ids of the dense table: 18 / packed_kmer_bits,
+  // and the message names that largest k.
+  const Sequence dna("d", "ACGTACGTACGTACGT", bio::AlphabetKind::Dna);
+  const Sequence amino("a", "ACDEFGHIKLMNPQRSTVWY");
+  struct Bound {
+    const Sequence* seq;
+    bool compressed;
+    int max_k;
+    int id_bits;  // at max_k
+  };
+  for (const Bound b : {Bound{&dna, false, 9, 18}, Bound{&amino, true, 4, 16},
+                        Bound{&amino, false, 3, 15}}) {
+    const KmerProfile p =
+        KmerProfile::from_sequence(*b.seq, KmerParams{b.max_k, b.compressed});
+    EXPECT_EQ(p.id_space(), 1ULL << b.id_bits) << b.max_k;
+    EXPECT_LE(p.id_space(), kDenseTableLimit);
+    try {
+      (void)KmerProfile::from_sequence(*b.seq,
+                                       KmerParams{b.max_k + 1, b.compressed});
+      ADD_FAILURE() << "k = " << b.max_k + 1 << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "the largest k is " + std::to_string(b.max_k)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// A random uncompressed amino sequence of `len` residues; `wildcards`
@@ -103,59 +122,22 @@ Sequence random_amino(util::Rng& rng, std::size_t len, bool wildcards) {
 void expect_reference_counts(const Sequence& s, const KmerParams& params,
                              const std::string& what) {
   const KmerProfile p = KmerProfile::from_sequence(s, params);
-  const auto want = reference::sorted_counts(s, params);
-  ASSERT_EQ(p.distinct(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(p.counts()[i], want[i]) << what << " entry " << i;
-}
-
-TEST(KmerProfile, TwoLevelDenseMatchesSortFallback) {
-  // Uncompressed amino k >= 4 blows past the one-level dense limit (2^20,
-  // 2^25, and the 21^7 base-N space). Up to kTwoLevelWindowCap windows
-  // count through the two-level block table, beyond it through a sort;
-  // lengths on both sides of the cap check both paths against the
-  // tests-side sort-and-group counter, wildcards included.
-  util::Rng rng(0xAB);
-  for (int k : {4, 5, 7}) {
-    ASSERT_GT(KmerProfile::from_sequence(Sequence("s", "A"), uncompressed(k))
-                  .id_space(),
-              kDenseTableLimit);
-    const std::size_t at_cap = kTwoLevelWindowCap + k - 1;  // cap windows
-    std::vector<std::pair<std::size_t, bool>> cases = {
-        {at_cap, false}, {at_cap + 1, false}, {at_cap + 300, false}};
-    for (int trial = 0; trial < 4; ++trial) {
-      cases.emplace_back(1 + rng.below(400), true);
-      cases.emplace_back(kTwoLevelWindowCap + 500 + rng.below(2000), true);
-    }
-    for (const auto& [len, wildcards] : cases)
-      expect_reference_counts(random_amino(rng, len, wildcards),
-                              uncompressed(k),
-                              "k=" + std::to_string(k) +
-                                  " len=" + std::to_string(len));
-  }
-}
-
-TEST(KmerProfile, TwoLevelScratchSurvivesReuse) {
-  // The two-level scratch persists thread-locally; repeated builds with
-  // different sequences, interleaved with sort-path builds past the window
-  // cap, must not leak counts between calls.
-  util::Rng rng(0xAC);
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t len = round % 3 == 2
-                                ? kTwoLevelWindowCap + 100 + rng.below(400)
-                                : 64 + rng.below(128);
-    expect_reference_counts(random_amino(rng, len, false), uncompressed(5),
-                            "round " + std::to_string(round));
-  }
+  auto got = std::vector(p.counts().begin(), p.counts().end());
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got, reference::sorted_counts(s, params)) << what;
 }
 
 TEST(KmerProfile, DenseTableMatchesReferenceCounts) {
-  // The one-level table on the default compressed alphabet and on DNA.
+  // The dense table on the default compressed alphabet, on plain amino
+  // acids and on DNA, reused across calls, wildcards included.
   util::Rng rng(0xAD);
   for (int trial = 0; trial < 6; ++trial) {
     expect_reference_counts(random_amino(rng, 1 + rng.below(600), true),
                             KmerParams{}, "compressed trial " +
                                               std::to_string(trial));
+    expect_reference_counts(random_amino(rng, 1 + rng.below(600), true),
+                            uncompressed(3), "amino trial " +
+                                                 std::to_string(trial));
     std::string dna(1 + rng.below(600), 'A');
     for (char& c : dna) c = "ACGTN"[rng.below(5)];
     expect_reference_counts(
@@ -222,7 +204,7 @@ TEST_P(SimilarityRangeTest, AlwaysInUnitInterval) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ks, SimilarityRangeTest, ::testing::Values(2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(Ks, SimilarityRangeTest, ::testing::Values(1, 2, 3, 4));
 
 // ---- rank ---------------------------------------------------------------------
 
@@ -352,11 +334,11 @@ TEST(KmerDistanceMatrix, RelatedCloserThanUnrelated) {
 // ---- lane-group scoring kernel vs the sorted merge ---------------------------------
 //
 // distance_matrix and the rank functions score kLanes profiles at a time
-// through an interleaved int16 count table (or the merge, for id spaces past
-// kDenseTableLimit and sequences past INT16_MAX windows). Their doubles must
-// be bit-identical to nested loops over the single-pair merge, for every
-// thread count, alphabet, id encoding and set size on either side of the
-// lane width. The scalar build runs the same checks one lane wide.
+// through an interleaved int16 count table (or KmerProfile::similarity, for
+// sequences past INT16_MAX windows). Their doubles, and similarity's, must
+// be bit-identical to nested loops over the tests-side sorted merge, for
+// every thread count, alphabet and set size on either side of the lane
+// width. The scalar build runs the same checks one lane wide.
 
 struct KernelCase {
   const char* name;
@@ -370,9 +352,8 @@ const KernelCase kKernelCases[] = {
      KmerParams{9, false}},
     {"compressed amino k=4", bio::AlphabetKind::AminoAcid, KmerParams{}},
     {"amino k=2", bio::AlphabetKind::AminoAcid, uncompressed(2)},
-    {"amino k=5 (merge)", bio::AlphabetKind::AminoAcid, uncompressed(5)},
-    {"amino k=7 (base-N ids, merge)", bio::AlphabetKind::AminoAcid,
-     uncompressed(7)},
+    {"amino k=3 (largest plain amino k)", bio::AlphabetKind::AminoAcid,
+     uncompressed(3)},
 };
 
 // n seeded sequences: mutated copies of one ancestor (so pairs share
@@ -436,8 +417,20 @@ void expect_matches_merge(const std::vector<Sequence>& seqs,
   const std::size_t n = seqs.size();
   const std::vector<KmerProfile> prof = build_profiles(seqs, params);
   const std::vector<double> want = lower_triangle(n, [&](auto i, auto j) {
-    return i == j ? 0.0 : 1.0 - prof[i].similarity(prof[j]);
+    return i == j ? 0.0 : 1.0 - reference::similarity(prof[i], prof[j]);
   });
+  // The single-pair API, both ways round.
+  for (const bool swap : {false, true}) {
+    EXPECT_TRUE(same_bits(lower_triangle(n,
+                                         [&](auto i, auto j) {
+                                           if (i == j) return 0.0;
+                                           if (swap) std::swap(i, j);
+                                           return 1.0 - prof[i].similarity(
+                                                            prof[j]);
+                                         }),
+                          want))
+        << label << " n=" << n << " swap=" << swap;
+  }
 
   // Every third sequence as the sample (empty for n = 0).
   std::vector<Sequence> samples;
@@ -494,9 +487,10 @@ TEST(KmerDenseKernel, MatchesMergeBitForBit) {
 }
 
 // A count or shared sum past INT16_MAX cannot sit in an int16 lane: one
-// homopolymer of more than INT16_MAX windows sends its whole set to the
-// merge, and one of exactly INT16_MAX windows still scores in lanes. Two
-// copies per set so the triangle scores the homopolymer against itself.
+// homopolymer of more than INT16_MAX windows sends its whole set to
+// KmerProfile::similarity, and one of exactly INT16_MAX windows still
+// scores in lanes. Two copies per set so the triangle scores the
+// homopolymer against itself.
 TEST(KmerDenseKernel, Int16GuardKeepsLongSequencesExact) {
   const KmerParams params;
   const auto k = static_cast<std::size_t>(params.k);
@@ -516,13 +510,11 @@ TEST(KmerDenseKernel, MismatchedKThrows) {
   const auto profile = [&](int k) {
     return KmerProfile::from_sequence(s, uncompressed(k));
   };
-  // k = 4 is past kDenseTableLimit (the merge); k = 2 and 3 both fit the
-  // lane table.
+  const std::vector<KmerProfile> k1{profile(1)};
   const std::vector<KmerProfile> k2{profile(2)};
   const std::vector<KmerProfile> k3{profile(3)};
-  const std::vector<KmerProfile> k4{profile(4)};
   const std::vector<KmerProfile> mixed{profile(3), profile(2)};
-  EXPECT_THROW((void)ranks_against(k3, k4), std::invalid_argument);
+  EXPECT_THROW((void)ranks_against(k3, k1), std::invalid_argument);
   EXPECT_THROW((void)ranks_against(k3, k2), std::invalid_argument);
   EXPECT_THROW((void)ranks_against(mixed, k3), std::invalid_argument);
   EXPECT_THROW((void)ranks_against(k3, mixed), std::invalid_argument);

@@ -13,12 +13,16 @@
 
 namespace salign::kmer::reference {
 
-/// Sorted (k-mer id, count) pairs of `seq`, as KmerProfile::counts() must
-/// hold them: every window's id built from scratch (bit-packed when
-/// packed_kmer_bits * k fits 32 bits, base-|alphabet| digits otherwise),
+/// Sorted (k-mer id, count) pairs of `seq`, the multiset KmerProfile::counts()
+/// must hold in some order: every window's bit-packed id built from scratch,
 /// windows containing the wildcard skipped, then sorted and grouped.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>>
 sorted_counts(const bio::Sequence& seq, const KmerParams& params);
+
+/// r(x, y) as KmerProfile::similarity defines it, through a sorted merge of
+/// the two count vectors: the same shared-k-mer integer over the same
+/// denominator, found without a dense table.
+[[nodiscard]] double similarity(const KmerProfile& x, const KmerProfile& y);
 
 /// Mean k-mer similarity of `x` against every profile in `refs`
 /// (self-comparisons included, as in the paper's D_i = (1/N) sum_j r_ij),
