@@ -86,7 +86,7 @@ int main() {
     }
     util::Table st({"stage", "wall s (1 thr)",
                     "wall s (" + std::to_string(auto_threads) + " thr)",
-                    "speedup"});
+                    "speedup (measured wall)"});
     for (std::size_t s = 0; s < serial.stages.size() &&
                             s < threaded.stages.size();
          ++s) {

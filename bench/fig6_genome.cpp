@@ -42,8 +42,9 @@ int main() {
   std::printf("sequential MiniMuscle on one node: %.3f s (CPU)\n\n",
               muscle_seq);
 
-  util::Table t({"p", "wall s", "modeled s", "speedup vs seq MUSCLE",
-                 "speedup (paper w^4 model)"});
+  util::Table t({"p", "wall s", "modeled s",
+                 "speedup vs seq MUSCLE (modeled)",
+                 "speedup (projected, paper w^4)"});
   for (int p : {1, 4, 8, 16}) {
     core::SampleAlignDConfig cfg;
     cfg.num_procs = p;
@@ -64,10 +65,12 @@ int main() {
   std::printf("\n%s\n", t.to_string().c_str());
   std::printf(
       "paper reference: 23 h sequential vs 9.82 min at p=16 — a 142x\n"
-      "speedup. The two columns bracket it: the measured one uses our\n"
-      "efficient O(w^2 + wL^2) MiniMuscle (honest, ~p^2-bounded gains); the\n"
-      "last column is the *upper envelope* of the paper's O(w^4) per-bucket\n"
-      "cost model applied to our measured buckets (unit constants, no\n"
+      "speedup. The two speedup columns bracket it, and neither is a\n"
+      "measured wall: the modeled one divides the sequential MiniMuscle's\n"
+      "CPU time by the modeled makespan (thread CPU plus the 2008 GigE wire\n"
+      "model) of our efficient O(w^2 + wL^2) pipeline (~p^2-bounded gains);\n"
+      "the projected one is the *upper envelope* of the paper's O(w^4)\n"
+      "per-bucket cost model applied to our buckets (unit constants, no\n"
       "communication — the published 142x lies between the two, exactly as\n"
       "the paper's own measured Fig. 5 curves sit far below its w^4 model).\n"
       "Shape check: both columns grow monotonically to p=16 at this N.\n");

@@ -141,7 +141,7 @@ void BM_GlobalAlign(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalAlign)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
-// The engine's anti-diagonal float kernel, score-only pass (the build's one
+// The engine's wavefront float kernel, score-only pass (the build's one
 // kernel: VecF lanes, or 1 lane in release-scalar builds). Pinned to the
 // FLOAT tier so these rows stay comparable with the pre-integer baselines;
 // the striped integer tiers have their own benches below.
@@ -412,8 +412,8 @@ BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 // ---- PSP profile-DP kernel (vectorized wavefront vs scalar reference) ----------
 //
 // Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
-// blocked anti-diagonal wavefront kernel (the library's one profile-DP
-// kernel, behind align_profiles and T-Coffee's merges), BM_ProfileDpScalar
+// wavefront kernel (the library's one float DP kernel, here behind
+// align_profiles and T-Coffee's merges), BM_ProfileDpScalar
 // the header-only row-major test oracle (tests/oracles/profile_dp.hpp) on
 // the same scorer — the pair makes the kernel speedup part of every
 // baseline. Both DPs fit the default trace budget,

@@ -42,10 +42,10 @@ if(NOT rc EQUAL 0)
 endif()
 
 # Pull the per-(N, p) modeled-seconds/speedup lines out of the fig5 log:
-#   N=500 p= 4 modeled 0.123 s (speedup 4.56, paper-model 7.8)
+#   N=500 p= 4 modeled 0.123 s (modeled speedup 4.56, projected paper-w^4 speedup 7.8)
 set(fig5_entries "")
 string(REGEX MATCHALL
-  "N=[0-9]+ p=[ ]*[0-9]+ modeled [0-9.eE+-]+ s \\(speedup [0-9.eE+-]+, paper-model [0-9.eE+-]+\\)"
+  "N=[0-9]+ p=[ ]*[0-9]+ modeled [0-9.eE+-]+ s \\(modeled speedup [0-9.eE+-]+, projected paper-w\\^4 speedup [0-9.eE+-]+\\)"
   fig5_lines "${fig5_out}")
 if(NOT fig5_lines)
   message(FATAL_ERROR
@@ -55,8 +55,8 @@ if(NOT fig5_lines)
 endif()
 foreach(line IN LISTS fig5_lines)
   string(REGEX REPLACE
-    "N=([0-9]+) p=[ ]*([0-9]+) modeled ([0-9.eE+-]+) s \\(speedup ([0-9.eE+-]+), paper-model ([0-9.eE+-]+)\\)"
-    "{\"n\": \\1, \"p\": \\2, \"modeled_seconds\": \\3, \"speedup\": \\4, \"paper_model_speedup\": \\5}"
+    "N=([0-9]+) p=[ ]*([0-9]+) modeled ([0-9.eE+-]+) s \\(modeled speedup ([0-9.eE+-]+), projected paper-w\\^4 speedup ([0-9.eE+-]+)\\)"
+    "{\"n\": \\1, \"p\": \\2, \"modeled_seconds\": \\3, \"modeled_speedup\": \\4, \"projected_paper_w4_speedup\": \\5}"
     entry "${line}")
   list(APPEND fig5_entries "${entry}")
 endforeach()

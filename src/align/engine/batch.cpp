@@ -4,10 +4,10 @@
 #include <memory>
 #include <vector>
 
-#include "align/engine/gotoh.hpp"
 #include "align/engine/simd.hpp"
 #include "align/engine/simd_int.hpp"
 #include "align/engine/striped.hpp"
+#include "align/engine/wavefront.hpp"
 
 namespace salign::align::engine {
 
@@ -81,7 +81,7 @@ struct ScoreBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_score_impl<VecF>(query, other, *matrix, gaps,
+    return detail::global_score_impl(query, other, *matrix, gaps,
                                            &float_ws);
   }
 
@@ -150,7 +150,7 @@ struct AlignBatch::Impl {
       }
     }
     ++stats.float_runs;
-    return detail::global_align_impl<VecF>(query, other, *matrix, gaps);
+    return detail::global_align_impl(query, other, *matrix, gaps);
   }
 
   [[nodiscard]] std::size_t bytes() const {

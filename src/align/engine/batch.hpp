@@ -61,7 +61,7 @@ class ScoreBatch {
 /// distance-matrix row. The full-alignment sibling of ScoreBatch: each
 /// align() runs the striped integer tiers with the column-checkpointed
 /// integer traceback (striped_align) through the same promotion ladder,
-/// falling back to the float engine's checkpointed kernel.
+/// falling back to the float wavefront kernel (wavefront.hpp).
 ///
 /// Results (score, ops, tie-breaks) are bit-identical to
 /// engine::reference::global_align on every input. The alignment tiers

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "align/engine/batch.hpp"
-#include "align/engine/gotoh.hpp"
 #include "align/engine/simd.hpp"
+#include "align/engine/wavefront.hpp"
 
 namespace salign::align::engine {
 
@@ -72,7 +72,7 @@ LocalAlignment local_align(std::span<const std::uint8_t> a,
                            const bio::SubstitutionMatrix& matrix,
                            bio::GapPenalties gaps) {
   if (a.empty() || b.empty()) return {};
-  return detail::local_align_impl<VecF>(a, b, matrix, gaps);
+  return detail::local_align_impl(a, b, matrix, gaps);
 }
 
 }  // namespace salign::align::engine

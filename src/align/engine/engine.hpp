@@ -22,6 +22,12 @@ inline constexpr float kNegInf = -0.25F * std::numeric_limits<float>::max();
 
 namespace engine {
 
+/// Full-traceback budget of the float kernel: alignments whose DP has at
+/// most this many (m+1)*(n+1) cells keep one traceback decision byte per
+/// cell; larger ones keep a checkpoint row every ~sqrt(m) rows and rerun
+/// one row block at a time during traceback.
+inline constexpr std::size_t kDefaultTraceCells = std::size_t{1} << 22;
+
 /// The kernel compiled into this build: "vector" when VecF (simd.hpp) has
 /// more than one lane, "scalar" in the release-scalar lane
 /// (-DSALIGN_ENGINE_FORCE_SCALAR=ON) or without compiler vector extensions.
@@ -40,7 +46,8 @@ namespace engine {
 /// tier only changes where the ladder starts, never the result (a forced
 /// tier that saturates or is statically non-viable still promotes).
 /// Striped int8 runs VecI8 lanes at a time, int16 half that
-/// (see simd_int.hpp); kFloat is PR 2's anti-diagonal float kernel.
+/// (see simd_int.hpp); kFloat is the wavefront float kernel
+/// (wavefront.hpp).
 enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
 
 [[nodiscard]] const char* tier_name(ScoreTier tier);
@@ -63,8 +70,8 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
 /// Full global alignment with checkpointed traceback, through the same
 /// tier ladder as global_score: striped int8/int16 kernels with the
 /// column-checkpointed integer traceback where the rails allow, the float
-/// anti-diagonal kernel (row checkpoints + block recompute) otherwise. No
-/// O(m·n) traceback matrix is ever materialized on any tier. Results
+/// wavefront kernel otherwise (one decision byte per cell up to
+/// kDefaultTraceCells, row checkpoints + block rerun above it). Results
 /// (score, ops, tie-breaks) are identical to the row-major reference kernel
 /// (tests/oracles/reference.cpp) for every `first_tier` value. To align one
 /// query against many, build an engine::AlignBatch (batch.hpp) — it
@@ -75,7 +82,9 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                              bio::GapPenalties gaps,
                                              ScoreTier first_tier = ScoreTier::kAuto);
 
-/// Local (Smith–Waterman) alignment, checkpointed traceback.
+/// Local (Smith–Waterman) alignment on the float wavefront kernel, with the
+/// same traceback memory policy as global_align. Among equal best cells it
+/// ends at the row-major first, as the reference kernel does.
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,
                                          const bio::SubstitutionMatrix& matrix,

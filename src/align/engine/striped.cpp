@@ -231,8 +231,8 @@ bool StripedProfile<VI>::viable_for_impl(std::size_t max_len,
 
 namespace {
 
-/// Column-checkpoint spacing: ~sqrt(n), clamped like the float engine's row
-/// interval so tiny problems run as one block.
+/// Column-checkpoint spacing: ~sqrt(n), floored so tiny problems run as one
+/// block.
 std::size_t column_interval(std::size_t n) {
   const auto root =
       static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));

@@ -190,7 +190,7 @@ struct StripedAlignWorkspace {
 /// traceback that recomputes one checkpoint-wide block of final H/E/F
 /// columns at a time and re-derives the reference kernel's came_from
 /// decisions from the exact cell values (int_trace.hpp) — no O(m·n) state,
-/// O((m + n) * sqrt(n)) like the float engine's checkpointed traceback.
+/// O((m + n) * sqrt(n)) like the float wavefront's checkpointed traceback.
 ///
 /// Returns false when the run must promote to the next tier: any H cell
 /// touched a rail (as in striped_score), or any E/F cell of a recomputed

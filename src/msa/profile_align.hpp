@@ -23,8 +23,8 @@ struct ProfileAlignOptions {
   /// this keep every cell's traceback decision (one byte a cell); larger
   /// ones switch to checkpointed traceback (row checkpoints every ~sqrt(m)
   /// rows + block recompute), so big-bucket merges never materialize an
-  /// O(m·n) trace. 0 = default (4M cells). Results are identical on both
-  /// paths.
+  /// O(m·n) trace. 0 = default (engine::kDefaultTraceCells, 4M cells).
+  /// Results are identical on both paths.
   /// No production code sets it: it is the test seam through which the
   /// differential tests reach the checkpointed traceback on small inputs.
   std::size_t max_trace_cells = 0;
@@ -36,8 +36,6 @@ struct ProfileAlignResult {
 };
 
 namespace detail {
-
-inline constexpr std::size_t kDefaultProfileTraceCells = std::size_t{1} << 22;
 
 /// One nonzero residue frequency of an A column: (residue code, f).
 using PspEntry = std::pair<std::uint8_t, float>;
@@ -122,26 +120,18 @@ inline bool profile_dp_edge(std::size_t m, std::size_t n,
   return true;
 }
 
-enum ProfileDpState : std::uint8_t { kPdM = 0, kPdX = 1, kPdY = 2 };
-
-/// Blocked anti-diagonal (wavefront) profile DP over engine::simd vectors
-/// (profile_dp_simd.cpp): the three-state Gotoh recurrence with gap
-/// penalties scaled by the occupancy of the column being consumed, so gaps
-/// preferentially stack where the other profile is already gappy (standard
-/// PSP treatment). Materializes dense score rows one row block at a time
-/// through scorer.fill_row, sweeps each block's anti-diagonals with
-/// element-wise vector ops (the occupancy-scaled gap penalties become
-/// precomputed gap vectors: forward along A for gaps-in-B, reversed along B
-/// for gaps-in-A), and takes each cell's traceback decision in the same
-/// vector step. Within max_trace_cells it keeps one decision byte per cell;
-/// above it, it keeps a checkpoint every ~sqrt(m)-th row and reruns one row
-/// block at a time during traceback. Scores, paths and tie-breaks are
-/// bit-identical to the row-major oracle in tests/oracles/profile_dp.hpp
-/// (pinned by tests/msa_parallel_test.cpp). A side with no columns gives
-/// profile_dp_edge's gap run.
-///
-/// The one profile-DP kernel in every build: VecF lanes, or one lane in
-/// scalar builds (align/engine/simd.hpp). Instantiated for PspRowScorer
+/// The profile DP (profile_dp_simd.cpp): the three-state Gotoh recurrence
+/// with gap penalties scaled by the occupancy of the column being consumed,
+/// so gaps preferentially stack where the other profile is already gappy
+/// (standard PSP treatment), run on the engine's wavefront kernel
+/// (align/engine/wavefront.hpp). Materializes dense score rows one row
+/// block at a time through scorer.fill_row. Within max_trace_cells it keeps
+/// one traceback decision byte per cell; above it, it keeps a checkpoint
+/// every ~sqrt(m)-th row and reruns one row block at a time during
+/// traceback. Scores, paths and tie-breaks are bit-identical to the
+/// row-major oracle in tests/oracles/profile_dp.hpp (pinned by
+/// tests/msa_parallel_test.cpp). A side with no columns gives
+/// profile_dp_edge's gap run. Instantiated for PspRowScorer
 /// (align_profiles) and DenseRowScorer (T-Coffee's consistency merges).
 template <typename RowScorer>
 [[nodiscard]] ProfileAlignResult profile_dp_wavefront(

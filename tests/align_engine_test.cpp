@@ -3,9 +3,11 @@
 //  * randomized differential suite — the anti-diagonal engine must match
 //    the retained scalar reference kernels (tests/oracles/) EXACTLY:
 //    bit-equal scores, identical edit-op paths, identical local start
-//    offsets, across DNA and protein alphabets and lengths 0..512. Each
-//    build runs its one kernel width (VecF lanes, or 1 lane in the
-//    release-scalar lane), so CI covers both widths;
+//    offsets, across DNA and protein alphabets and lengths 0..512, plus
+//    DPs past the full-traceback budget (checkpointed traceback) and local
+//    ties across anti-diagonals. Each build runs its one kernel width
+//    (VecF lanes, or 1 lane in the release-scalar lane), so CI covers both
+//    widths;
 //  * the library and this test see the same kernel types (the
 //    SALIGN_ENGINE_FORCE_SCALAR definition reaches every TU);
 //  * kNegInf sentinel arithmetic — no overflow / NaN when gap penalties
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "align/engine/engine.hpp"
@@ -22,6 +26,7 @@
 #include "align/engine/simd.hpp"
 #include "align/engine/simd_int.hpp"
 #include "align/pairwise.hpp"
+#include "bio/alphabet.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "oracles/reference.hpp"
 #include "util/rng.hpp"
@@ -112,6 +117,103 @@ TEST(EngineDifferential, LocalMatchesReferenceExactly) {
     expect_same_pairwise(ref, got, "local", trial);
     EXPECT_EQ(ref.a_begin, got.a_begin) << "trial " << trial;
     EXPECT_EQ(ref.b_begin, got.b_begin) << "trial " << trial;
+  }
+}
+
+/// A copy of `a` with substitutions and short indels, so a long alignment
+/// (global or local) runs through every row block of the DP.
+std::vector<std::uint8_t> mutated(util::Rng& rng,
+                                  const std::vector<std::uint8_t>& a,
+                                  int letters) {
+  std::vector<std::uint8_t> out;
+  out.reserve(a.size() + a.size() / 8);
+  for (std::uint8_t c : a) {
+    if (rng.chance(0.03)) continue;  // deletion
+    if (rng.chance(0.03))            // insertion
+      for (std::uint64_t k = 1 + rng.below(4); k > 0; --k)
+        out.push_back(static_cast<std::uint8_t>(
+            rng.below(static_cast<std::uint64_t>(letters))));
+    out.push_back(rng.chance(0.2) ? static_cast<std::uint8_t>(rng.below(
+                                        static_cast<std::uint64_t>(letters)))
+                                  : c);
+  }
+  return out;
+}
+
+TEST(EngineDifferential, PastTraceBudgetMatchesReferenceExactly) {
+  // DPs past kDefaultTraceCells keep checkpoint rows and rerun row blocks
+  // during traceback instead of storing a decision byte per cell.
+  util::Rng rng(0xE5);
+  const auto& matrix = SubstitutionMatrix::blosum62();
+  const GapPenalties g{11.0F, 1.0F};
+  const std::pair<std::size_t, std::size_t> shapes[] = {{2100, 2100},
+                                                        {1300, 3400}};
+  for (const auto& [la, lb] : shapes) {
+    ASSERT_GT((la + 1) * (lb + 1), engine::kDefaultTraceCells);
+    const auto a = random_codes(rng, la, 20);
+    auto b = mutated(rng, a, 20);
+    b.resize(lb);
+    while (b.size() < lb)
+      b.push_back(static_cast<std::uint8_t>(rng.below(20)));
+
+    const PairwiseAlignment ref =
+        engine::reference::global_align(a, b, matrix, g);
+    const PairwiseAlignment got =
+        engine::global_align(a, b, matrix, g, engine::ScoreTier::kFloat);
+    expect_same_pairwise(ref, got, "global past budget",
+                         static_cast<int>(la));
+    EXPECT_EQ(ref.score, engine::global_score(a, b, matrix, g, nullptr,
+                                              engine::ScoreTier::kFloat));
+
+    const LocalAlignment lref = engine::reference::local_align(a, b, matrix, g);
+    const LocalAlignment lgot = engine::local_align(a, b, matrix, g);
+    EXPECT_GT(lref.ops.size(), la / 2);  // the path crosses many blocks
+    expect_same_pairwise(lref, lgot, "local past budget",
+                         static_cast<int>(la));
+    EXPECT_EQ(lref.a_begin, lgot.a_begin);
+    EXPECT_EQ(lref.b_begin, lgot.b_begin);
+  }
+}
+
+TEST(EngineDifferential, LocalTieAcrossDiagonalsTakesRowMajorFirst) {
+  // BLOSUM62 scores Y-Y and P-P 7, and every other pair here at most -2, so
+  // the best M value 7 sits at (2, 1) (P against P, anti-diagonal 3) and at
+  // (1, 3) (Y against Y, anti-diagonal 4). The wavefront reaches (2, 1)
+  // first; the reference scans rows first and keeps (1, 3).
+  const auto& alpha = bio::Alphabet::amino_acid();
+  auto codes = [&](std::string_view s) {
+    std::vector<std::uint8_t> v;
+    for (char c : s) v.push_back(alpha.encode(c));
+    return v;
+  };
+  const auto a = codes("YP");
+  const auto b = codes("PGY");
+  const auto& matrix = SubstitutionMatrix::blosum62();
+  const GapPenalties g{11.0F, 1.0F};
+
+  const LocalAlignment ref = engine::reference::local_align(a, b, matrix, g);
+  ASSERT_EQ(ref.score, 7.0F);
+  ASSERT_EQ(ref.a_begin, 0u);
+  ASSERT_EQ(ref.b_begin, 2u);
+  const LocalAlignment got = engine::local_align(a, b, matrix, g);
+  expect_same_pairwise(ref, got, "local tie", 0);
+  EXPECT_EQ(got.a_begin, 0u);
+  EXPECT_EQ(got.b_begin, 2u);
+
+  // The same tie many times over: low-complexity sequences over two
+  // letters, whose equal maxima spread over many rows and diagonals.
+  util::Rng rng(0xE6);
+  const std::uint8_t pair[] = {alpha.encode('Y'), alpha.encode('P')};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::uint8_t> x(1 + rng.below(80)), y(1 + rng.below(80));
+    for (auto& c : x) c = pair[rng.below(2)];
+    for (auto& c : y) c = pair[rng.below(2)];
+    const GapPenalties tg{static_cast<float>(4 + rng.below(12)), 1.0F};
+    const LocalAlignment r = engine::reference::local_align(x, y, matrix, tg);
+    const LocalAlignment w = engine::local_align(x, y, matrix, tg);
+    expect_same_pairwise(r, w, "local low-complexity", trial);
+    EXPECT_EQ(r.a_begin, w.a_begin) << "trial " << trial;
+    EXPECT_EQ(r.b_begin, w.b_begin) << "trial " << trial;
   }
 }
 

@@ -307,6 +307,38 @@ TEST(ProfileDpDifferential, DenseRowsMatchRowMajor) {
   }
 }
 
+/// Past m = 1024 the checkpoint interval (~sqrt(m), rounded up to whole
+/// row blocks) spans several row blocks, so each traceback rerun fills and
+/// sweeps a score block taller than the forward pass's.
+TEST(ProfileDpDifferential, TallCheckpointBlocksMatchRowMajor) {
+  util::Rng rng(5252);
+  const std::size_t m = 1500;
+  const std::size_t n = 40;
+  util::Matrix<float> score(m, n, 0.0F);
+  for (std::size_t ca = 0; ca < m; ++ca)
+    for (std::size_t cb = 0; cb < n; ++cb)
+      if (rng.chance(0.3)) score(ca, cb) = static_cast<float>(1 + rng.below(6));
+  std::vector<float> occ_a(m), occ_b(n);
+  for (auto& o : occ_a) o = rng.chance(0.7) ? 1.0F : 0.5F;
+  for (auto& o : occ_b) o = rng.chance(0.7) ? 1.0F : 0.5F;
+  const detail::DenseRowScorer rows{&score, 0.25F};
+  const auto lambda = [&](std::size_t ca, std::size_t cb) {
+    return score(ca, cb) * 0.25F;
+  };
+  for (std::size_t band : {std::size_t{0}, std::size_t{30}}) {
+    ProfileAlignOptions po;
+    po.gaps = {1.0F, 0.5F};
+    po.band = band;
+    po.max_trace_cells = 1;
+    const ProfileAlignResult ref =
+        reference::profile_dp(m, n, lambda, occ_a, occ_b, po);
+    const ProfileAlignResult got =
+        detail::profile_dp_wavefront(m, n, rows, occ_a, occ_b, po);
+    ASSERT_EQ(ref.score, got.score) << "band " << band;
+    ASSERT_EQ(ref.ops, got.ops) << "band " << band;
+  }
+}
+
 // ---- progressive thread invariance -----------------------------------------
 
 TEST(ProgressiveThreads, BitIdenticalAcrossThreadCounts) {

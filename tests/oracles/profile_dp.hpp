@@ -20,9 +20,7 @@
 
 namespace salign::msa::reference {
 
-using detail::kPdM;
-using detail::kPdX;
-using detail::kPdY;
+enum ProfileDpState : std::uint8_t { kPdM = 0, kPdX = 1, kPdY = 2 };
 
 /// Invokes scorer.prepare_row(ca, cb_lo, cb_hi) when the scorer provides it
 /// (row-major scorers with per-row precomputation); plain callables need
@@ -185,7 +183,7 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
 
   const std::size_t budget =
       opts.max_trace_cells != 0 ? opts.max_trace_cells
-                                : detail::kDefaultProfileTraceCells;
+                                : align::engine::kDefaultTraceCells;
   const bool full_trace = (m + 1) * (n + 1) <= budget;
 
   // Checkpoint state (only allocated on the checkpointed path): every K-th
