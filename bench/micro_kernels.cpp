@@ -532,6 +532,22 @@ void BM_UpgmaBuild(benchmark::State& state) {
 BENCHMARK(BM_UpgmaBuild)->Arg(64)->Arg(256)->Arg(1024)->Arg(2048)
     ->Complexity();
 
+// UPGMA on the k-mer distances of a ROSE family, as MiniMuscle's stage 1
+// builds it: a few thousand distinct values over millions of pairs, so
+// ties decide most joins. Each iteration moves in a fresh copy made
+// outside the timed region, so the row times the tree alone.
+void BM_UpgmaBuildKmer(benchmark::State& state) {
+  const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 300);
+  const util::SymmetricMatrix<double> kd = kmer::distance_matrix(seqs, {}, 4);
+  for (auto _ : state) {
+    state.PauseTiming();
+    util::SymmetricMatrix<double> d = kd;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(msa::GuideTree::upgma(std::move(d)));
+  }
+}
+BENCHMARK(BM_UpgmaBuildKmer)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 void BM_MiniMuscleEndToEnd(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 150);
   const msa::MuscleAligner aligner;

@@ -1,6 +1,7 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "align/distance.hpp"
@@ -112,7 +113,7 @@ int run_tree(std::span<const std::string> args, std::ostream& out,
     }
 
     const msa::GuideTree tree = method == "upgma"
-                                    ? msa::GuideTree::upgma(d)
+                                    ? msa::GuideTree::upgma(std::move(d))
                                     : msa::GuideTree::neighbor_joining(d);
     std::vector<std::string> names;
     names.reserve(seqs.size());

@@ -1,7 +1,7 @@
 #include "msa/guide_tree.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -14,9 +14,12 @@ void check_input(const util::SymmetricMatrix<double>& d) {
   if (d.size() == 0) throw std::invalid_argument("GuideTree: empty matrix");
 }
 
+// Offset of row i in SymmetricMatrix's packed lower triangle.
+constexpr std::size_t row_start(std::size_t i) { return i * (i + 1) / 2; }
+
 }  // namespace
 
-GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
+GuideTree GuideTree::upgma(util::SymmetricMatrix<double> distances) {
   check_input(distances);
   const std::size_t n = distances.size();
   GuideTree tree;
@@ -29,52 +32,94 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
     return tree;
   }
 
-  // Slot-reuse storage: slot s holds an active cluster whose node id is
-  // slot_node[s]; a merge writes the new cluster into the lower slot and
-  // retires the higher one. Nearest-neighbour caching makes the whole
-  // construction ~O(n^2) in practice (Murtagh 1984), which matters because
-  // every Sample-Align-D bucket builds one of these trees.
-  util::Matrix<float> d(n, n, 0.0F);
-  for (std::size_t i = 0; i < n; ++i)
+  // The tree is built inside the given triangle, whose packed rows start at
+  // i(i+1)/2. Every distance is first rounded to float precision, and every
+  // merged distance is stored the same way, so heights, comparisons and
+  // ties are those of single-precision average linkage.
+  double* const d = &distances(0, 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    double* row = d + row_start(i);
     for (std::size_t j = 0; j < i; ++j) {
-      const auto v = static_cast<float>(distances(i, j));
-      d(i, j) = v;
-      d(j, i) = v;
+      const auto v = static_cast<float>(row[j]);
+      if (!std::isfinite(v)) {
+        std::ostringstream os;
+        os << "GuideTree::upgma: distance (" << i << ", " << j
+           << ") = " << row[j] << " is not finite at float precision";
+        throw std::invalid_argument(os.str());
+      }
+      row[j] = v;
     }
+  }
 
-  std::vector<int> slot_node(n);
+  // Slots [0, m) of the triangle hold the clusters: slot s holds node
+  // slot_node[s] of csize[s] leaves. A merge writes the new cluster into
+  // the lower slot and retires the higher one, whose distances become +inf
+  // (no input distance is), so the scans need no liveness test: a retired
+  // slot never wins a strict "<". When the live count falls to m / 2, the
+  // live slots move in slot order to a dense prefix, so the scans stay
+  // within twice the live count. Moving keeps the order of the live slots,
+  // and with it every "lowest slot" choice below. Nearest-neighbour caching
+  // makes the construction ~O(n^2) in practice (Murtagh 1984).
+  constexpr double kRetired = std::numeric_limits<double>::infinity();
+  std::size_t m = n;
+  std::vector<int> slot_node(n);  // -1 once retired
   for (std::size_t s = 0; s < n; ++s) slot_node[s] = static_cast<int>(s);
-  // Byte flags, not std::vector<bool>: the scans below test one per slot.
-  std::vector<std::uint8_t> active(n, 1);
   std::vector<double> csize(n, 1.0);
-  std::vector<std::size_t> nn(n, 0);
-  std::vector<float> nnd(n, 0.0F);
+  std::vector<std::size_t> nn(n, 0);  // n once retired
+  std::vector<double> nnd(n, 0.0);
+  std::vector<std::size_t> live(n);
+  std::vector<std::size_t> moved_to(n);
 
-  // Every scan reads whole rows through a row pointer; the only strided
-  // access left is the column half of the merged cluster's write.
+  // d(s, t) is row s at t for t < s, and row t at s for t > s: a scan of
+  // slot s reads its row, then steps down its column.
   auto recompute_nn = [&](std::size_t s) {
-    const float* row = &d(s, 0);
-    float best = std::numeric_limits<float>::infinity();
+    const double* row = d + row_start(s);
+    double best = kRetired;
     std::size_t arg = s;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (t == s || !active[t]) continue;
+    for (std::size_t t = 0; t < s; ++t)
       if (row[t] < best) {
         best = row[t];
         arg = t;
       }
-    }
+    for (std::size_t t = s + 1, at = row_start(t) + s; t < m; at += t + 1, ++t)
+      if (d[at] < best) {
+        best = d[at];
+        arg = t;
+      }
     nn[s] = arg;
     nnd[s] = best;
   };
   for (std::size_t s = 0; s < n; ++s) recompute_nn(s);
 
+  // Moves the live slots to [0, remaining) in slot order; a forward copy is
+  // safe because no entry moves to a higher address.
+  auto compact = [&](std::size_t remaining) {
+    std::size_t k = 0;
+    for (std::size_t s = 0; s < m; ++s)
+      if (slot_node[s] >= 0) {
+        live[k] = s;
+        moved_to[s] = k++;
+      }
+    for (k = 0; k < remaining; ++k) {
+      const std::size_t s = live[k];
+      const double* from = d + row_start(s);
+      double* to = d + row_start(k);
+      for (std::size_t j = 0; j < k; ++j) to[j] = from[live[j]];
+      slot_node[k] = slot_node[s];
+      csize[k] = csize[s];
+      nn[k] = moved_to[nn[s]];
+      nnd[k] = nnd[s];
+    }
+    m = remaining;
+  };
+
   std::size_t remaining = n;
   while (remaining > 1) {
     // Global arg-min over cached nearest neighbours (lowest slot on ties).
-    float best = std::numeric_limits<float>::infinity();
+    double best = kRetired;
     std::size_t sa = 0;
-    for (std::size_t s = 0; s < n; ++s)
-      if (active[s] && nnd[s] < best) {
+    for (std::size_t s = 0; s < m; ++s)
+      if (nnd[s] < best) {
         best = nnd[s];
         sa = s;
       }
@@ -85,11 +130,13 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
     const int b = slot_node[sb];
     const double na = csize[sa];
     const double nb = csize[sb];
+    double* row_a = d + row_start(sa);
+    double* row_b = d + row_start(sb);
 
     TreeNode parent;
     parent.left = a;
     parent.right = b;
-    parent.height = static_cast<double>(d(sa, sb)) / 2.0;
+    parent.height = row_b[sa] / 2.0;
     parent.left_length = std::max(
         0.0, parent.height - tree.nodes_[static_cast<std::size_t>(a)].height);
     parent.right_length = std::max(
@@ -99,22 +146,33 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
     tree.nodes_[static_cast<std::size_t>(a)].parent = pid;
     tree.nodes_[static_cast<std::size_t>(b)].parent = pid;
 
-    // Average-linkage distances for the merged cluster, written into sa.
-    active[sb] = 0;
-    --remaining;
-    float* row_a = &d(sa, 0);
-    const float* row_b = &d(sb, 0);
-    for (std::size_t t = 0; t < n; ++t) {
-      if (!active[t] || t == sa) continue;
-      const auto v = static_cast<float>(
-          (na * static_cast<double>(row_a[t]) +
-           nb * static_cast<double>(row_b[t])) /
-          (na + nb));
-      row_a[t] = v;
-      d(t, sa) = v;
+    // Average-linkage distances for the merged cluster, written into sa,
+    // while sb's are retired. Retired slots average +inf with +inf.
+    const auto average = [na, nb](double x, double y) {
+      return static_cast<double>(
+          static_cast<float>((na * x + nb * y) / (na + nb)));
+    };
+    for (std::size_t t = 0; t < sa; ++t) {
+      row_a[t] = average(row_a[t], row_b[t]);
+      row_b[t] = kRetired;
+    }
+    std::size_t at = row_start(sa + 1) + sa;
+    for (std::size_t t = sa + 1; t < sb; at += t + 1, ++t) {
+      d[at] = average(d[at], row_b[t]);
+      row_b[t] = kRetired;
+    }
+    row_b[sa] = kRetired;
+    for (std::size_t t = sb + 1; t < m; ++t) {
+      double* row_t = d + row_start(t);
+      row_t[sa] = average(row_t[sa], row_t[sb]);
+      row_t[sb] = kRetired;
     }
     slot_node[sa] = pid;
     csize[sa] = na + nb;
+    slot_node[sb] = -1;
+    nn[sb] = n;
+    nnd[sb] = kRetired;
+    --remaining;
 
     if (remaining == 1) {
       tree.root_ = pid;
@@ -123,16 +181,21 @@ GuideTree GuideTree::upgma(const util::SymmetricMatrix<double>& distances) {
 
     // Refresh caches: the merged slot from scratch; any slot whose cached
     // neighbour was sa or sb from scratch; others only improve via sa.
+    // Retired slots match neither test.
     recompute_nn(sa);
-    for (std::size_t t = 0; t < n; ++t) {
-      if (!active[t] || t == sa) continue;
+    const auto refresh = [&](std::size_t t, double d_sa) {
       if (nn[t] == sa || nn[t] == sb) {
         recompute_nn(t);
-      } else if (row_a[t] < nnd[t]) {
+      } else if (d_sa < nnd[t]) {
         nn[t] = sa;
-        nnd[t] = row_a[t];
+        nnd[t] = d_sa;
       }
-    }
+    };
+    for (std::size_t t = 0; t < sa; ++t) refresh(t, row_a[t]);
+    at = row_start(sa + 1) + sa;
+    for (std::size_t t = sa + 1; t < m; at += t + 1, ++t) refresh(t, d[at]);
+
+    if (2 * remaining <= m) compact(remaining);
   }
 
   return tree;

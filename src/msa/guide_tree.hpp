@@ -28,11 +28,19 @@ struct TreeNode {
 ///    from k-mer distances with UPGMA),
 ///  - Neighbor-joining re-rooted at the midpoint of the last join (used by
 ///    the CLUSTALW-style baseline; Thompson et al. 1994).
-/// Tie-breaks are deterministic (lowest index pair), so every aligner built
-/// on top is reproducible.
+/// Tie-breaks are deterministic, so every aligner built on top is
+/// reproducible. UPGMA's ties: the global arg-min over the cached
+/// nearest-neighbour distances takes the lowest slot; a nearest neighbour,
+/// when computed from scratch, is the lowest slot at the smallest distance,
+/// and a cached one is replaced only by a strictly smaller distance. A
+/// merged cluster takes the lower slot of its pair.
 class GuideTree {
  public:
-  static GuideTree upgma(const util::SymmetricMatrix<double>& distances);
+  /// Builds the tree inside `distances`, which it takes by value: callers
+  /// that move their matrix in hold one N^2 array, not two. Throws
+  /// std::invalid_argument on an empty matrix, or on a distance that is
+  /// NaN or infinite at float precision.
+  static GuideTree upgma(util::SymmetricMatrix<double> distances);
   static GuideTree neighbor_joining(
       const util::SymmetricMatrix<double>& distances);
 

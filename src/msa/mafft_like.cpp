@@ -110,9 +110,8 @@ Alignment MafftAligner::align(std::span<const bio::Sequence> seqs) const {
 
   // MAFFT counts 6-mers; on our compressed alphabet the default k = 4 gives
   // a comparable space.
-  const util::SymmetricMatrix<double> kd =
-      kmer::distance_matrix(seqs, kmer::KmerParams{}, options_.threads);
-  const GuideTree tree = GuideTree::upgma(kd);
+  const GuideTree tree = GuideTree::upgma(
+      kmer::distance_matrix(seqs, kmer::KmerParams{}, options_.threads));
 
   ProgressiveOptions po;
   po.gaps = matrix_->default_gaps();

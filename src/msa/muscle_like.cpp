@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "align/distance.hpp"
 #include "bio/content_hash.hpp"
@@ -133,10 +134,10 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   }
 
   // Stage 1: k-mer (or engine score) distances -> UPGMA -> progressive.
-  // Each distance matrix lives only until its tree is built: at large N
-  // they are the biggest allocations of the run.
+  // Each distance matrix moves into its tree, which is built inside it: at
+  // large N they are the biggest allocations of the run.
   GuideTree tree = [&] {
-    const util::SymmetricMatrix<double> kd = pc.get(
+    util::SymmetricMatrix<double> kd = pc.get(
         "stage1 distance matrix",
         [&] {
           if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
@@ -149,7 +150,8 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
                                        options_.threads);
         },
         write_distance_matrix, read_distance_matrix);
-    return pc.get("stage1 guide tree", [&] { return GuideTree::upgma(kd); },
+    return pc.get("stage1 guide tree",
+                  [&] { return GuideTree::upgma(std::move(kd)); },
                   write_guide_tree, read_guide_tree);
   }();
   ProgressiveOptions po;
@@ -166,11 +168,12 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   if (options_.reestimate_tree) {
     aln = in_input_order(aln, seqs);
     tree = [&] {
-      const util::SymmetricMatrix<double> kim = pc.get(
+      util::SymmetricMatrix<double> kim = pc.get(
           "stage2 distance matrix",
           [&] { return induced_kimura_distances(aln, options_.threads); },
           write_distance_matrix, read_distance_matrix);
-      return pc.get("stage2 guide tree", [&] { return GuideTree::upgma(kim); },
+      return pc.get("stage2 guide tree",
+                    [&] { return GuideTree::upgma(std::move(kim)); },
                     write_guide_tree, read_guide_tree);
     }();
     po.weights = tree.leaf_weights();

@@ -219,7 +219,7 @@ Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
   // and distance cell, so the result is bit-identical for any thread
   // count.
   PosteriorTable post(n);
-  const util::SymmetricMatrix<double> dist = align::pairwise_distance_matrix(
+  util::SymmetricMatrix<double> dist = align::pairwise_distance_matrix(
       n, options_.threads, [&](std::size_t y, std::size_t x) {  // x < y
         SparsePosterior p = hmm.posterior(seqs[x], seqs[y]);
         const MeaResult mea = PairHmm::mea_align(p);
@@ -229,7 +229,7 @@ Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
       });
 
   // Stage 2: guide tree from expected-accuracy distances.
-  const GuideTree tree = GuideTree::upgma(dist);
+  const GuideTree tree = GuideTree::upgma(std::move(dist));
 
   // Stage 3: consistency transform.
   for (int rep = 0; rep < options_.consistency_reps; ++rep)

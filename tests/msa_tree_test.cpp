@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
+#include "oracles/guide_tree.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "workload/rose.hpp"
 
 namespace salign::msa {
 namespace {
@@ -105,6 +110,89 @@ TEST(Upgma, TiesJoinLowestSlotsFirst) {
 TEST(Upgma, EmptyMatrixThrows) {
   util::SymmetricMatrix<double> d;
   EXPECT_THROW((void)GuideTree::upgma(d), std::invalid_argument);
+}
+
+TEST(Upgma, NonFiniteDistanceThrows) {
+  // Every cached neighbour distance would be +inf, and slot 0 would merge
+  // with itself; the build refuses such input instead.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {inf, -inf, std::numeric_limits<double>::quiet_NaN(), 1e39}) {
+    util::SymmetricMatrix<double> d(3);
+    d(1, 0) = d(2, 0) = d(2, 1) = bad;
+    EXPECT_THROW((void)GuideTree::upgma(d), std::invalid_argument) << bad;
+  }
+  // One bad entry among finite ones is named by its pair.
+  util::SymmetricMatrix<double> d(4, 1.0);
+  d(3, 1) = 1e39;  // finite as a double, infinite as a float
+  try {
+    (void)GuideTree::upgma(d);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(3, 1)"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---- UPGMA against the square-matrix oracle -------------------------------------
+
+void expect_same_tree(const util::SymmetricMatrix<double>& d,
+                      const std::string& what) {
+  const reference::UpgmaNodes want = reference::upgma(d);
+  const GuideTree got = GuideTree::upgma(d);
+  ASSERT_EQ(got.num_nodes(), want.nodes.size()) << what;
+  ASSERT_EQ(got.root(), want.root) << what;
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    const TreeNode& g = got.node(i);
+    const TreeNode& w = want.nodes[i];
+    ASSERT_EQ(g.left, w.left) << what << " node " << i;
+    ASSERT_EQ(g.right, w.right) << what << " node " << i;
+    ASSERT_EQ(g.parent, w.parent) << what << " node " << i;
+    ASSERT_EQ(g.leaf_index, w.leaf_index) << what << " node " << i;
+    // Exact: both builds must do the same float arithmetic.
+    ASSERT_EQ(g.height, w.height) << what << " node " << i;
+    ASSERT_EQ(g.left_length, w.left_length) << what << " node " << i;
+    ASSERT_EQ(g.right_length, w.right_length) << what << " node " << i;
+  }
+}
+
+TEST(UpgmaDifferential, MatchesSquareOracle) {
+  // Sizes straddle the first compaction steps (live count halving from 32,
+  // 64, ...). Inputs are tie-heavy, as real k-mer distances are: the tree
+  // depends on every tie rule and on the float rounding of each average.
+  for (const std::size_t n :
+       {2, 3, 31, 32, 33, 34, 63, 64, 65, 66, 129, 257, 1000}) {
+    util::Rng rng(n);
+    const std::string size = "n=" + std::to_string(n);
+
+    for (int levels = 2; levels <= 4; ++levels) {
+      util::SymmetricMatrix<double> d(n);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+          d(i, j) = 0.25 * static_cast<double>(
+                               1 + rng.below(static_cast<std::uint64_t>(levels)));
+      expect_same_tree(d, size + " levels=" + std::to_string(levels));
+    }
+
+    expect_same_tree(util::SymmetricMatrix<double>(n, 0.7), size + " equal");
+
+    // Distinct doubles that round to a few floats: only the float values
+    // may decide the tree.
+    util::SymmetricMatrix<double> near(n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < i; ++j) {
+        const float f = 0.1F * static_cast<float>(1 + rng.below(3));
+        const double ulp =
+            static_cast<double>(std::nextafter(f, 1.0F)) - static_cast<double>(f);
+        near(i, j) = static_cast<double>(f) + rng.uniform(-0.4, 0.4) * ulp;
+      }
+    expect_same_tree(near, size + " near-floats");
+
+    const auto seqs = workload::rose_sequences(
+        {.num_sequences = n, .average_length = 80, .relatedness = 700,
+         .seed = n});
+    expect_same_tree(kmer::distance_matrix(seqs, {}, 2), size + " k-mer");
+  }
 }
 
 class TreeShapeTest : public ::testing::TestWithParam<std::size_t> {};
