@@ -47,6 +47,13 @@ std::vector<bio::Sequence> seqs_cache(std::size_t n, std::size_t len) {
   return slot;
 }
 
+// Rows that cost tens of milliseconds an iteration. bench_baseline runs
+// this binary with --benchmark_min_time=0.05, which would time them on one
+// or two iterations; a benchmark's own MinTime takes precedence over the
+// flag. 1.5 s averages at least 10 iterations of the slowest of them,
+// BM_KmerDistanceMatrix/2000/1 (~100 ms).
+constexpr double kSlowRowMinTime = 1.5;
+
 void BM_KmerProfileBuild(benchmark::State& state) {
   const auto seqs = seqs_cache(64, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -92,7 +99,8 @@ void BM_KmerDistanceMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_KmerDistanceMatrix)
     ->ArgsProduct({{1000, 2000}, {1, 4}})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->Unit(benchmark::kMillisecond)->UseRealTime()
+    ->MinTime(kSlowRowMinTime);
 
 // MiniMuscle's stage-2 induced-Kimura matrix over the stage-1 alignment of
 // the same 1000x300 family (built once, outside the timed loop), at 1 and 4
@@ -500,7 +508,7 @@ void BM_ProgressiveAlign(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(po.threads);
 }
 BENCHMARK(BM_ProgressiveAlign)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()->MinTime(kSlowRowMinTime);
 
 void BM_ProfileAlign(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 200);
@@ -546,7 +554,8 @@ void BM_UpgmaBuildKmer(benchmark::State& state) {
     benchmark::DoNotOptimize(msa::GuideTree::upgma(std::move(d)));
   }
 }
-BENCHMARK(BM_UpgmaBuildKmer)->Arg(2000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpgmaBuildKmer)->Arg(2000)->Unit(benchmark::kMillisecond)
+    ->MinTime(kSlowRowMinTime);
 
 void BM_MiniMuscleEndToEnd(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 150);

@@ -96,8 +96,11 @@ endfunction()
 
 # Sized so the first job runs for seconds (release build) — long enough
 # that the kill below lands mid-run, never so marginal that a fast machine
-# finishes first. Sanitizer presets only widen the window.
-run_cli(setup 0 generate --kind rose --n 500 --length 600 --relatedness 300
+# finishes first. Sanitizer presets only widen the window. The kill lands
+# 0.3-0.5 s after the job is journaled `running`: a 500x600 family had
+# dropped to ~0.25 s at --procs 8 on a 4-core x86-64 host and finished
+# first; 800x1600 takes ~2 s there.
+run_cli(setup 0 generate --kind rose --n 800 --length 1600 --relatedness 300
         --seed 7 --out "${WORK_DIR}/big.fasta")
 run_cli(setup 0 generate --kind rose --n 30 --length 80 --seed 8
         --out "${WORK_DIR}/fam2.fasta")

@@ -12,10 +12,14 @@ namespace {
 
 using wavefront::Mode;
 
+static_assert(wavefront::kScorePad <= QueryProfile::kPad,
+              "score-tile loads must stay inside the query profile");
+
 /// One pairwise problem: B's query profile, one score-row pointer per row
-/// of A (index 1..m; a block's rows are a window of them), and the
-/// reference's boundaries — global: row 0 and column 0 are the
-/// origin-anchored gap runs -(open + ext * (k - 1)); local: unreachable.
+/// of A (index 1..m, then kW - 1 spare rows for the last score tile; a
+/// block's rows are a window of them), and the reference's boundaries —
+/// global: row 0 and column 0 are the origin-anchored gap runs
+/// -(open + ext * (k - 1)); local: unreachable.
 struct PairProblem {
   QueryProfile qp;
   std::vector<const float*> score_rows;
@@ -28,7 +32,7 @@ struct PairProblem {
       : qp(b, matrix), gaps{g.open, g.extend} {
     const std::size_t m = a.size();
     const std::size_t n = b.size();
-    score_rows.assign(m + 1, nullptr);
+    score_rows.assign(m + wavefront::kW, qp.row(0));
     for (std::size_t i = 1; i <= m; ++i) score_rows[i] = qp.row(a[i - 1]);
     seed_m.assign(n + 1, kNegInf);
     seed_x.assign(n + 1, kNegInf);

@@ -10,16 +10,18 @@
 // the same row); on an anti-diagonal every state reads only diagonals d-1
 // (X from the left cell, Y from the cell above) and d-2 (M from the
 // diagonal cell), so a whole diagonal updates with element-wise vector
-// max/add and no branches. Substitution scores are gathered per diagonal
-// from one score row per DP row, the only scalar step per cell.
+// max/add and no branches. Substitution scores are read from a ring of kW
+// diagonals (indexed by row, like the states): every kW-th diagonal,
+// transpose_tile turns kW x kW tiles of the score rows (one unaligned row
+// load each) into kW diagonal vectors, so no cell gathers its score alone.
 //
 // Each caller fixes three choices through its types, at compile time:
 //
 //  * score rows: `rows.row(r)` points at DP row r's scores, indexed by B
-//    column. Pairwise runs keep one pointer per row straight into
-//    QueryProfile rows (RowPointers); the profile DP's rows are the
-//    contiguous row block its scorer filled (RowBlock), so its per-cell
-//    gather is one load, with no pointer to fetch first;
+//    column, with kScorePad readable floats on both sides. Pairwise runs
+//    keep one pointer per row straight into padded QueryProfile rows
+//    (RowPointers); the profile DP's rows are the contiguous, padded row
+//    block its scorer filled (RowBlock);
 //  * gaps: ConstGaps (pairwise) splats one open/extend pair; ScaledGaps
 //    (profiles) loads penalties scaled by the occupancy of the consumed
 //    column, precomputed as gap vectors — forward along A for gap-in-B
@@ -55,6 +57,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -63,6 +66,15 @@
 #include "align/engine/engine.hpp"
 #include "align/engine/simd.hpp"
 #include "align/pairwise.hpp"
+
+// The 4-lane x86 build transposes score tiles and packs decision bytes with
+// SSE2 shuffles and packs; other widths (scalar, AVX, NEON) run the
+// portable loops.
+#if defined(SALIGN_HAVE_VECTOR_EXT) && SALIGN_ENGINE_LANES == 4 && \
+    defined(__SSE2__)
+#include <emmintrin.h>
+#define SALIGN_WAVEFRONT_SSE2 1
+#endif
 
 namespace salign::align::engine {
 
@@ -78,6 +90,13 @@ enum class Mode : std::uint8_t { kGlobal, kLocal };
 /// this long, so the wavefront ramp-up costs ~kRowBlock/n of the cells,
 /// while a block's decision bytes and score rows stay ~kRowBlock * n.
 inline constexpr std::size_t kRowBlock = 32;
+
+/// Score-row padding in floats. run_block reads score_rows.row(r) at
+/// columns [-kScorePad, jcap + kScorePad) for r in [1, rows rounded up to
+/// kW]: a tile reaches up to 2kW - 2 columns past either end of the cells
+/// it serves. Values read there reach only lanes outside the diagonal's
+/// cell range, whose results are overwritten or never read.
+inline constexpr std::size_t kScorePad = 2 * kW;
 
 /// Checkpoint interval: ~sqrt(m) rounded up to a whole number of row blocks
 /// so checkpoint rows coincide with block-final rows. The 1024 cap bounds
@@ -167,17 +186,19 @@ struct RowView {
   const float* y;
 };
 
-/// Reusable diagonal workspace: 9 state diagonals + score scratch, padded
-/// so vector loads/stores at range ends stay inside the allocation.
+/// Reusable diagonal workspace: 9 state diagonals + the kW-diagonal score
+/// ring, padded so vector loads/stores at range ends stay inside the
+/// allocation.
 struct Workspace {
+  static constexpr std::size_t kStates = 9;
   std::vector<float> buf;
   std::size_t padded = 0;
 
   void init(std::size_t rows) {
     padded = rows + 2 + kW;
-    buf.assign(10 * padded, kNegInf);
-    std::fill_n(buf.begin() + static_cast<std::ptrdiff_t>(9 * padded), padded,
-                0.0F);
+    buf.assign((kStates + kW) * padded, kNegInf);
+    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(kStates * padded),
+              buf.end(), 0.0F);
   }
   [[nodiscard]] float* lane(std::size_t idx) {
     return buf.data() + idx * padded;
@@ -259,10 +280,18 @@ using Codes = V::Mask;
 inline Codes bit_if_equal(V a, V b, int bit) { return (a.v == b.v) & bit; }
 
 /// Stores each lane's low byte at out[0, kW). A convert to a byte vector is
-/// scalarized on baseline x86-64; folding each lane pair as one 64-bit word
-/// (little-endian: the odd lane's code moves down to bits 8..15) costs a
-/// shift, an or and one 16-bit store per pair.
+/// scalarized on baseline x86-64. SSE2 narrows the four codes (each < 128)
+/// with two saturating packs and stores them as one 32-bit word; other
+/// widths fold each lane pair as one 64-bit word (little-endian: the odd
+/// lane's code moves down to bits 8..15), a shift, an or and one 16-bit
+/// store per pair.
 inline void store_codes(Codes c, std::uint8_t* out) {
+#ifdef SALIGN_WAVEFRONT_SSE2
+  const auto words = std::bit_cast<__m128i>(c);
+  const __m128i halves = _mm_packs_epi32(words, words);
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(halves, halves));
+  std::memcpy(out, &bytes, sizeof bytes);
+#else
   if constexpr (std::endian::native == std::endian::little) {
     std::uint64_t words[kW / 2];
     std::memcpy(words, &c, sizeof words);
@@ -274,6 +303,7 @@ inline void store_codes(Codes c, std::uint8_t* out) {
     for (std::size_t k = 0; k < kW; ++k)
       out[k] = static_cast<std::uint8_t>(c[k]);
   }
+#endif
 }
 #else
 using Codes = int;
@@ -282,6 +312,36 @@ inline void store_codes(Codes c, std::uint8_t* out) {
   *out = static_cast<std::uint8_t>(c);
 }
 #endif
+
+/// Writes the scores of block rows [g, g + kW) on diagonals [d0, d0 + kW)
+/// into the ring: ring[t][g + k] = row(g + k)[d0 + t - (g + k) - 1], the
+/// score of cell (g + k, d0 + t - g - k). Those are kW consecutive columns
+/// of each row, starting one column further left per row, so each row is
+/// one unaligned load and a kW x kW transpose turns the row vectors into
+/// diagonal vectors.
+template <typename Rows>
+inline void transpose_tile(const Rows& score_rows, std::size_t g,
+                           std::size_t d0, float* const* ring) {
+  const std::ptrdiff_t at =
+      static_cast<std::ptrdiff_t>(d0) - static_cast<std::ptrdiff_t>(g) - 1;
+#ifdef SALIGN_WAVEFRONT_SSE2
+  __m128 r0 = _mm_loadu_ps(score_rows.row(g) + at);
+  __m128 r1 = _mm_loadu_ps(score_rows.row(g + 1) + (at - 1));
+  __m128 r2 = _mm_loadu_ps(score_rows.row(g + 2) + (at - 2));
+  __m128 r3 = _mm_loadu_ps(score_rows.row(g + 3) + (at - 3));
+  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+  _mm_storeu_ps(ring[0] + g, r0);
+  _mm_storeu_ps(ring[1] + g, r1);
+  _mm_storeu_ps(ring[2] + g, r2);
+  _mm_storeu_ps(ring[3] + g, r3);
+#else
+  for (std::size_t k = 0; k < kW; ++k) {
+    const float* src =
+        score_rows.row(g + k) + (at - static_cast<std::ptrdiff_t>(k));
+    for (std::size_t t = 0; t < kW; ++t) ring[t][g + k] = src[t];
+  }
+#endif
+}
 
 /// Decision bytes of a row block of `rows` rows over columns [0, jcap]:
 /// cell (local diag d, local row r) at d * rows + r - 1, plus kW bytes for
@@ -292,9 +352,9 @@ inline std::size_t code_bytes(std::size_t rows, std::size_t jcap) {
 
 /// Runs rows [r0+1, r0+rows] x cols [0, jcap] over anti-diagonals, seeded
 /// with row r0's state values; col0[i] is column 0's Y value of absolute
-/// row i. score_rows.row(r) (r in [1, rows]) holds row r0 + r's scores by
-/// B column. Captures the final row into `last` when given; with kCodes,
-/// writes every interior cell's decision byte into `codes`
+/// row i. score_rows.row(r) holds row r0 + r's scores by B column, padded
+/// as kScorePad says. Captures the final row into `last` when given; with
+/// kCodes, writes every interior cell's decision byte into `codes`
 /// (code_bytes(rows, jcap) bytes); in local mode offers each diagonal's
 /// best M cell to `best` when given.
 ///
@@ -319,14 +379,19 @@ template <Mode kMode, bool kCodes, typename Gaps, typename Rows>
   float* m0 = ws.lane(6);
   float* x0 = ws.lane(7);
   float* y0 = ws.lane(8);
-  float* sub = ws.lane(9);
+  float* ring[kW];
+  for (std::size_t t = 0; t < kW; ++t)
+    ring[t] = ws.lane(Workspace::kStates + t);
 
   const V vneg = V::splat(kNegInf);
   [[maybe_unused]] const V vzero = V::splat(0.0F);
 
-  // Monotone band pointers over block-local rows (absolute row r0 + i).
+  // Monotone band pointers over block-local rows (absolute row r0 + i):
+  // the first row whose band reaches diagonal d, the last row whose band
+  // starts by d, and that last row for the ring's final diagonal.
   [[maybe_unused]] std::size_t pmin = 1;
   [[maybe_unused]] std::size_t pmax = 0;
+  [[maybe_unused]] std::size_t pahead = 0;
 
   const std::size_t last_diag = rows + jcap;
   for (std::size_t d = 0; d <= last_diag; ++d) {
@@ -348,9 +413,27 @@ template <Mode kMode, bool kCodes, typename Gaps, typename Rows>
       }
     }
 
+    // Refill the ring for diagonals [d, d + kW): rows from this diagonal's
+    // ilo (which only grows) to the last diagonal's ihi bound. Tiles start
+    // on rows 1 mod kW, so the cell loop's loads match the tile stores
+    // whenever ilo does.
+    const std::size_t slot = d % kW;
+    if (slot == 0 && d + kW >= 3) {
+      const std::size_t dlast = d + kW - 1;
+      std::size_t hi_row = std::min(rows, dlast - 1);
+      if constexpr (Gaps::kBanded) {
+        while (pahead + 1 <= rows &&
+               (pahead + 1) + gaps.lo[r0 + pahead + 1] <= dlast)
+          ++pahead;
+        hi_row = std::min(hi_row, pahead);
+      }
+      for (std::size_t top = (ilo - 1) / kW * kW + 1; top <= hi_row;
+           top += kW)
+        transpose_tile(score_rows, top, d, ring);
+    }
+
     if (ilo <= ihi) {
-      for (std::size_t i = ilo; i <= ihi; ++i)
-        sub[i] = score_rows.row(i)[d - i - 1];
+      const float* sub = ring[slot];
       const auto g = gaps.diagonal(r0, ilo, d);
       [[maybe_unused]] std::uint8_t* dcodes =
           kCodes ? codes + d * rows : nullptr;

@@ -108,7 +108,9 @@ struct Geometry {
 
 /// The wavefront's row source: dense scorer rows of one row block, local
 /// row r (1-based, absolute row r0 + r) covering B columns cb in [0, n),
-/// filled only on the row's in-band range.
+/// filled only on the row's in-band range. The block holds count rows
+/// rounded up to kW, with wf::kScorePad floats before and after, so the
+/// kernel's tile loads stay inside it.
 template <typename RowScorer>
 struct ScoreBlock {
   const RowScorer& scorer;
@@ -116,16 +118,18 @@ struct ScoreBlock {
   std::vector<float> buf;
 
   wf::RowBlock block(std::size_t r0, std::size_t count, std::size_t jcap) {
-    buf.resize(count * g.n);
+    const std::size_t tile_rows = (count + kW - 1) / kW * kW;
+    buf.resize(tile_rows * g.n + 2 * wf::kScorePad);
+    float* const base = buf.data() + wf::kScorePad;
     for (std::size_t r = 1; r <= count; ++r) {
-      float* out = buf.data() + (r - 1) * g.n;
+      float* out = base + (r - 1) * g.n;
       const std::size_t i = r0 + r;
       const std::size_t js = std::max<std::size_t>(g.lo[i], 1);
       const std::size_t je = std::min(g.hi[i], jcap);
       if (js > je) continue;
       scorer.fill_row(i - 1, js - 1, je - js + 1, out + (js - 1));
     }
-    return {buf.data(), g.n};
+    return {base, g.n};
   }
 };
 

@@ -1,10 +1,48 @@
 #include "msa/progressive.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
+#include "align/engine/engine.hpp"
 #include "msa/tree_schedule.hpp"
 
 namespace salign::msa {
+
+namespace {
+
+/// True when align_profiles on the two one-row profiles of `a` and `b`
+/// computes exactly the pairwise global alignment of their sequences, so
+/// the merge can run engine::global_align (the striped integer tiers and
+/// their exact traceback) instead. A one-row child is a leaf, whose row
+/// has no gap; at a positive finite weight it normalizes to weight 1 and
+/// occupancy 1 in every column, so its PSP scores are S(x, y) and its gaps
+/// unscaled. With integer penalties whose longest boundary run stays below
+/// 2^24 the profile DP's accumulated runs equal the pairwise
+/// -(open + ext * (k - 1)) exactly. open >= extend >= 1 is the integer
+/// tiers' own gate: outside it global_align would run the float kernel and
+/// gain nothing. Anything else (a weight or alphabet the Profile
+/// constructor rejects included) stays on the profile path.
+bool sequence_pair_merge(const Alignment& a, const Alignment& b, double wa,
+                         double wb, const bio::SubstitutionMatrix& matrix,
+                         bio::GapPenalties gaps, std::size_t band) {
+  if (band != 0 || a.num_rows() != 1 || b.num_rows() != 1) return false;
+  if (a.alphabet_kind() != matrix.alphabet_kind() ||
+      b.alphabet_kind() != matrix.alphabet_kind())
+    return false;
+  for (double w : {wa, wb})
+    if (!(w > 0.0) || !std::isfinite(w)) return false;
+  const float open = gaps.open;
+  const float ext = gaps.extend;
+  if (open != std::floor(open) || ext != std::floor(ext) || ext < 1.0F ||
+      open < ext)
+    return false;
+  const auto longest =
+      static_cast<double>(std::max(a.num_cols(), b.num_cols()));
+  return open + ext * longest < 16777216.0;  // 2^24
+}
+
+}  // namespace
 
 Alignment progressive_align(std::span<const bio::Sequence> seqs,
                             const GuideTree& tree,
@@ -53,10 +91,18 @@ Alignment progressive_align(std::span<const bio::Sequence> seqs,
     po.gaps = opts.gaps;
     po.band = opts.band_provider ? opts.band_provider(left, right) : opts.band;
 
-    const Profile pl(left, matrix, wl);
-    const Profile pr(right, matrix, wr);
-    const ProfileAlignResult res = align_profiles(pl, pr, po);
-    slot = merge_alignments(left, right, res.ops);
+    if (sequence_pair_merge(left, right, wl.front(), wr.front(), matrix,
+                            po.gaps, po.band)) {
+      slot = merge_alignments(
+          left, right,
+          align::engine::global_align(left.row(0).cells, right.row(0).cells,
+                                      matrix, po.gaps)
+              .ops);
+    } else {
+      const Profile pl(left, matrix, wl);
+      const Profile pr(right, matrix, wr);
+      slot = merge_alignments(left, right, align_profiles(pl, pr, po).ops);
+    }
 
     auto& w = row_weights[static_cast<std::size_t>(id)];
     w.reserve(wl.size() + wr.size());

@@ -35,7 +35,9 @@ struct ProgressiveOptions {
 
 /// Aligns `seqs` progressively along `tree` (leaves index into `seqs`),
 /// merging children profiles bottom-up with PSP profile-profile alignment.
-/// The resulting row order is the tree's left-to-right leaf order.
+/// A merge of two single sequences under integer penalties and no band
+/// runs engine::global_align instead, which computes the same path. The
+/// resulting row order is the tree's left-to-right leaf order.
 [[nodiscard]] Alignment progressive_align(std::span<const bio::Sequence> seqs,
                                           const GuideTree& tree,
                                           const bio::SubstitutionMatrix& matrix,

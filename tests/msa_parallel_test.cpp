@@ -259,12 +259,28 @@ TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
 /// score matrices (so exact ties between moves are common) times the
 /// 1/(|A||B|) merge scale, against the oracle on the per-cell product
 /// score(ca, cb) * scale. Gaps {4/1, 2/2, 0/0}, unbanded and banded, every
-/// budget around the full-trace boundary, and shapes with a one-column side.
+/// budget around the full-trace boundary (a budget of one cell runs the
+/// checkpointed traceback's block reruns), and shapes with a one-column
+/// side. After 40 random shapes come the ones where the kernel's score
+/// tiles (kW x kW, transposed into its ring of diagonals) overhang the
+/// score block: last row blocks 1-3 rows past a multiple of 4 (m = 33..35,
+/// 37, 66, 67 and m < 8) and sides of 1 to 5 columns.
 TEST(ProfileDpDifferential, DenseRowsMatchRowMajor) {
   util::Rng rng(5151);
-  for (int rep = 0; rep < 40; ++rep) {
-    const std::size_t m = rep % 8 == 0 ? 1 : 1 + rng.below(90);
-    const std::size_t n = rep % 8 == 1 ? 1 : 1 + rng.below(90);
+  const std::vector<std::size_t> sides{1,  2,  3,  4,  5,  6,  7,
+                                       9,  33, 34, 35, 37, 66, 67};
+  const std::size_t random_reps = 40;
+  for (std::size_t rep = 0; rep < random_reps + sides.size() * sides.size();
+       ++rep) {
+    std::size_t m = 0;
+    std::size_t n = 0;
+    if (rep < random_reps) {
+      m = rep % 8 == 0 ? 1 : 1 + rng.below(90);
+      n = rep % 8 == 1 ? 1 : 1 + rng.below(90);
+    } else {
+      m = sides[(rep - random_reps) / sides.size()];
+      n = sides[(rep - random_reps) % sides.size()];
+    }
     util::Matrix<float> score(m, n, 0.0F);
     const double density = rng.uniform(0.05, 0.6);
     for (std::size_t ca = 0; ca < m; ++ca)

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "kmer/kmer_rank.hpp"
 #include "msa/consensus.hpp"
 #include "msa/guide_tree.hpp"
+#include "msa/profile.hpp"
+#include "msa/profile_align.hpp"
 #include "msa/progressive.hpp"
 #include "msa/refinement.hpp"
 #include "msa/scoring.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "workload/evolver.hpp"
 #include "workload/rose.hpp"
@@ -102,6 +107,141 @@ TEST(Progressive, BandProviderIsCalled) {
   };
   (void)progressive_align(seqs, tree_for(seqs), B62(), po);
   EXPECT_EQ(calls, 3);  // n-1 merges
+}
+
+// ---- sequence-sequence merges ---------------------------------------------------
+//
+// A merge of two leaves runs the pairwise integer ladder when the
+// penalties are integers; every merge must still equal the profile DP on
+// the two one-row profiles, ties included.
+
+/// Two-leaf progressive_align of (a, b) against the profile path's merge of
+/// the same two leaves, in the tree's child order.
+void expect_profile_merge(const Sequence& a, const Sequence& b,
+                          const SubstitutionMatrix& matrix,
+                          bio::GapPenalties gaps, double wa, double wb,
+                          const std::string& what) {
+  const std::vector<Sequence> seqs{a, b};
+  util::SymmetricMatrix<double> d(2);
+  d(1, 0) = 0.5;
+  const GuideTree tree = GuideTree::upgma(std::move(d));
+  ProgressiveOptions po;
+  po.gaps = gaps;
+  po.weights = {wa, wb};
+  const Alignment got = progressive_align(seqs, tree, matrix, po);
+
+  const TreeNode& root = tree.node(static_cast<std::size_t>(tree.root()));
+  const auto leaf = [&](int id) {
+    return static_cast<std::size_t>(
+        tree.node(static_cast<std::size_t>(id)).leaf_index);
+  };
+  const std::size_t l = leaf(root.left);
+  const std::size_t r = leaf(root.right);
+  const Alignment left = Alignment::from_sequence(seqs[l]);
+  const Alignment right = Alignment::from_sequence(seqs[r]);
+  const std::vector<double> wl{po.weights[l]};
+  const std::vector<double> wr{po.weights[r]};
+  ProfileAlignOptions pa;
+  pa.gaps = gaps;
+  const Alignment want = merge_alignments(
+      left, right,
+      align_profiles(Profile(left, matrix, wl), Profile(right, matrix, wr), pa)
+          .ops);
+  ASSERT_EQ(got.num_rows(), 2u) << what;
+  for (std::size_t row = 0; row < 2; ++row)
+    ASSERT_EQ(got.row_text(row), want.row_text(row))
+        << what << " open " << gaps.open << " ext " << gaps.extend;
+}
+
+/// Random, near-identical and low-complexity (tie-heavy) pairs with lengths
+/// 1..600 over the matrix's alphabet.
+std::vector<std::pair<Sequence, Sequence>> merge_pairs(
+    const SubstitutionMatrix& matrix, util::Rng& rng) {
+  const bio::AlphabetKind kind = matrix.alphabet_kind();
+  const auto letters =
+      static_cast<std::uint64_t>(bio::Alphabet::get(kind).size()) - 1;
+  const auto seq = [&](const char* id, std::vector<std::uint8_t> codes) {
+    return Sequence(id, std::move(codes), kind);
+  };
+  const auto random_codes = [&](std::size_t len, std::uint64_t alpha) {
+    std::vector<std::uint8_t> c(len);
+    for (auto& x : c) x = static_cast<std::uint8_t>(rng.below(alpha));
+    return c;
+  };
+  std::vector<std::pair<Sequence, Sequence>> out;
+  for (std::size_t len : {1, 2, 3, 4, 5, 9, 31, 64, 150, 333, 600}) {
+    const std::size_t other = 1 + rng.below(std::min<std::size_t>(600, 2 * len));
+    out.emplace_back(seq("a", random_codes(len, letters)),
+                     seq("b", random_codes(other, letters)));
+    // Near-identical: point substitutions and short indels.
+    const std::vector<std::uint8_t> base = random_codes(len, letters);
+    std::vector<std::uint8_t> near;
+    for (std::uint8_t c : base) {
+      if (rng.chance(0.03)) continue;
+      near.push_back(rng.chance(0.05)
+                         ? static_cast<std::uint8_t>(rng.below(letters))
+                         : c);
+      if (rng.chance(0.03)) near.push_back(c);
+    }
+    if (near.empty()) near.push_back(base.front());
+    out.emplace_back(seq("a", base), seq("b", near));
+    // Low complexity: two-letter and one-letter runs tie almost every move.
+    out.emplace_back(seq("a", random_codes(len, 2)),
+                     seq("b", random_codes(other, 2)));
+    out.emplace_back(seq("a", std::vector<std::uint8_t>(len, 0)),
+                     seq("b", std::vector<std::uint8_t>(other, 0)));
+  }
+  return out;
+}
+
+TEST(ProgressiveSequenceMerge, MatchesProfileMergeOnEveryShippedMatrix) {
+  util::Rng rng(2929);
+  for (const SubstitutionMatrix* matrix :
+       {&SubstitutionMatrix::blosum62(), &SubstitutionMatrix::pam250(),
+        &SubstitutionMatrix::dna_default()}) {
+    const bio::GapPenalties integral = matrix->default_gaps();
+    for (const auto& [a, b] : merge_pairs(*matrix, rng)) {
+      const double wa = rng.chance(0.5) ? 1.0 : rng.uniform(0.05, 3.0);
+      const double wb = rng.chance(0.5) ? 1.0 : rng.uniform(0.05, 3.0);
+      const std::string what = std::string(matrix->name()) + " " +
+                               std::to_string(a.size()) + "x" +
+                               std::to_string(b.size());
+      expect_profile_merge(a, b, *matrix, integral, wa, wb, what);
+      // Fractional penalties keep the merge on the profile path: the
+      // pairwise boundary runs -(open + ext * (k - 1)) round differently
+      // from the profile DP's accumulated ones.
+      for (const bio::GapPenalties fractional :
+           {bio::GapPenalties{10.5F, 0.5F}, bio::GapPenalties{10.1F, 0.3F},
+            bio::GapPenalties{integral.open + 0.7F, integral.extend}})
+        expect_profile_merge(a, b, *matrix, fractional, wa, wb, what);
+    }
+  }
+}
+
+TEST(ProgressiveSequenceMerge, RejectedInputsThrowTheProfileErrors) {
+  const std::vector<Sequence> seqs{Sequence("a", "MKVLATTWYG"),
+                                   Sequence("b", "MKVLSTWYG")};
+  util::SymmetricMatrix<double> d(2);
+  d(1, 0) = 0.5;
+  const GuideTree tree = GuideTree::upgma(std::move(d));
+  const auto message = [&](const std::vector<Sequence>& in,
+                           std::vector<double> weights) -> std::string {
+    ProgressiveOptions po;
+    po.gaps = B62().default_gaps();
+    po.weights = std::move(weights);
+    try {
+      (void)progressive_align(in, tree, B62(), po);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(message(seqs, {1.0, 0.0}), "Profile: non-positive weights");
+  EXPECT_EQ(message(seqs, {0.0, 1.0}), "Profile: non-positive weights");
+  EXPECT_EQ(message(seqs, {1.0, -2.0}), "Profile: negative weight");
+  const std::vector<Sequence> dna{Sequence("a", "ACGT", bio::AlphabetKind::Dna),
+                                  Sequence("b", "ACT", bio::AlphabetKind::Dna)};
+  EXPECT_EQ(message(dna, {}), "Profile: matrix/alignment alphabet mismatch");
 }
 
 // ---- consensus ---------------------------------------------------------------------
