@@ -47,11 +47,12 @@ std::vector<bio::Sequence> seqs_cache(std::size_t n, std::size_t len) {
   return slot;
 }
 
-// Rows that cost tens of milliseconds an iteration. bench_baseline runs
-// this binary with --benchmark_min_time=0.05, which would time them on one
-// or two iterations; a benchmark's own MinTime takes precedence over the
-// flag. 1.5 s averages at least 10 iterations of the slowest of them,
-// BM_KmerDistanceMatrix/2000/1 (~100 ms).
+// Rows that cost tens to hundreds of milliseconds an iteration.
+// bench_baseline runs this binary with --benchmark_min_time=0.05, which
+// would time them on one or two iterations; a benchmark's own MinTime takes
+// precedence over the flag. 1.5 s averages at least 7 iterations of the
+// slowest of them, BM_MuscleTwoPass (~200 ms on a 4-vCPU x86-64 host), and
+// 10 or more of every other.
 constexpr double kSlowRowMinTime = 1.5;
 
 void BM_KmerProfileBuild(benchmark::State& state) {
@@ -555,6 +556,19 @@ void BM_UpgmaBuildKmer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpgmaBuildKmer)->Arg(2000)->Unit(benchmark::kMillisecond)
+    ->MinTime(kSlowRowMinTime);
+
+// MiniMuscle's default run on a 500x300 family at one thread: the k-mer
+// tree, stage 1, the Kimura tree and stage 2, which replays every stage-1
+// merge whose inputs it proves unchanged (progressive_realign).
+void BM_MuscleTwoPass(benchmark::State& state) {
+  const auto seqs = seqs_cache(500, 300);
+  msa::MuscleOptions o;
+  o.threads = 1;
+  const msa::MuscleAligner aligner(o);
+  for (auto _ : state) benchmark::DoNotOptimize(aligner.align(seqs));
+}
+BENCHMARK(BM_MuscleTwoPass)->Unit(benchmark::kMillisecond)
     ->MinTime(kSlowRowMinTime);
 
 void BM_MiniMuscleEndToEnd(benchmark::State& state) {

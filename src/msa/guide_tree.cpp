@@ -32,24 +32,7 @@ GuideTree GuideTree::upgma(util::SymmetricMatrix<double> distances) {
     return tree;
   }
 
-  // The tree is built inside the given triangle, whose packed rows start at
-  // i(i+1)/2. Every distance is first rounded to float precision, and every
-  // merged distance is stored the same way, so heights, comparisons and
-  // ties are those of single-precision average linkage.
   double* const d = &distances(0, 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    double* row = d + row_start(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const auto v = static_cast<float>(row[j]);
-      if (!std::isfinite(v)) {
-        std::ostringstream os;
-        os << "GuideTree::upgma: distance (" << i << ", " << j
-           << ") = " << row[j] << " is not finite at float precision";
-        throw std::invalid_argument(os.str());
-      }
-      row[j] = v;
-    }
-  }
 
   // Slots [0, m) of the triangle hold the clusters: slot s holds node
   // slot_node[s] of csize[s] leaves. A merge writes the new cluster into
@@ -65,8 +48,8 @@ GuideTree GuideTree::upgma(util::SymmetricMatrix<double> distances) {
   std::vector<int> slot_node(n);  // -1 once retired
   for (std::size_t s = 0; s < n; ++s) slot_node[s] = static_cast<int>(s);
   std::vector<double> csize(n, 1.0);
-  std::vector<std::size_t> nn(n, 0);  // n once retired
-  std::vector<double> nnd(n, 0.0);
+  std::vector<std::size_t> nn(n);  // n once retired
+  std::vector<double> nnd(n, kRetired);
   std::vector<std::size_t> live(n);
   std::vector<std::size_t> moved_to(n);
 
@@ -89,7 +72,41 @@ GuideTree GuideTree::upgma(util::SymmetricMatrix<double> distances) {
     nn[s] = arg;
     nnd[s] = best;
   };
-  for (std::size_t s = 0; s < n; ++s) recompute_nn(s);
+
+  // The tree is built inside the given triangle d, whose packed rows
+  // start at i(i+1)/2. Every distance is first rounded to float precision,
+  // and every merged distance is stored the same way, so heights,
+  // comparisons and ties are those of single-precision average linkage.
+  // One row-order sweep rounds each d(i, j), j < i, and offers it to slot
+  // i (its row part) and to slot j (its column part): every slot sees its
+  // candidates in ascending slot order, under the same strict "<", as
+  // recompute_nn, and the first non-finite entry in row order throws.
+  for (std::size_t i = 1; i < n; ++i) {
+    double* row = d + row_start(i);
+    double best = kRetired;
+    std::size_t arg = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      const auto v = static_cast<float>(row[j]);
+      if (!std::isfinite(v)) {
+        std::ostringstream os;
+        os << "GuideTree::upgma: distance (" << i << ", " << j
+           << ") = " << row[j] << " is not finite at float precision";
+        throw std::invalid_argument(os.str());
+      }
+      const double x = v;
+      row[j] = x;
+      if (x < best) {
+        best = x;
+        arg = j;
+      }
+      if (x < nnd[j]) {
+        nnd[j] = x;
+        nn[j] = i;
+      }
+    }
+    nn[i] = arg;
+    nnd[i] = best;
+  }
 
   // Moves the live slots to [0, remaining) in slot order; a forward copy is
   // safe because no entry moves to a higher address.

@@ -158,15 +158,21 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   po.gaps = matrix_->default_gaps();
   po.weights = tree.leaf_weights();
   po.threads = options_.threads;
+  // Stage 1's merge paths, which stage 2 replays wherever it proves a
+  // merge's inputs unchanged (progressive_realign).
+  MergeRecord record;
   Alignment aln = [&] {
     ScopedPhase phase("stage1 progressive");
-    return progressive_align(seqs, tree, *matrix_, po);
+    return progressive_align(seqs, tree, *matrix_, po,
+                             options_.reestimate_tree ? &record : nullptr);
   }();
 
   // Stage 2: Kimura distances from the stage-1 alignment, rebuilt tree,
   // re-aligned.
   if (options_.reestimate_tree) {
     aln = in_input_order(aln, seqs);
+    record.tree = std::move(tree);
+    record.weights = std::move(po.weights);
     tree = [&] {
       util::SymmetricMatrix<double> kim = pc.get(
           "stage2 distance matrix",
@@ -179,8 +185,9 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
     po.weights = tree.leaf_weights();
     {
       ScopedPhase phase("stage2 progressive");
-      aln = progressive_align(seqs, tree, *matrix_, po);
+      aln = progressive_realign(seqs, tree, *matrix_, po, record);
     }
+    record = MergeRecord{};
   }
 
   aln = in_input_order(aln, seqs);

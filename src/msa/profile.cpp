@@ -5,6 +5,23 @@
 
 namespace salign::msa {
 
+std::vector<float> normalized_weights(std::span<const double> weights,
+                                      std::size_t rows) {
+  if (!weights.empty() && weights.size() != rows)
+    throw std::invalid_argument("Profile: weight count != row count");
+  std::vector<double> w(rows, 1.0);
+  if (!weights.empty()) w.assign(weights.begin(), weights.end());
+  for (double x : w)
+    if (x < 0.0) throw std::invalid_argument("Profile: negative weight");
+  const double total = std::accumulate(w.begin(), w.end(), 0.0);
+  if (total <= 0.0)
+    throw std::invalid_argument("Profile: non-positive weights");
+  std::vector<float> out(rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    out[r] = static_cast<float>(w[r] / total);
+  return out;
+}
+
 Profile::Profile(const Alignment& aln, const bio::SubstitutionMatrix& matrix,
                  std::span<const double> weights)
     : matrix_(&matrix),
@@ -13,23 +30,14 @@ Profile::Profile(const Alignment& aln, const bio::SubstitutionMatrix& matrix,
   if (aln.empty()) throw std::invalid_argument("Profile: empty alignment");
   if (matrix.alphabet_kind() != aln.alphabet_kind())
     throw std::invalid_argument("Profile: matrix/alignment alphabet mismatch");
-  if (!weights.empty() && weights.size() != aln.num_rows())
-    throw std::invalid_argument("Profile: weight count != row count");
-
   const std::size_t rows = aln.num_rows();
-  std::vector<double> w(rows, 1.0);
-  if (!weights.empty()) w.assign(weights.begin(), weights.end());
-  for (double x : w)
-    if (x < 0.0) throw std::invalid_argument("Profile: negative weight");
-  const double total = std::accumulate(w.begin(), w.end(), 0.0);
-  if (total <= 0.0) throw std::invalid_argument("Profile: non-positive weights");
-  for (double& x : w) x /= total;
+  const std::vector<float> w = normalized_weights(weights, rows);
 
   freqs_ = util::Matrix<float>(cols_, static_cast<std::size_t>(alpha_size_));
   occ_.assign(cols_, 0.0F);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto& cells = aln.row(r).cells;
-    const auto wr = static_cast<float>(w[r]);
+    const float wr = w[r];
     for (std::size_t c = 0; c < cols_; ++c) {
       const std::uint8_t code = cells[c];
       if (code == Alignment::kGap) continue;

@@ -10,6 +10,14 @@
 
 namespace salign::msa {
 
+/// The per-row weights a Profile of `rows` rows accumulates: `weights`
+/// (empty = uniform) divided by their sum, each rounded to float. Equal
+/// results give equal profiles of the same alignment, bit for bit. Throws
+/// std::invalid_argument on a weight count other than `rows`, a negative
+/// weight or a non-positive sum.
+[[nodiscard]] std::vector<float> normalized_weights(
+    std::span<const double> weights, std::size_t rows);
+
 /// Column-frequency profile of an alignment, the operand of profile-profile
 /// alignment (MUSCLE's PSP scoring function; Edgar BMC Bioinf. 2004).
 ///

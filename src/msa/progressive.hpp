@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -33,14 +34,49 @@ struct ProgressiveOptions {
   unsigned threads = 1;
 };
 
+/// The column path of every merge of one progressive pass, kept so that a
+/// second pass over the same sequences can replay each merge whose inputs
+/// it proves equal to the first pass's (progressive_realign) instead of
+/// aligning it again. progressive_align fills the paths; the caller then
+/// moves in the tree and the weights that pass ran with.
+struct MergeRecord {
+  GuideTree tree;               ///< the recorded pass's guide tree
+  std::vector<double> weights;  ///< its ProgressiveOptions::weights
+  const bio::SubstitutionMatrix* matrix = nullptr;
+  bio::GapPenalties gaps;
+  /// Internal node v's path is runs[offsets[k], offsets[k + 1]) with
+  /// k = v - tree.num_leaves(); each run is (length << 2) | EditOp. Empty
+  /// when the pass recorded nothing (a band, or a band provider, was set).
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> runs;
+};
+
 /// Aligns `seqs` progressively along `tree` (leaves index into `seqs`),
 /// merging children profiles bottom-up with PSP profile-profile alignment.
 /// A merge of two single sequences under integer penalties and no band
 /// runs engine::global_align instead, which computes the same path. The
-/// resulting row order is the tree's left-to-right leaf order.
+/// resulting row order is the tree's left-to-right leaf order. With a
+/// `record`, every merge's column path is written into it.
 [[nodiscard]] Alignment progressive_align(std::span<const bio::Sequence> seqs,
                                           const GuideTree& tree,
                                           const bio::SubstitutionMatrix& matrix,
-                                          const ProgressiveOptions& opts = {});
+                                          const ProgressiveOptions& opts = {},
+                                          MergeRecord* record = nullptr);
+
+/// progressive_align over the `seqs` of the pass that `first` recorded,
+/// with the same result byte for byte, replaying each merge that provably
+/// has that pass's inputs: only merge_alignments runs for it. A node
+/// stands for the recorded node whose alignment it equals: a leaf for the
+/// recorded leaf of its sequence; an internal node for recorded node u
+/// when its children stand, in order, for u's children, the merge takes
+/// the recorded branch (sequence pair or profiles), and on the profile
+/// branch each child's normalized_weights equal the recorded pass's bit
+/// for bit. Nothing is replayed under a band, a band provider, other gaps
+/// or another matrix. `replayed`, when given, receives the number of
+/// merges replayed.
+[[nodiscard]] Alignment progressive_realign(
+    std::span<const bio::Sequence> seqs, const GuideTree& tree,
+    const bio::SubstitutionMatrix& matrix, const ProgressiveOptions& opts,
+    const MergeRecord& first, std::size_t* replayed = nullptr);
 
 }  // namespace salign::msa

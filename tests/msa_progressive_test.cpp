@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "kmer/kmer_rank.hpp"
 #include "msa/consensus.hpp"
 #include "msa/guide_tree.hpp"
+#include "msa/induced_identity.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "msa/progressive.hpp"
@@ -242,6 +247,178 @@ TEST(ProgressiveSequenceMerge, RejectedInputsThrowTheProfileErrors) {
   const std::vector<Sequence> dna{Sequence("a", "ACGT", bio::AlphabetKind::Dna),
                                   Sequence("b", "ACT", bio::AlphabetKind::Dna)};
   EXPECT_EQ(message(dna, {}), "Profile: matrix/alignment alphabet mismatch");
+}
+
+// ---- replaying a recorded pass ---------------------------------------------
+//
+// progressive_realign must equal progressive_align byte for byte, replaying
+// only the merges whose inputs are provably the recorded pass's.
+
+std::string rows_text(const Alignment& aln) {
+  std::string out;
+  for (std::size_t r = 0; r < aln.num_rows(); ++r)
+    out += aln.row(r).id + " " + aln.row_text(r) + "\n";
+  return out;
+}
+
+/// A tree over `n` leaves whose internal node n + k merges merges[k]
+/// (left, right); the last one is the root.
+GuideTree tree_from(std::size_t n,
+                    std::initializer_list<std::pair<int, int>> merges) {
+  std::vector<TreeNode> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) nodes[i].leaf_index = static_cast<int>(i);
+  for (const auto& [l, r] : merges) {
+    const int id = static_cast<int>(nodes.size());
+    nodes[static_cast<std::size_t>(l)].parent = id;
+    nodes[static_cast<std::size_t>(r)].parent = id;
+    TreeNode parent;
+    parent.left = l;
+    parent.right = r;
+    nodes.push_back(parent);
+  }
+  const int root = static_cast<int>(nodes.size()) - 1;
+  return GuideTree::from_nodes(std::move(nodes), n, root);
+}
+
+/// The record of a pass along `tree` at `po`, holding its tree and weights.
+MergeRecord record_pass(std::span<const Sequence> seqs, const GuideTree& tree,
+                        const ProgressiveOptions& po) {
+  MergeRecord first;
+  (void)progressive_align(seqs, tree, B62(), po, &first);
+  first.tree = tree;
+  first.weights = po.weights;
+  return first;
+}
+
+/// Realigns along `tree` at `po` from `first`, checks the result against a
+/// fresh pass and returns the number of merges replayed.
+std::size_t realign_checked(std::span<const Sequence> seqs,
+                            const GuideTree& tree, const ProgressiveOptions& po,
+                            const MergeRecord& first) {
+  std::size_t replayed = 0;
+  const Alignment got =
+      progressive_realign(seqs, tree, B62(), po, first, &replayed);
+  EXPECT_EQ(rows_text(got),
+            rows_text(progressive_align(seqs, tree, B62(), po)));
+  return replayed;
+}
+
+TEST(ProgressiveRealign, MatchesAFreshPassOnRoseFamilies) {
+  // MiniMuscle's two passes: k-mer UPGMA, then UPGMA on the Kimura
+  // distances of the first alignment, each with its tree's weights.
+  for (const auto& [n, len, seed] :
+       {std::tuple{80, 120, 1}, std::tuple{160, 100, 2}}) {
+    const auto seqs = family(static_cast<std::size_t>(n),
+                             static_cast<std::size_t>(len), 700,
+                             static_cast<std::uint64_t>(seed));
+    for (const unsigned threads : {1U, 4U}) {
+      const std::string what = std::to_string(n) + "x" + std::to_string(len) +
+                               " threads " + std::to_string(threads);
+      ProgressiveOptions po;
+      po.gaps = B62().default_gaps();
+      po.threads = threads;
+      const GuideTree tree1 = tree_for(seqs);
+      po.weights = tree1.leaf_weights();
+      MergeRecord first;
+      const Alignment stage1 =
+          progressive_align(seqs, tree1, B62(), po, &first);
+      ASSERT_EQ(first.offsets.size(), seqs.size()) << what;
+      first.tree = tree1;
+      first.weights = po.weights;
+
+      const GuideTree tree2 = GuideTree::upgma(
+          induced_kimura_distances(in_input_order(stage1, seqs), threads));
+      po.weights = tree2.leaf_weights();
+      std::size_t replayed = 0;
+      const Alignment got =
+          progressive_realign(seqs, tree2, B62(), po, first, &replayed);
+      EXPECT_EQ(rows_text(got),
+                rows_text(progressive_align(seqs, tree2, B62(), po)))
+          << what;
+      EXPECT_GT(replayed, 0U) << what;
+      EXPECT_LT(replayed, seqs.size() - 1) << what;
+    }
+  }
+}
+
+TEST(ProgressiveRealign, ReorderedOrRegroupedChildrenAreNotReplayed) {
+  const auto seqs = family(4, 40, 700, 5);
+  ProgressiveOptions po;
+  po.gaps = B62().default_gaps();
+  const GuideTree recorded = tree_from(4, {{0, 1}, {2, 3}, {4, 5}});
+  const MergeRecord first = record_pass(seqs, recorded, po);
+  const auto replayed = [&](const GuideTree& tree) {
+    return realign_checked(seqs, tree, po, first);
+  };
+  EXPECT_EQ(replayed(recorded), 3U);
+  // The cherry {0, 1} with its children swapped: only {2, 3} replays.
+  EXPECT_EQ(replayed(tree_from(4, {{1, 0}, {2, 3}, {4, 5}})), 1U);
+  // The root with its children swapped.
+  EXPECT_EQ(replayed(tree_from(4, {{0, 1}, {2, 3}, {5, 4}})), 2U);
+  // Children of two different recorded parents.
+  EXPECT_EQ(replayed(tree_from(4, {{0, 2}, {1, 3}, {4, 5}})), 0U);
+}
+
+TEST(ProgressiveRealign, ChangedProfileWeightsAreNotReplayed) {
+  // In this family, moving weight from row 0 to row 1 moves a gap of the
+  // root merge.
+  const auto seqs = family(3, 30, 900, 11);
+  const GuideTree tree = tree_from(3, {{0, 1}, {3, 2}});
+  ProgressiveOptions po;
+  po.gaps = B62().default_gaps();
+  po.weights = {4.0, 0.25, 1.0};
+  const MergeRecord first = record_pass(seqs, tree, po);
+  ProgressiveOptions moved = po;
+  moved.weights = {0.25, 4.0, 1.0};
+  ASSERT_NE(rows_text(progressive_align(seqs, tree, B62(), moved)),
+            rows_text(progressive_align(seqs, tree, B62(), po)));
+  // The cherry's sequence-pair merge ignores weights; the root does not.
+  EXPECT_EQ(realign_checked(seqs, tree, moved, first), 1U);
+  // Doubled weights normalize to the same floats, so the root replays too.
+  ProgressiveOptions doubled = po;
+  doubled.weights = {8.0, 0.5, 2.0};
+  EXPECT_EQ(realign_checked(seqs, tree, doubled, first), 2U);
+}
+
+TEST(ProgressiveRealign, CherryOffTheSequencePairBranchIsNotReplayed) {
+  // An infinite weight fails sequence_pair_merge's gate, so that pass
+  // merges the cherry {0, 1} as profiles, on another path.
+  const auto seqs = family(3, 40, 900, 3);
+  const GuideTree tree = tree_from(3, {{0, 1}, {3, 2}});
+  ProgressiveOptions po;
+  po.gaps = B62().default_gaps();
+  po.weights = {1.0, 1.0, 1.0};
+  ProgressiveOptions gated = po;
+  gated.weights = {std::numeric_limits<double>::infinity(), 1.0, 1.0};
+  ASSERT_NE(rows_text(progressive_align(seqs, tree, B62(), gated)),
+            rows_text(progressive_align(seqs, tree, B62(), po)));
+  // Off the pair branch in the replaying pass, then in the recorded one.
+  EXPECT_EQ(realign_checked(seqs, tree, gated, record_pass(seqs, tree, po)),
+            0U);
+  EXPECT_EQ(realign_checked(seqs, tree, po, record_pass(seqs, tree, gated)),
+            0U);
+}
+
+TEST(ProgressiveRealign, NothingIsReplayedUnderABandOrOtherGaps) {
+  const auto seqs = family(6, 40, 700, 4);
+  const GuideTree tree = tree_for(seqs);
+  ProgressiveOptions po;
+  po.gaps = B62().default_gaps();
+  const MergeRecord first = record_pass(seqs, tree, po);
+  EXPECT_EQ(realign_checked(seqs, tree, po, first), seqs.size() - 1);
+  ProgressiveOptions banded = po;
+  banded.band = 8;
+  EXPECT_EQ(realign_checked(seqs, tree, banded, first), 0U);
+  ProgressiveOptions other = po;
+  other.gaps.open += 1.0F;
+  EXPECT_EQ(realign_checked(seqs, tree, other, first), 0U);
+  // A banded pass records nothing to replay.
+  EXPECT_TRUE(record_pass(seqs, tree, banded).offsets.empty());
+  // A record of other sequences is refused.
+  const auto five = std::span<const Sequence>(seqs).first(5);
+  EXPECT_THROW(
+      (void)progressive_realign(five, tree_for(five), B62(), po, first),
+      std::invalid_argument);
 }
 
 // ---- consensus ---------------------------------------------------------------------

@@ -132,6 +132,19 @@ TEST(Upgma, NonFiniteDistanceThrows) {
     EXPECT_NE(std::string(e.what()).find("(3, 1)"), std::string::npos)
         << e.what();
   }
+  // Of two bad entries, the first in row order is named: (2, 1) precedes
+  // (3, 0), which comes first down slot 0's column.
+  util::SymmetricMatrix<double> two(5, 1.0);
+  two(3, 0) = 1e39;
+  two(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)GuideTree::upgma(two);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(2, 1)"), std::string::npos) << what;
+    EXPECT_EQ(what.find("(3, 0)"), std::string::npos) << what;
+  }
 }
 
 // ---- UPGMA against the square-matrix oracle -------------------------------------
