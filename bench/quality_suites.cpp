@@ -24,7 +24,6 @@
 #include "core/sample_align_d.hpp"
 #include "msa/clustalw_like.hpp"
 #include "msa/muscle_like.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -69,10 +68,6 @@ int main() {
       {"CLUSTALW",
        [&](std::span<const bio::Sequence> s) {
          return msa::ClustalWAligner().align(s);
-       }},
-      {"ProbCons",
-       [&](std::span<const bio::Sequence> s) {
-         return msa::ProbConsAligner().align(s);
        }},
   };
 

@@ -24,7 +24,6 @@
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
 #include "msa/muscle_like.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
 #include "msa/tcoffee_like.hpp"
 #include "util/stats.hpp"
@@ -91,12 +90,6 @@ int main() {
       {"CLUSTALW", "0.563",
        [&](std::span<const bio::Sequence> s) {
          return msa::ClustalWAligner().align(s);
-       }},
-      // Not in the paper's table; the intro cites ProbCons among the
-      // dominant heuristics, so the library ships it as an extension row.
-      {"ProbCons (ext.)", "-",
-       [&](std::span<const bio::Sequence> s) {
-         return msa::ProbConsAligner().align(s);
        }},
   };
 

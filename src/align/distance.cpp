@@ -58,23 +58,6 @@ double alignment_distance(std::span<const std::uint8_t> a,
 // Batched drivers
 // ---------------------------------------------------------------------------
 
-util::SymmetricMatrix<double> pairwise_distance_matrix(
-    std::size_t n, unsigned threads,
-    const std::function<double(std::size_t, std::size_t)>& fn) {
-  util::SymmetricMatrix<double> d(n, 0.0);
-  const std::size_t pairs = n == 0 ? 0 : n * (n - 1) / 2;
-  util::parallel_for(
-      pairs,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-          const auto [i, j] = util::pair_from_index(p);
-          d(i, j) = fn(i, j);
-        }
-      },
-      threads);
-  return d;
-}
-
 PairDistanceStats& PairDistanceStats::operator+=(const PairDistanceStats& o) {
   pairs += o.pairs;
   batched_int8 += o.batched_int8;

@@ -50,16 +50,6 @@ inline constexpr double kMaxGuideTreeDistance = 5.0;
 // (engine::ScoreBatch) with one query profile per row instead of per pair.
 // ---------------------------------------------------------------------------
 
-/// Deterministic threaded all-pairs driver: fills d(i, j) = fn(i, j) for
-/// every j < i (diagonal stays 0) via util::parallel_for over the linear
-/// pair index. `fn` must be thread-safe and independent per pair — it may
-/// write per-pair side state (e.g. a preallocated posterior slot), but
-/// nothing shared across pairs; each pair then has exactly one writer and
-/// the result is bit-identical for every thread count.
-[[nodiscard]] util::SymmetricMatrix<double> pairwise_distance_matrix(
-    std::size_t n, unsigned threads,
-    const std::function<double(std::size_t, std::size_t)>& fn);
-
 /// Per-pair alignments handed to an alignment_distance_matrix visitor.
 struct PairAlignments {
   PairwiseAlignment global;

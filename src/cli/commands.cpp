@@ -10,7 +10,6 @@
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
 #include "msa/muscle_like.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/tcoffee_like.hpp"
 #include "serve/socket.hpp"
 #include "util/budget.hpp"
@@ -75,24 +74,19 @@ std::shared_ptr<const msa::MsaAlgorithm> make_aligner(
     o.threads = threads;
     return std::make_shared<msa::MafftAligner>(o);
   }
-  if (name == "probcons") {
-    msa::ProbConsOptions o;
-    o.threads = threads;
-    return std::make_shared<msa::ProbConsAligner>(o);
-  }
   throw UsageError("unknown aligner '" + name + "' (expected one of " +
                    aligner_names() + ")");
 }
 
 std::string aligner_names() {
   return "muscle, muscle-refine, muscle-fast, clustalw, tcoffee, nwnsi, "
-         "fftnsi, probcons";
+         "fftnsi";
 }
 
 std::string aligner_help() {
   std::string help = "per-bucket sequential aligner: ";
   help += aligner_names();
-  help += ".\ntcoffee and probcons take at most ";
+  help += ".\ntcoffee takes at most ";
   help += std::to_string(msa::kMaxConsistencySequences);
   help += " sequences per bucket\n(a larger --procs makes buckets smaller)";
   return help;

@@ -95,8 +95,8 @@ int dispatch(std::span<const std::string> args, std::ostream& out,
 /// Shared aligner registry: maps a CLI name to an aligner instance with
 /// `threads` workers for its parallel passes (thread counts never change
 /// outputs). Names: muscle, muscle-refine, muscle-fast (score-distance
-/// guide tree), clustalw, tcoffee, nwnsi, fftnsi, probcons. Throws
-/// UsageError for unknown names.
+/// guide tree), clustalw, tcoffee, nwnsi, fftnsi. Throws UsageError for
+/// unknown names.
 [[nodiscard]] std::shared_ptr<const msa::MsaAlgorithm> make_aligner(
     const std::string& name, unsigned threads = 1);
 
@@ -104,7 +104,7 @@ int dispatch(std::span<const std::string> args, std::ostream& out,
 [[nodiscard]] std::string aligner_names();
 
 /// Help text of an --aligner option: the names and the per-bucket sequence
-/// cap of the consistency aligners (msa::kMaxConsistencySequences).
+/// cap of the consistency aligner (msa::kMaxConsistencySequences).
 [[nodiscard]] std::string aligner_help();
 
 }  // namespace salign::cli

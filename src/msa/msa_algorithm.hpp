@@ -41,9 +41,9 @@ class MsaAlgorithm {
   virtual void hash_config(util::StableHash& h) const { h.str(name()); }
 };
 
-/// Most sequences one TCoffeeAligner or ProbConsAligner call accepts: their
-/// consistency libraries hold O(N^2 L) residue pairs. PREFAB-style sets
-/// (20-30 sequences), the regime the paper evaluates them in, fit easily.
+/// Most sequences one TCoffeeAligner call accepts: its consistency library
+/// holds O(N^2 L) residue pairs. PREFAB-style sets (20-30 sequences), the
+/// regime the paper evaluates T-Coffee in, fit easily.
 inline constexpr std::size_t kMaxConsistencySequences = 64;
 
 /// Throws the std::invalid_argument of a consistency aligner given `n` >

@@ -25,10 +25,10 @@ namespace salign::msa {
 /// free merged partials eagerly). Under that contract the final per-node
 /// results are identical
 /// for every `threads` value, because each node's result is a pure function
-/// of its children's results regardless of execution order. All consumers
-/// in this library (PSP progressive, T-Coffee consistency, ProbCons MEA)
-/// are pinned bit-identical across thread counts by the
-/// tests/msa_parallel_test.cpp invariance suite.
+/// of its children's results regardless of execution order. Both consumers
+/// in this library (PSP progressive, T-Coffee consistency) are pinned
+/// bit-identical across thread counts by the tests/msa_parallel_test.cpp
+/// invariance suite.
 ///
 /// If any `node_fn` throws, the schedule drains (running nodes finish, no
 /// new node starts) and one of the exceptions is rethrown.

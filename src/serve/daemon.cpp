@@ -535,6 +535,10 @@ Daemon::Outcome Daemon::run_job(
   } catch (const util::CancelledError& e) {
     if (draining_.load()) return {JobState::kQueued, 0, ""};
     return {JobState::kCancelled, 4, e.what()};
+  } catch (const cli::UsageError& e) {
+    // A journal from an older daemon can queue an aligner this build no
+    // longer has: the same spec is a bad_request (exit 2) at submit.
+    return {JobState::kFailed, 2, e.what()};
   } catch (const bio::InvalidInput& e) {
     return {JobState::kFailed, 3, e.what()};
   } catch (const std::invalid_argument& e) {

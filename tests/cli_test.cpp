@@ -12,6 +12,7 @@
 #include "cli/commands.hpp"
 #include "msa/alignment.hpp"
 #include "msa/clustal_format.hpp"
+#include "util/string_util.hpp"
 
 namespace salign::cli {
 namespace {
@@ -326,8 +327,8 @@ TEST_F(CliTest, AlignStatsGoToStderr) {
 TEST_F(CliTest, AlignEveryAlignerName) {
   const std::string in = path("in.fasta");
   write_demo_fasta(in, 6);
-  for (const char* name : {"muscle", "muscle-refine", "clustalw", "tcoffee",
-                           "nwnsi", "fftnsi", "probcons"}) {
+  for (const std::string& field : util::split(aligner_names(), ',')) {
+    const std::string name(util::trim(field));
     const Result r = run(argv({"align", "--in", in, "--procs", "1",
                                "--aligner", name}));
     EXPECT_EQ(r.status, 0) << name << ": " << r.err;
@@ -626,33 +627,38 @@ TEST_F(CliTest, ExitCodeDeadlineIs4AndStatesResume) {
 TEST_F(CliTest, ConsistencyAlignerOverTheCapExits3AndNamesTheRemedies) {
   const std::string in = path("in.fasta");
   write_demo_fasta(in, 65);
-  for (const char* name : {"tcoffee", "probcons"}) {
-    SCOPED_TRACE(name);
-    const Result r = run(argv({"align", "--in", in, "--procs", "1",
-                               "--aligner", name}));
-    EXPECT_EQ(r.status, kExitInvalidInput) << r.err;
-    EXPECT_NE(r.err.find("65 sequences exceed the 64-sequence cap"),
-              std::string::npos)
-        << r.err;
-    EXPECT_NE(r.err.find("a larger --procs"), std::string::npos) << r.err;
-    EXPECT_NE(r.err.find("another --aligner"), std::string::npos) << r.err;
-  }
+  const Result r = run(argv({"align", "--in", in, "--procs", "1",
+                             "--aligner", "tcoffee"}));
+  EXPECT_EQ(r.status, kExitInvalidInput) << r.err;
+  EXPECT_NE(r.err.find("65 sequences exceed the 64-sequence cap"),
+            std::string::npos)
+      << r.err;
+  EXPECT_NE(r.err.find("a larger --procs"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("another --aligner"), std::string::npos) << r.err;
   const Result help = run(argv({"align", "--help"}));
-  EXPECT_NE(help.out.find("tcoffee and probcons take at most 64 sequences"),
+  EXPECT_NE(help.out.find("tcoffee takes at most 64 sequences"),
             std::string::npos)
       << help.out;
 }
 
 TEST_F(CliTest, AlignRemovedOptionsAreUnknown) {
   // A one-shot run never hits the artifact cache, so `align` takes no
-  // --cache; `salign serve` owns the cache.
+  // --cache; `salign serve` owns the cache. The retired ProbCons aligner is
+  // an unknown aligner like any other.
   const std::string in = path("in.fasta");
   write_demo_fasta(in, 4);
   for (const auto& args : {argv({"align", "--in", in, "--max-memory", "1g"}),
-                           argv({"align", "--in", in, "--cache"})}) {
+                           argv({"align", "--in", in, "--cache"}),
+                           argv({"align", "--in", in, "--aligner",
+                                 "probcons"})}) {
     const Result r = run(args);
     EXPECT_EQ(r.status, kExitUsage) << args[3] << ": " << r.err;
   }
+  const Result gone = run(argv({"align", "--in", in, "--aligner", "probcons"}));
+  EXPECT_NE(gone.err.find("unknown aligner 'probcons' (expected one of " +
+                          aligner_names() + ")"),
+            std::string::npos)
+      << gone.err;
 }
 
 // ---- duration parsing -------------------------------------------------------

@@ -13,8 +13,8 @@
 #include "core/stage/stage.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/polish.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
+#include "msa/tcoffee_like.hpp"
 #include "util/string_util.hpp"
 #include "workload/evolver.hpp"
 #include "workload/genome.hpp"
@@ -376,13 +376,13 @@ TEST(SampleAlignD, CustomLocalAligner) {
     EXPECT_EQ(a.degapped(i), seqs[i]);
 }
 
-TEST(SampleAlignD, ProbConsAsLocalAligner) {
+TEST(SampleAlignD, TCoffeeAsLocalAligner) {
   // The pipeline is parameterized over "any sequential multiple alignment
   // system" (paper step 11); the consistency-based aligner must slot in,
   // including for the root's ancestor alignment.
   SampleAlignDConfig cfg;
   cfg.num_procs = 3;
-  cfg.local_aligner = std::make_shared<msa::ProbConsAligner>();
+  cfg.local_aligner = std::make_shared<msa::TCoffeeAligner>();
   const auto seqs = family(18, 30, 500, 1050);
   const Alignment a = SampleAlignD(cfg).align(seqs);
   a.validate();

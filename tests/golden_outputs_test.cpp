@@ -106,10 +106,6 @@ const GoldenRow kGolden[] = {
      "3cf7ca71d755effe8aa7fc787ba0796d", ""},
     {"fftnsi_p4", "fftnsi", 4, kG, true, false,
      "dedafa3b1db9beabc46b1517f66d33af", "sample-exchange/allgather:4998/1302 pivot-select/gather:84/28 pivot-select/broadcast:84/84 redistribute/alltoall:4804/1584 ancestor/gather:418/142 ancestor/broadcast:450/450 glue/gather:4307/1657"},
-    {"probcons_p1", "probcons", 1, kG, true, false,
-     "cc9608706cca37e8de9d4cdb27d00b9a", ""},
-    {"probcons_p4", "probcons", 4, kG, true, false,
-     "e81f0fe67465713bba3dbabcad93103c", "sample-exchange/allgather:4998/1302 pivot-select/gather:84/28 pivot-select/broadcast:84/84 redistribute/alltoall:4804/1584 ancestor/gather:392/143 ancestor/broadcast:438/438 glue/gather:5450/2237"},
     {"minimuscle_p1", "", 1, kG, true, false,
      "c275311687041d408b5ea2071927804d", ""},
     {"minimuscle_p1_polish", "", 1, kG, true, true,

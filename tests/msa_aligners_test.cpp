@@ -6,7 +6,6 @@
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
 #include "msa/muscle_like.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
 #include "msa/tcoffee_like.hpp"
 #include "util/string_util.hpp"
@@ -41,7 +40,6 @@ std::vector<std::shared_ptr<const MsaAlgorithm>> all_aligners() {
       std::make_shared<TCoffeeAligner>(),
       std::make_shared<MafftAligner>(nw),
       std::make_shared<MafftAligner>(fft),
-      std::make_shared<ProbConsAligner>(),
   };
 }
 
@@ -222,14 +220,6 @@ TEST(AlignerDeterminism, ThreadedDistancePassesAreBitIdentical) {
     threaded.threads = 4;
     expect_same_alignment(MuscleAligner(serial).align(seqs),
                           MuscleAligner(threaded).align(seqs), "muscle");
-  }
-  {
-    const auto small = family(7, 40, 900, 9);
-    ProbConsOptions serial;
-    ProbConsOptions threaded;
-    threaded.threads = 4;
-    expect_same_alignment(ProbConsAligner(serial).align(small),
-                          ProbConsAligner(threaded).align(small), "probcons");
   }
 }
 

@@ -20,7 +20,6 @@
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
 #include "msa/muscle_like.hpp"
-#include "msa/probcons_like.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "msa/progressive.hpp"
@@ -404,11 +403,6 @@ TEST(AlignerThreads, AllTreeAlignersThreadInvariant) {
       TCoffeeOptions o;
       o.threads = threads;
       prints.push_back(fingerprint(TCoffeeAligner(o).align(seqs)));
-    }
-    {
-      ProbConsOptions o;
-      o.threads = threads;
-      prints.push_back(fingerprint(ProbConsAligner(o).align(seqs)));
     }
     return prints;
   };

@@ -394,6 +394,47 @@ TEST_F(ServeTest, SubmitRunsJobByteIdenticalToDirectRun) {
   EXPECT_NE(slurp(path("served.afa")), "");
 }
 
+TEST_F(ServeTest, ReplayedJobOfARetiredAlignerFailsAsUsageError) {
+  // A journal written by an older daemon can queue an aligner this build
+  // no longer has. Replay runs it like any queued job; it must fail as the
+  // usage error (exit 2) its spec is at submit time, and the daemon must
+  // go on serving.
+  const std::string in = path("in.fasta");
+  write_fasta(in, 10);
+  { const Journal seed(path("journal")); }
+  std::ofstream(journal_file("j000001"))
+      << R"({"attempts":0,"error":"","exit_code":0,"id":"j000001","seq":1,)"
+      << R"("spec":{"aligner":"probcons","deadline":0,"format":"fasta",)"
+      << R"("in":")" << in << R"(","out":")" << path("retired.afa")
+      << R"(","procs":2,"threads":1},"state":"queued","submitted_ms":0,)"
+      << R"("updated_ms":0,"v":1})" << "\n";
+
+  DaemonRunner runner(options());
+  ASSERT_TRUE(runner.ready()) << runner.error();
+  const Json retired = wait_terminal(path("d.sock"), "j000001");
+  EXPECT_EQ(retired.get_string("state"), "failed") << retired.dump();
+  EXPECT_EQ(retired.get_number("exit_code", -1), 2);
+  EXPECT_NE(retired.get_string("error").find("unknown aligner 'probcons'"),
+            std::string::npos)
+      << retired.dump();
+  EXPECT_FALSE(fs::exists(path("retired.afa")));
+
+  const Json ack =
+      request(path("d.sock"), submit_request(in, path("served.afa")));
+  ASSERT_TRUE(ack.get_bool("ok")) << ack.dump();
+  const Json job = wait_terminal(path("d.sock"), ack.get_string("id"));
+  EXPECT_EQ(job.get_string("state"), "done") << job.dump();
+
+  std::ostringstream out;
+  std::ostringstream err;
+  ASSERT_EQ(cli::dispatch(argv({"align", "--in", in, "--out",
+                                path("direct.afa"), "--procs", "2"}),
+                          out, err),
+            0)
+      << err.str();
+  EXPECT_EQ(slurp(path("served.afa")), slurp(path("direct.afa")));
+}
+
 TEST_F(ServeTest, AdmissionControlShedsWithRetryAfter) {
   DaemonOptions opts = options();
   opts.queue_limit = 0;  // every submit sheds: the bound is explicit
