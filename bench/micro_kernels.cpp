@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
-#include "align/engine/pair_batch.hpp"
 #include "core/partition.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
@@ -264,9 +262,9 @@ BENCHMARK(BM_DistanceMatrixKimura)->Arg(12);
 //
 // The end-to-end acceptance pair of the integer-traceback PR: the same
 // full-alignment distance pass once through the tier ladder (striped
-// int8/int16 traceback + batched int8 pair lanes) and once pinned to
-// kFloat — the pre-integer-traceback behavior. The short-sequence variant
-// sits in the inter-pair batch kernel's regime.
+// int8/int16 traceback) and once pinned to kFloat — the
+// pre-integer-traceback behavior. The short-sequence variant sits in the
+// striped int8 tier's regime.
 
 /// Divergent family (~20-25% pairwise identity) of short sequences: the
 /// honest regime of the int8 tiers — distance-matrix pairs dissimilar
@@ -301,7 +299,6 @@ void distance_matrix_aligned_bench(benchmark::State& state,
     benchmark::DoNotOptimize(
         align::alignment_distance_matrix(seqs, m, m.default_gaps(), opt));
   set_cells_per_second(state, pair_cells(seqs));
-  state.counters["batched_int8"] = static_cast<double>(stats.batched_int8);
   state.counters["int8_runs"] = static_cast<double>(stats.ladder.int8_runs);
   state.counters["int16_runs"] = static_cast<double>(stats.ladder.int16_runs);
   state.counters["float_runs"] = static_cast<double>(stats.ladder.float_runs);
@@ -375,38 +372,6 @@ void BM_EngineAlignStripedInt16(benchmark::State& state) {
                              align::engine::ScoreTier::kInt16);
 }
 BENCHMARK(BM_EngineAlignStripedInt16)->Arg(400)->Arg(1000);
-
-// One lane per pair: 16 short pairwise alignments per kernel pass, the
-// short-read regime of the distance stage.
-void BM_EnginePairBatchAlign8(benchmark::State& state) {
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::PairBatch pb(m, gaps);
-  std::vector<std::uint8_t> query;
-  const auto others = mutant_pairs(len, 2 * pb.lanes(), 7, query);
-  std::vector<align::engine::PairBatch::Pair> pairs;
-  for (std::size_t l = 0; l < pb.lanes(); ++l)
-    pairs.push_back({others[2 * l], others[2 * l + 1]});
-  std::vector<align::PairwiseAlignment> outs(pairs.size());
-  std::size_t retried = 0;
-  for (auto _ : state) {
-    const std::unique_ptr<bool[]> okp(new bool[pairs.size()]());
-    pb.align(pairs, outs.data(), okp.get());
-    for (std::size_t l = 0; l < pairs.size(); ++l)
-      if (!okp[l]) ++retried;
-    benchmark::DoNotOptimize(outs.data());
-  }
-  set_cells_per_second(state, pairs.size() * len * len);
-  // Saturated lanes PER PASS (the workload is fixed, so every iteration
-  // flags the same lanes — divide the accumulation back out).
-  state.counters["saturated_lanes"] =
-      state.iterations() > 0
-          ? static_cast<double>(retried) /
-                static_cast<double>(state.iterations())
-          : 0.0;
-}
-BENCHMARK(BM_EnginePairBatchAlign8)->Arg(64)->Arg(90);
 
 void BM_LocalAlign(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));

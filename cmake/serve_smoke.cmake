@@ -29,6 +29,27 @@ set(pid_file "${WORK_DIR}/daemon.pid")
 # helpers
 # ---------------------------------------------------------------------------
 
+# Every failure past this point raises through here: it kills the daemon
+# named in ${pid_file} if it is still alive, so a failed drill leaves no
+# `salign serve` behind, then raises the same FATAL_ERROR text. The
+# arguments are read one by one so a semicolon inside one survives.
+function(fail)
+  if(EXISTS "${pid_file}")
+    file(READ "${pid_file}" pid)
+    string(STRIP "${pid}" pid)
+    if(pid)
+      execute_process(
+        COMMAND sh -c "kill -0 ${pid} 2>/dev/null && kill -9 ${pid}")
+    endif()
+  endif()
+  set(text "")
+  math(EXPR last "${ARGC} - 1")
+  foreach(i RANGE ${last})
+    string(APPEND text "${ARGV${i}}")
+  endforeach()
+  message(FATAL_ERROR "${text}")
+endfunction()
+
 function(run_cli log_name want_rc)
   execute_process(
     COMMAND "${SALIGN_CLI}" ${ARGN}
@@ -36,7 +57,7 @@ function(run_cli log_name want_rc)
   file(APPEND "${WORK_DIR}/serve_${log_name}.log"
        "$ salign ${ARGN}\nexit: ${rc}\n${out}${err}\n")
   if(NOT rc EQUAL ${want_rc})
-    message(FATAL_ERROR
+    fail(
       "serve_smoke[${log_name}]: salign ${ARGN}\n"
       "expected exit ${want_rc}, got ${rc}:\n${out}\n${err}")
   endif()
@@ -56,7 +77,7 @@ function(wait_for_content file needle timeout_s what)
     endif()
     execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
   endforeach()
-  message(FATAL_ERROR
+  fail(
     "serve_smoke: timed out (${timeout_s}s) waiting for ${what} "
     "(${needle} in ${file})")
 endfunction()
@@ -68,7 +89,7 @@ function(start_daemon log_name)
 > '${WORK_DIR}/serve_${log_name}.log' 2>&1 & echo $! > '${pid_file}'"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "serve_smoke: could not launch the daemon (${rc})")
+    fail("serve_smoke: could not launch the daemon (${rc})")
   endif()
   # The daemon logs this line right after the socket is bound.
   wait_for_content("${WORK_DIR}/serve_${log_name}.log" "serving on" 30
@@ -87,7 +108,7 @@ function(wait_daemon_dead timeout_s)
     endif()
     execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.2)
   endforeach()
-  message(FATAL_ERROR "serve_smoke: daemon pid ${pid} did not exit")
+  fail("serve_smoke: daemon pid ${pid} did not exit")
 endfunction()
 
 # ---------------------------------------------------------------------------
@@ -139,7 +160,7 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.3)
 execute_process(COMMAND sh -c "kill -9 $(cat '${pid_file}')"
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve_smoke: kill -9 failed (${rc})")
+  fail("serve_smoke: kill -9 failed (${rc})")
 endif()
 wait_daemon_dead(30)
 
@@ -148,12 +169,12 @@ wait_daemon_dead(30)
 file(READ "${journal}/jobs/j000001.json" job1)
 string(FIND "${job1}" "\"state\":\"running\"" pos)
 if(pos EQUAL -1)
-  message(FATAL_ERROR
+  fail(
     "serve_smoke: expected job 1 journaled 'running' at the kill, got:\n"
     "${job1}")
 endif()
 if(NOT EXISTS "${sock}")
-  message(FATAL_ERROR "serve_smoke: kill -9 should leave the stale socket")
+  fail("serve_smoke: kill -9 should leave the stale socket")
 endif()
 
 # Whatever checkpoint prefix the kill left must verify clean.
@@ -187,7 +208,7 @@ foreach(i RANGE 1 3)
             "${WORK_DIR}/ref${i}.afa" "${WORK_DIR}/job${i}.afa"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
+    fail(
       "serve_smoke: job ${i} output differs from a fresh run — the resume "
       "was not bit-identical")
   endif()
@@ -200,7 +221,7 @@ endforeach()
 run_cli(stop 0 serve --socket "${sock}" --stop)
 wait_daemon_dead(30)
 if(EXISTS "${sock}")
-  message(FATAL_ERROR "serve_smoke: clean shutdown must unlink the socket")
+  fail("serve_smoke: clean shutdown must unlink the socket")
 endif()
 
 message(STATUS "serve_smoke: kill -9 drill passed — journal replayed, "

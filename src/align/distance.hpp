@@ -56,13 +56,12 @@ struct PairAlignments {
   LocalAlignment local;  ///< filled iff PairDistanceOptions::with_local
 };
 
-/// Where the pairs of one alignment_distance_matrix call were computed.
-/// Every route is bit-identical to the reference kernels; the split is the
-/// perf story of the pass (CLI stats surface it).
+/// Which tiers of the per-pair ladder the pairs of one
+/// alignment_distance_matrix call ran on. Every tier is bit-identical to
+/// the reference kernels; the split is the perf story of the pass (CLI
+/// stats surface it).
 struct PairDistanceStats {
-  std::size_t pairs = 0;          ///< total pairs aligned
-  std::size_t batched_int8 = 0;   ///< inter-pair int8 lanes (engine::PairBatch)
-  std::size_t batch_retries = 0;  ///< batched lanes that saturated a rail
+  std::size_t pairs = 0;             ///< total pairs aligned
   engine::AlignBatch::Stats ladder;  ///< per-pair tier-ladder kernel runs
 
   PairDistanceStats& operator+=(const PairDistanceStats& o);
@@ -75,10 +74,10 @@ struct PairDistanceOptions {
   /// Also compute one local (Smith–Waterman) alignment per pair — the
   /// T-Coffee primary library wants both.
   bool with_local = false;
-  /// Where the per-pair full-alignment tier ladder starts (kAuto = batched
-  /// int8 lanes for short pairs, striped int8/int16 traceback otherwise,
-  /// float on promotion; kFloat pins the pre-integer-traceback behavior).
-  /// Results are identical for every value.
+  /// Where the per-pair full-alignment tier ladder starts (kAuto = striped
+  /// int8/int16 traceback when viable, float on promotion; kFloat pins the
+  /// pre-integer-traceback behavior). Results are identical for every
+  /// value.
   engine::ScoreTier first_tier = engine::ScoreTier::kAuto;
   /// When non-null, receives the pass's per-tier pair counts.
   PairDistanceStats* stats = nullptr;

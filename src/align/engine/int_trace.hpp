@@ -1,10 +1,9 @@
 #pragma once
 
-// Shared traceback walker of the integer full-alignment kernels (the
-// striped per-pair tier in striped.cpp and the inter-pair batch kernel in
-// pair_batch.cpp). Only those two and the tests should include this.
+// Traceback walker of the striped integer full-alignment tiers. Only
+// striped.cpp includes this.
 //
-// Both kernels run the combined Gotoh form H = max(M, X, Y), E = X, F = Y
+// The striped tiers run the combined Gotoh form H = max(M, X, Y), E = X, F = Y
 // (exact under the IntGate open >= ext >= 1 condition, see striped.cpp) and
 // retain exact integer H/E/F cell values. The walker re-derives the float
 // reference kernel's came_from decisions from those values:

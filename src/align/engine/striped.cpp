@@ -189,8 +189,7 @@ template <typename VI>
 bool StripedProfile<VI>::viable_for_impl(std::size_t max_len,
                                          const IntGate& gate,
                                          std::int64_t floor64) {
-  // boundary_need (striped.hpp) is the shared deepest-boundary-value
-  // formula; PairBatch inverts the same bound for its eligibility cap.
+  // boundary_need (striped.hpp) is the deepest-boundary-value formula.
   return boundary_need(gate, max_len) <= -floor64 - 1;
 }
 

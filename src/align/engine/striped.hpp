@@ -44,9 +44,7 @@ struct IntGate {
 /// Logical saturation rails of one integer element type under a gate: the
 /// storage limits pulled in by the largest single-step delta, so no
 /// arithmetic op can leave the storage range (see striped.cpp). The ONE
-/// definition of the rails — StripedProfile and PairBatch both derive
-/// from here, so the bound can never drift between the per-pair and
-/// inter-pair kernels.
+/// definition of the rails, which StripedProfile derives from.
 struct IntRails {
   int floor_l = 0;  ///< floor rail; doubles as the -inf sentinel
   int ceil_l = 0;

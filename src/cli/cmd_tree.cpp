@@ -45,7 +45,7 @@ ArgParser make_parser() {
   p.flag("weights", "also print CLUSTALW-style leaf weights");
   p.flag("stats",
          "print the distance pass's alignment-kernel tier breakdown "
-         "(batched int8 lanes / striped int8 / int16 / float); only "
+         "(striped int8 / int16 / float, promotions); only "
          "--dist kimura runs full alignments, so only it has one");
   return p;
 }
@@ -97,12 +97,9 @@ int run_tree(std::span<const std::string> args, std::ostream& out,
         pdo.stats = &stats;
         d = align::alignment_distance_matrix(seqs, m, gaps, pdo);
         if (p.get_flag("stats")) {
-          util::Table t({"pairs", "batched int8", "batch retries",
-                         "striped int8", "striped int16", "float",
+          util::Table t({"pairs", "striped int8", "striped int16", "float",
                          "promotions"});
           t.add_row({std::to_string(stats.pairs),
-                     std::to_string(stats.batched_int8),
-                     std::to_string(stats.batch_retries),
                      std::to_string(stats.ladder.int8_runs),
                      std::to_string(stats.ladder.int16_runs),
                      std::to_string(stats.ladder.float_runs),

@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "align/engine/engine.hpp"
-#include "align/engine/pair_batch.hpp"
 #include "align/engine/simd.hpp"
-#include "align/engine/simd_int.hpp"
 #include "align/pairwise.hpp"
 #include "bio/alphabet.hpp"
 #include "bio/substitution_matrix.hpp"
@@ -279,8 +277,6 @@ TEST(EngineKernel, LibraryAndHeadersAgreeOnLanes) {
   // build definition that picks the kernel types (SALIGN_ENGINE_FORCE_SCALAR)
   // reaches the library's sources but not its users.
   EXPECT_EQ(engine::kernel_lanes(), engine::VecF::kLanes);
-  EXPECT_EQ(engine::PairBatch(SubstitutionMatrix::blosum62(), {}).lanes(),
-            static_cast<std::size_t>(engine::VecI8::kLanes));
   EXPECT_STREQ(engine::kernel_name(),
                engine::VecF::kLanes > 1 ? "vector" : "scalar");
 }

@@ -1,6 +1,5 @@
-// Tests for the striped integer FULL-alignment tier and the inter-pair
-// batched int8 kernel (engine::AlignBatch, engine::PairBatch, and the
-// alignment_distance_matrix routing over them):
+// Tests for the striped integer FULL-alignment tier (engine::AlignBatch and
+// the alignment_distance_matrix routing over it):
 //
 //  * randomized striped-traceback-vs-reference differential — AlignBatch
 //    through every tier start, score AND ops (tie-breaks included) must
@@ -10,9 +9,7 @@
 //    stricter than the score tier's H rails: pairs engineered to clamp E/F
 //    without touching an H rail must promote (trace_promotions) and stay
 //    exact, pinning the ScoreTier gate audit of the PR;
-//  * inter-pair batch kernel — ok lanes bit-identical to the reference,
-//    saturating lanes reported not-ok, length-mixed groups exact;
-//  * alignment_distance_matrix — new batched/laddered routing bit-identical
+//  * alignment_distance_matrix — per-row laddered routing bit-identical
 //    to the per-pair reference loop for every thread count, visitor order
 //    preserved, kFloat pinning the pre-integer path, bands unaffected;
 //  * kimura_distance saturation — the kMaxGuideTreeDistance clamp applied
@@ -23,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +27,6 @@
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
-#include "align/engine/pair_batch.hpp"
 #include "bio/sequence.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "oracles/reference.hpp"
@@ -45,7 +40,6 @@ using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 using engine::AlignBatch;
-using engine::PairBatch;
 using engine::ScoreTier;
 
 std::vector<std::uint8_t> random_codes(util::Rng& rng, std::size_t len,
@@ -229,62 +223,6 @@ TEST(StripedTracebackEdge, EmptyAndTinyInputs) {
   }
 }
 
-// ---- inter-pair batch kernel ---------------------------------------------------
-
-TEST(PairBatchKernel, OkLanesMatchReferenceExactly) {
-  util::Rng rng(0xC5);
-  const auto& m = SubstitutionMatrix::blosum62();
-  const GapPenalties g{10.0F, 1.0F};
-  PairBatch pb(m, g);
-  ASSERT_GT(pb.max_len(), 8u);
-  for (int round = 0; round < 6; ++round) {
-    std::vector<std::vector<std::uint8_t>> store;
-    std::vector<PairBatch::Pair> pairs;
-    for (std::size_t l = 0; l < pb.lanes(); ++l) {
-      // Divergent short pairs of mixed lengths (padded-overhang path).
-      auto [a, b] = mutant_pair(rng, 1 + rng.below(pb.max_len()), 20, 0.8);
-      store.push_back(std::move(a));
-      store.push_back(std::move(b));
-    }
-    for (std::size_t l = 0; l < pb.lanes(); ++l)
-      pairs.push_back({store[2 * l], store[2 * l + 1]});
-    std::vector<PairwiseAlignment> outs(pairs.size());
-    const std::unique_ptr<bool[]> ok(new bool[pairs.size()]());
-    pb.align(pairs, outs.data(), ok.get());
-    std::size_t ok_count = 0;
-    for (std::size_t l = 0; l < pairs.size(); ++l) {
-      if (!ok[l]) continue;
-      ++ok_count;
-      expect_same(ref_align(pairs[l].a, pairs[l].b, m, g), outs[l],
-                  "batched lane");
-    }
-    EXPECT_GT(ok_count, 0u) << "no lane survived the int8 rails";
-  }
-}
-
-TEST(PairBatchKernel, SaturatingLanesReportNotOk) {
-  // Identical 90-residue pairs: the match run crosses the int8 ceiling, so
-  // every lane must be flagged for the per-pair ladder — silently wrong
-  // results are the one forbidden outcome.
-  util::Rng rng(0xC6);
-  const auto& m = SubstitutionMatrix::blosum62();
-  const GapPenalties g{10.0F, 1.0F};
-  PairBatch pb(m, g);
-  const auto a = random_codes(rng, 90, 20);
-  std::vector<PairBatch::Pair> pairs(pb.lanes(), PairBatch::Pair{a, a});
-  std::vector<PairwiseAlignment> outs(pairs.size());
-  const std::unique_ptr<bool[]> ok(new bool[pairs.size()]());
-  pb.align(pairs, outs.data(), ok.get());
-  for (std::size_t l = 0; l < pairs.size(); ++l)
-    EXPECT_FALSE(ok[l]) << "lane " << l;
-}
-
-TEST(PairBatchKernel, UnavailableForNonIntegralPenalties) {
-  const auto& m = SubstitutionMatrix::blosum62();
-  PairBatch pb(m, GapPenalties{10.5F, 0.5F});
-  EXPECT_EQ(pb.max_len(), 0u);
-}
-
 // ---- distance-matrix routing ---------------------------------------------------
 
 std::vector<Sequence> random_family(util::Rng& rng, std::size_t n,
@@ -306,11 +244,17 @@ std::vector<Sequence> random_family(util::Rng& rng, std::size_t n,
 
 TEST(DistanceMatrixAligned, MatchesPerPairReferenceForEveryThreadCount) {
   util::Rng rng(0xC7);
-  // Mixed lengths straddling the int8 batch cap: short pairs take the
-  // inter-pair kernel, long ones the striped/float ladder. 20 sequences
-  // puts rows past the planner's kMaxRowRun split, covering the
-  // bounded-row-run task shape too.
-  const auto seqs = random_family(rng, 20, 30, 160);
+  // Mixed lengths straddling the int8 cap: short pairs run the striped
+  // int8 tier, long ones start past it. Two identical 60-residue twins are
+  // under the cap but their match run crosses the int8 ceiling, so that
+  // pair must promote and still match the reference. 22 sequences puts
+  // rows past the planner's kMaxRowRun split, covering the bounded-row-run
+  // task shape too.
+  auto seqs = random_family(rng, 20, 30, 160);
+  const auto twin = random_codes(rng, 60, 20);
+  for (int t = 0; t < 2; ++t)
+    seqs.emplace_back(util::indexed_name("twin", t), twin,
+                      bio::AlphabetKind::AminoAcid);
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g = m.default_gaps();
 
@@ -340,13 +284,10 @@ TEST(DistanceMatrixAligned, MatchesPerPairReferenceForEveryThreadCount) {
               << engine::tier_name(tier);
       EXPECT_EQ(stats.pairs, seqs.size() * (seqs.size() - 1) / 2);
       if (tier == ScoreTier::kAuto) {
-        EXPECT_GT(stats.batched_int8 + stats.ladder.int8_runs +
-                      stats.ladder.int16_runs,
-                  0u)
-            << "integer tiers never engaged";
+        EXPECT_GT(stats.ladder.int8_runs, 0u) << "int8 tier never engaged";
+        EXPECT_GT(stats.ladder.promotions, 0u) << "no pair left int8";
       }
       if (tier == ScoreTier::kFloat) {
-        EXPECT_EQ(stats.batched_int8, 0u);
         EXPECT_EQ(stats.ladder.int8_runs + stats.ladder.int16_runs, 0u);
       }
     }

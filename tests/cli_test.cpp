@@ -573,7 +573,7 @@ TEST_F(CliTest, TreeKimuraStatsAndAutoThreads) {
                              "--threads", "0", "--stats"}));
   ASSERT_EQ(r.status, 0) << r.err;
   EXPECT_NE(r.out.find(';'), std::string::npos);
-  EXPECT_NE(r.out.find("batched int8"), std::string::npos);
+  EXPECT_NE(r.out.find("striped int8"), std::string::npos);
   EXPECT_NE(r.out.find("pairs"), std::string::npos);
 }
 
