@@ -15,6 +15,7 @@
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
+#include "align/engine/simd.hpp"
 #include "core/partition.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
@@ -387,16 +388,20 @@ BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 //
 // Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
 // wavefront kernel (the library's one float DP kernel, here behind
-// align_profiles and T-Coffee's merges), BM_ProfileDpScalar
-// the header-only row-major test oracle (tests/oracles/profile_dp.hpp) on
-// the same scorer — the pair makes the kernel speedup part of every
-// baseline. Both DPs fit the default trace budget,
-// so they keep full traceback tables; BM_ProfileDpCheckpointed runs the
-// wavefront kernel at max_trace_cells = 1, the checkpoint-and-rerun
-// traceback that DPs above the budget take.
+// align_profiles and T-Coffee's merges) at the width the process
+// dispatched (salign_engine_lanes in the context: 8 on AVX2 CPUs);
+// BM_ProfileDp4 forces VecF's width (4 lanes; 1 in release-scalar builds)
+// through the explicit-width entry the differential tests use, so one
+// baseline shows both widths on one host. BM_ProfileDpScalar times the
+// header-only row-major test oracle (tests/oracles/profile_dp.hpp) on the
+// same scorer — the pair makes the kernel speedup part of every baseline.
+// These DPs fit the default trace budget, so they keep full traceback
+// tables; BM_ProfileDpCheckpointed runs the wavefront kernel at
+// max_trace_cells = 1, the checkpoint-and-rerun traceback that DPs above
+// the budget take.
 
 void profile_dp_bench(benchmark::State& state, bool row_major,
-                      std::size_t max_trace_cells = 0) {
+                      std::size_t max_trace_cells = 0, int lanes = 0) {
   const auto seqs = seqs_cache(16, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const std::size_t half = seqs.size() / 2;
@@ -415,6 +420,12 @@ void profile_dp_bench(benchmark::State& state, bool row_major,
       // Scorer build included, as align_profiles includes it.
       const msa::detail::PspProblem p(pl, pr);
       benchmark::DoNotOptimize(msa::reference::profile_dp(p, po));
+    } else if (lanes != 0) {
+      // align_profiles' body, at a forced width.
+      const msa::detail::PspProblem p(pl, pr);
+      benchmark::DoNotOptimize(msa::detail::profile_dp_wavefront(
+          pl.num_cols(), pr.num_cols(), p.scorer, p.occ_a, p.occ_b, po,
+          lanes));
     } else {
       benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
     }
@@ -423,6 +434,10 @@ void profile_dp_bench(benchmark::State& state, bool row_major,
 }
 void BM_ProfileDp(benchmark::State& state) { profile_dp_bench(state, false); }
 BENCHMARK(BM_ProfileDp)->Arg(400)->Arg(1000);
+void BM_ProfileDp4(benchmark::State& state) {
+  profile_dp_bench(state, false, 0, align::engine::VecF::kLanes);
+}
+BENCHMARK(BM_ProfileDp4)->Arg(1000);
 void BM_ProfileDpCheckpointed(benchmark::State& state) {
   profile_dp_bench(state, false, 1);
 }

@@ -22,11 +22,29 @@ bool empty_edge_global(std::size_t m, std::size_t n, bio::GapPenalties gaps,
   return true;
 }
 
+/// Read once per process: whether the CPU (and the OS, which must save
+/// the ymm registers) runs AVX2.
+bool cpu_has_avx2() {
+#ifdef SALIGN_ENGINE_AVX2
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
-const char* kernel_name() { return VecF::kLanes > 1 ? "vector" : "scalar"; }
+const char* kernel_name() { return kernel_lanes() > 1 ? "vector" : "scalar"; }
 
-int kernel_lanes() { return VecF::kLanes; }
+int kernel_lanes() { return cpu_has_avx2() ? 8 : VecF::kLanes; }
+
+bool kernel_lanes_supported(int lanes) {
+  return lanes == VecF::kLanes || (lanes == 8 && cpu_has_avx2());
+}
 
 const char* tier_name(ScoreTier tier) {
   switch (tier) {

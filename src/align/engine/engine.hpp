@@ -28,13 +28,18 @@ namespace engine {
 /// one row block at a time during traceback.
 inline constexpr std::size_t kDefaultTraceCells = std::size_t{1} << 22;
 
-/// The kernel compiled into this build: "vector" when VecF (simd.hpp) has
-/// more than one lane, "scalar" in the release-scalar lane
+/// The float kernel this process runs: "vector" when it is more than one
+/// lane wide, "scalar" in the release-scalar lane
 /// (-DSALIGN_ENGINE_FORCE_SCALAR=ON) or without compiler vector extensions.
 [[nodiscard]] const char* kernel_name();
-/// VecF's lane count as compiled into the library (8 under AVX, 4 under
-/// SSE/NEON, 1 in scalar builds).
+/// Lane count of the float kernel this process runs, chosen once from the
+/// CPU: 8 on x86-64 CPUs with AVX2, else VecF's (simd.hpp) 4 under
+/// SSE2/NEON, and 1 in scalar builds.
 [[nodiscard]] int kernel_lanes();
+/// Whether the float kernel can run `lanes` wide in this build on this
+/// CPU: VecF's width always, and 8 in x86-64 vector builds on CPUs with
+/// AVX2. Every width gives the same bits; the differential tests run each.
+[[nodiscard]] bool kernel_lanes_supported(int lanes);
 
 /// Numeric tier of a score-only pass.
 ///

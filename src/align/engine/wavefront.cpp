@@ -16,7 +16,7 @@ static_assert(wavefront::kScorePad <= QueryProfile::kPad,
               "score-tile loads must stay inside the query profile");
 
 /// One pairwise problem: B's query profile, one score-row pointer per row
-/// of A (index 1..m, then kW - 1 spare rows for the last score tile; a
+/// of A (index 1..m, then kMaxW - 1 spare rows for the last score tile; a
 /// block's rows are a window of them), and the reference's boundaries —
 /// global: row 0 and column 0 are the origin-anchored gap runs
 /// -(open + ext * (k - 1)); local: unreachable.
@@ -32,7 +32,7 @@ struct PairProblem {
       : qp(b, matrix), gaps{g.open, g.extend} {
     const std::size_t m = a.size();
     const std::size_t n = b.size();
-    score_rows.assign(m + wavefront::kW, qp.row(0));
+    score_rows.assign(m + wavefront::kMaxW, qp.row(0));
     for (std::size_t i = 1; i <= m; ++i) score_rows[i] = qp.row(a[i - 1]);
     seed_m.assign(n + 1, kNegInf);
     seed_x.assign(n + 1, kNegInf);
@@ -65,10 +65,10 @@ template <Mode kMode>
 LocalAlignment align_pair(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           const bio::SubstitutionMatrix& matrix,
-                          bio::GapPenalties gaps) {
+                          bio::GapPenalties gaps, int lanes) {
   PairProblem p(a, b, matrix, gaps, kMode);
-  return wavefront::align<kMode>(a.size(), b.size(), p.gaps, p, p.seed(),
-                                 p.col0.data(), kDefaultTraceCells);
+  return wavefront::align<kMode>(lanes, a.size(), b.size(), p.gaps, p,
+                                 p.seed(), p.col0.data(), kDefaultTraceCells);
 }
 
 }  // namespace
@@ -76,34 +76,39 @@ LocalAlignment align_pair(std::span<const std::uint8_t> a,
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,
-                        bio::GapPenalties gaps, std::size_t* workspace_bytes) {
+                        bio::GapPenalties gaps, std::size_t* workspace_bytes,
+                        int lanes) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
   const PairProblem p(a, b, matrix, gaps, Mode::kGlobal);
-  std::vector<float> last_m(n + 1), last_x(n + 1), last_y(n + 1);
-  const wavefront::LastRow last{last_m.data(), last_x.data(), last_y.data()};
+  wavefront::StateRow cur;
+  wavefront::StateRow next;
+  cur.assign(p.seed(), n + 1);
   wavefront::Workspace ws;
-  wavefront::run_block<Mode::kGlobal, false>(p.gaps, p.block(0, m, n), 0, m,
-                                             n, p.seed(), p.col0.data(), ws,
-                                             &last, nullptr, nullptr);
+  wavefront::with_lanes(lanes, [&](auto width) {
+    using V = typename decltype(width)::type;
+    wavefront::sweep<V, Mode::kGlobal>(p.gaps, p, 0, m, n, p.col0.data(), cur,
+                                       next, ws, nullptr, nullptr,
+                                       [](std::size_t) {});
+  });
   if (workspace_bytes != nullptr)
-    *workspace_bytes = p.bytes() + ws.bytes() + 3 * (n + 1) * sizeof(float);
-  return std::max({last_m[n], last_x[n], last_y[n]});
+    *workspace_bytes = p.bytes() + ws.bytes() + cur.bytes() + next.bytes();
+  return std::max({cur.m[n], cur.x[n], cur.y[n]});
 }
 
 PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     std::span<const std::uint8_t> b,
                                     const bio::SubstitutionMatrix& matrix,
-                                    bio::GapPenalties gaps) {
-  LocalAlignment out = align_pair<Mode::kGlobal>(a, b, matrix, gaps);
+                                    bio::GapPenalties gaps, int lanes) {
+  LocalAlignment out = align_pair<Mode::kGlobal>(a, b, matrix, gaps, lanes);
   return out;
 }
 
 LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
                                 std::span<const std::uint8_t> b,
                                 const bio::SubstitutionMatrix& matrix,
-                                bio::GapPenalties gaps) {
-  return align_pair<Mode::kLocal>(a, b, matrix, gaps);
+                                bio::GapPenalties gaps, int lanes) {
+  return align_pair<Mode::kLocal>(a, b, matrix, gaps, lanes);
 }
 
 }  // namespace salign::align::engine::detail

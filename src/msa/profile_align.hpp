@@ -133,11 +133,14 @@ inline bool profile_dp_edge(std::size_t m, std::size_t n,
 /// tests/msa_parallel_test.cpp). A side with no columns gives
 /// profile_dp_edge's gap run. Instantiated for PspRowScorer
 /// (align_profiles) and DenseRowScorer (T-Coffee's consistency merges).
+/// Runs the kernel `lanes` wide (see align::engine::kernel_lanes_supported;
+/// every width gives the same bits), by default at the process's width.
 template <typename RowScorer>
 [[nodiscard]] ProfileAlignResult profile_dp_wavefront(
     std::size_t m, std::size_t n, const RowScorer& scorer,
     std::span<const float> occ_a, std::span<const float> occ_b,
-    const ProfileAlignOptions& opts);
+    const ProfileAlignOptions& opts,
+    int lanes = align::engine::kernel_lanes());
 
 }  // namespace detail
 

@@ -9,12 +9,14 @@
 // MAFFT's band. Scores come from dense rows the row source writes
 // (RowScorer::fill_row: PSP saxpy sweeps, or T-Coffee's scaled consistency
 // matrix), materialized one row block (wavefront::kRowBlock rows) at a time
-// — O(block * n) scratch, never O(m * n). Row 0 and column 0 hold the
-// accumulated occupancy-scaled leading-gap runs, exactly the row-major
-// oracle's boundary values (tests/oracles/profile_dp.hpp), so scores, paths
-// and tie-breaks are bit-identical to it (the oracle's `best > kNegInf / 2`
-// clamp only ever fires on exact sentinels, where `best + sub` rounds back
-// to the sentinel anyway). The randomized differential suites in
+// — O(block * n) scratch, never O(m * n). The DP runs the kernel width the
+// caller picks (`lanes`; by default the process's kernel_lanes()). Row 0
+// and column 0 hold the accumulated occupancy-scaled leading-gap runs,
+// exactly the row-major oracle's boundary values
+// (tests/oracles/profile_dp.hpp), so scores, paths and tie-breaks are
+// bit-identical to it (the oracle's `best > kNegInf / 2` clamp only ever
+// fires on exact sentinels, where `best + sub` rounds back to the sentinel
+// anyway). The randomized differential suites in
 // tests/msa_parallel_test.cpp pin this for both row sources.
 
 #include <algorithm>
@@ -30,7 +32,6 @@ namespace {
 
 namespace wf = align::engine::wavefront;
 constexpr float kNegInf = align::kNegInf;
-constexpr std::size_t kW = wf::kW;
 
 /// Shared problem description: band geometry (the row-major oracle's
 /// formulas, verbatim), the occupancy-scaled gap vectors, and the
@@ -62,14 +63,14 @@ struct Geometry {
         hi[i] = std::min(n, center + eff_band);
       }
     }
-    open_a.assign(m + kW, 0.0F);
-    ext_a.assign(m + kW, 0.0F);
+    open_a.assign(m + wf::kMaxW, 0.0F);
+    ext_a.assign(m + wf::kMaxW, 0.0F);
     for (std::size_t i = 0; i < m; ++i) {
       open_a[i] = open * occ_a[i];
       ext_a[i] = ext * occ_a[i];
     }
-    rev_open_b.assign(n + kW, 0.0F);
-    rev_ext_b.assign(n + kW, 0.0F);
+    rev_open_b.assign(n + wf::kMaxW, 0.0F);
+    rev_ext_b.assign(n + wf::kMaxW, 0.0F);
     for (std::size_t t = 0; t < n; ++t) {
       rev_open_b[t] = open * occ_b[n - 1 - t];
       rev_ext_b[t] = ext * occ_b[n - 1 - t];
@@ -109,8 +110,8 @@ struct Geometry {
 /// The wavefront's row source: dense scorer rows of one row block, local
 /// row r (1-based, absolute row r0 + r) covering B columns cb in [0, n),
 /// filled only on the row's in-band range. The block holds count rows
-/// rounded up to kW, with wf::kScorePad floats before and after, so the
-/// kernel's tile loads stay inside it.
+/// rounded up to the widest kernel width, with wf::kScorePad floats before
+/// and after, so the kernel's tile loads stay inside it.
 template <typename RowScorer>
 struct ScoreBlock {
   const RowScorer& scorer;
@@ -118,7 +119,8 @@ struct ScoreBlock {
   std::vector<float> buf;
 
   wf::RowBlock block(std::size_t r0, std::size_t count, std::size_t jcap) {
-    const std::size_t tile_rows = (count + kW - 1) / kW * kW;
+    const std::size_t tile_rows =
+        (count + wf::kMaxW - 1) / wf::kMaxW * wf::kMaxW;
     buf.resize(tile_rows * g.n + 2 * wf::kScorePad);
     float* const base = buf.data() + wf::kScorePad;
     for (std::size_t r = 1; r <= count; ++r) {
@@ -140,13 +142,14 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
                                         const RowScorer& scorer,
                                         std::span<const float> occ_a,
                                         std::span<const float> occ_b,
-                                        const ProfileAlignOptions& opts) {
+                                        const ProfileAlignOptions& opts,
+                                        int lanes) {
   ProfileAlignResult out;
   if (profile_dp_edge(m, n, occ_a, occ_b, opts, out)) return out;
   const Geometry g(m, n, occ_a, occ_b, opts);
   ScoreBlock<RowScorer> rows{scorer, g, {}};
   align::LocalAlignment res = wf::align<wf::Mode::kGlobal>(
-      m, n, g.gaps(), rows,
+      lanes, m, n, g.gaps(), rows,
       wf::RowView{g.seed0_m.data(), g.seed0_x.data(), g.seed0_y.data()},
       g.col0.data(),
       opts.max_trace_cells != 0 ? opts.max_trace_cells
@@ -159,9 +162,9 @@ ProfileAlignResult profile_dp_wavefront(std::size_t m, std::size_t n,
 // The two row sources; no other instantiation exists.
 template ProfileAlignResult profile_dp_wavefront<PspRowScorer>(
     std::size_t, std::size_t, const PspRowScorer&, std::span<const float>,
-    std::span<const float>, const ProfileAlignOptions&);
+    std::span<const float>, const ProfileAlignOptions&, int);
 template ProfileAlignResult profile_dp_wavefront<DenseRowScorer>(
     std::size_t, std::size_t, const DenseRowScorer&, std::span<const float>,
-    std::span<const float>, const ProfileAlignOptions&);
+    std::span<const float>, const ProfileAlignOptions&, int);
 
 }  // namespace salign::msa::detail

@@ -4,12 +4,14 @@
 //    the retained scalar reference kernels (tests/oracles/) EXACTLY:
 //    bit-equal scores, identical edit-op paths, identical local start
 //    offsets, across DNA and protein alphabets and lengths 0..512, plus
-//    DPs past the full-traceback budget (checkpointed traceback) and local
-//    ties across anti-diagonals. Each build runs its one kernel width
-//    (VecF lanes, or 1 lane in the release-scalar lane), so CI covers both
-//    widths;
-//  * the library and this test see the same kernel types (the
-//    SALIGN_ENGINE_FORCE_SCALAR definition reaches every TU);
+//    shapes around the row blocks, DPs past the full-traceback budget
+//    (checkpointed traceback) and local ties across anti-diagonals. Each
+//    case runs every compiled float width explicitly: VecF's (4 lanes, or 1
+//    in the release-scalar lane) always, and 8 lanes when the CPU has AVX2
+//    (skipped, with the reason, when it does not);
+//  * the library dispatches the width the CPU supports, and it and this
+//    test see the same kernel types (the SALIGN_ENGINE_FORCE_SCALAR
+//    definition reaches every TU);
 //  * kNegInf sentinel arithmetic — no overflow / NaN when gap penalties
 //    propagate through unreachable cells;
 //  * linear-memory guarantee of the score-only pass (10k x 10k).
@@ -17,12 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "align/engine/engine.hpp"
 #include "align/engine/simd.hpp"
+#include "align/engine/wavefront.hpp"
 #include "align/pairwise.hpp"
 #include "bio/alphabet.hpp"
 #include "bio/substitution_matrix.hpp"
@@ -77,7 +81,47 @@ void expect_same_pairwise(const PairwiseAlignment& want,
         << label << " trial " << trial << " op " << k;
 }
 
-TEST(EngineDifferential, GlobalMatchesReferenceExactly) {
+/// Float-kernel widths under test: the parameter is a lane count. Cases
+/// of a width this build or CPU cannot run skip with the reason.
+class EngineDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!engine::kernel_lanes_supported(GetParam()))
+      GTEST_SKIP() << GetParam()
+                   << "-lane float kernel: needs an x86-64 vector build on "
+                      "a CPU with AVX2";
+  }
+  [[nodiscard]] int lanes() const { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Width, EngineDifferential, ::testing::Values(engine::VecF::kLanes, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::to_string(info.param) + "Lanes";
+    });
+
+// The float kernel `lanes` wide; an empty side (which the kernel does not
+// take) goes through the public entry's gap run.
+PairwiseAlignment float_global(int lanes, const std::vector<std::uint8_t>& a,
+                               const std::vector<std::uint8_t>& b,
+                               const SubstitutionMatrix& m, GapPenalties g) {
+  if (a.empty() || b.empty()) return engine::global_align(a, b, m, g);
+  return engine::detail::global_align_impl(a, b, m, g, lanes);
+}
+float float_score(int lanes, const std::vector<std::uint8_t>& a,
+                  const std::vector<std::uint8_t>& b,
+                  const SubstitutionMatrix& m, GapPenalties g) {
+  if (a.empty() || b.empty()) return engine::global_score(a, b, m, g);
+  return engine::detail::global_score_impl(a, b, m, g, nullptr, lanes);
+}
+LocalAlignment float_local(int lanes, const std::vector<std::uint8_t>& a,
+                           const std::vector<std::uint8_t>& b,
+                           const SubstitutionMatrix& m, GapPenalties g) {
+  if (a.empty() || b.empty()) return engine::local_align(a, b, m, g);
+  return engine::detail::local_align_impl(a, b, m, g, lanes);
+}
+
+TEST_P(EngineDifferential, GlobalMatchesReferenceExactly) {
   util::Rng rng(0xE1);
   const auto scen = scenarios();
   for (int trial = 0; trial < 80; ++trial) {
@@ -92,13 +136,17 @@ TEST(EngineDifferential, GlobalMatchesReferenceExactly) {
         engine::reference::global_align(a, b, *sc.matrix, g);
     const PairwiseAlignment got = engine::global_align(a, b, *sc.matrix, g);
     expect_same_pairwise(ref, got, "global", trial);
+    expect_same_pairwise(ref, float_global(lanes(), a, b, *sc.matrix, g),
+                         "float global", trial);
 
     const float score = engine::global_score(a, b, *sc.matrix, g);
     EXPECT_EQ(ref.score, score) << "score-only trial " << trial;
+    EXPECT_EQ(ref.score, float_score(lanes(), a, b, *sc.matrix, g))
+        << "float score-only trial " << trial;
   }
 }
 
-TEST(EngineDifferential, LocalMatchesReferenceExactly) {
+TEST_P(EngineDifferential, LocalMatchesReferenceExactly) {
   util::Rng rng(0xE3);
   const auto scen = scenarios();
   for (int trial = 0; trial < 60; ++trial) {
@@ -111,11 +159,42 @@ TEST(EngineDifferential, LocalMatchesReferenceExactly) {
 
     const LocalAlignment ref =
         engine::reference::local_align(a, b, *sc.matrix, g);
-    const LocalAlignment got = engine::local_align(a, b, *sc.matrix, g);
+    const LocalAlignment got = float_local(lanes(), a, b, *sc.matrix, g);
     expect_same_pairwise(ref, got, "local", trial);
     EXPECT_EQ(ref.a_begin, got.a_begin) << "trial " << trial;
     EXPECT_EQ(ref.b_begin, got.b_begin) << "trial " << trial;
   }
+}
+
+/// Sides one row short of, at and past one and two row blocks of the
+/// widest kernel (64 rows at 8 lanes; 32 at 4), against columns that end
+/// mid-vector, so the last block, the last tile and the tail lanes all
+/// overhang.
+TEST_P(EngineDifferential, RowBlockEdgesMatchReferenceExactly) {
+  util::Rng rng(0xE7);
+  const auto& matrix = SubstitutionMatrix::blosum62();
+  const std::size_t rows[] = {31, 32, 33, 63, 64, 65, 127, 128, 129};
+  const std::size_t cols[] = {1, 7, 9, 64, 65, 129};
+  int trial = 0;
+  for (std::size_t la : rows)
+    for (std::size_t lb : cols) {
+      const auto a = random_codes(rng, la, 20);
+      const auto b = random_codes(rng, lb, 20);
+      const GapPenalties g = random_gaps(rng);
+      expect_same_pairwise(engine::reference::global_align(a, b, matrix, g),
+                           float_global(lanes(), a, b, matrix, g),
+                           "block-edge global", trial);
+      EXPECT_EQ(engine::reference::global_align(a, b, matrix, g).score,
+                float_score(lanes(), a, b, matrix, g))
+          << "trial " << trial;
+      const LocalAlignment lref =
+          engine::reference::local_align(a, b, matrix, g);
+      const LocalAlignment lgot = float_local(lanes(), a, b, matrix, g);
+      expect_same_pairwise(lref, lgot, "block-edge local", trial);
+      EXPECT_EQ(lref.a_begin, lgot.a_begin) << "trial " << trial;
+      EXPECT_EQ(lref.b_begin, lgot.b_begin) << "trial " << trial;
+      ++trial;
+    }
 }
 
 /// A copy of `a` with substitutions and short indels, so a long alignment
@@ -138,7 +217,7 @@ std::vector<std::uint8_t> mutated(util::Rng& rng,
   return out;
 }
 
-TEST(EngineDifferential, PastTraceBudgetMatchesReferenceExactly) {
+TEST_P(EngineDifferential, PastTraceBudgetMatchesReferenceExactly) {
   // DPs past kDefaultTraceCells keep checkpoint rows and rerun row blocks
   // during traceback instead of storing a decision byte per cell.
   util::Rng rng(0xE5);
@@ -156,15 +235,13 @@ TEST(EngineDifferential, PastTraceBudgetMatchesReferenceExactly) {
 
     const PairwiseAlignment ref =
         engine::reference::global_align(a, b, matrix, g);
-    const PairwiseAlignment got =
-        engine::global_align(a, b, matrix, g, engine::ScoreTier::kFloat);
+    const PairwiseAlignment got = float_global(lanes(), a, b, matrix, g);
     expect_same_pairwise(ref, got, "global past budget",
                          static_cast<int>(la));
-    EXPECT_EQ(ref.score, engine::global_score(a, b, matrix, g, nullptr,
-                                              engine::ScoreTier::kFloat));
+    EXPECT_EQ(ref.score, float_score(lanes(), a, b, matrix, g));
 
     const LocalAlignment lref = engine::reference::local_align(a, b, matrix, g);
-    const LocalAlignment lgot = engine::local_align(a, b, matrix, g);
+    const LocalAlignment lgot = float_local(lanes(), a, b, matrix, g);
     EXPECT_GT(lref.ops.size(), la / 2);  // the path crosses many blocks
     expect_same_pairwise(lref, lgot, "local past budget",
                          static_cast<int>(la));
@@ -173,7 +250,7 @@ TEST(EngineDifferential, PastTraceBudgetMatchesReferenceExactly) {
   }
 }
 
-TEST(EngineDifferential, LocalTieAcrossDiagonalsTakesRowMajorFirst) {
+TEST_P(EngineDifferential, LocalTieAcrossDiagonalsTakesRowMajorFirst) {
   // BLOSUM62 scores Y-Y and P-P 7, and every other pair here at most -2, so
   // the best M value 7 sits at (2, 1) (P against P, anti-diagonal 3) and at
   // (1, 3) (Y against Y, anti-diagonal 4). The wavefront reaches (2, 1)
@@ -193,7 +270,7 @@ TEST(EngineDifferential, LocalTieAcrossDiagonalsTakesRowMajorFirst) {
   ASSERT_EQ(ref.score, 7.0F);
   ASSERT_EQ(ref.a_begin, 0u);
   ASSERT_EQ(ref.b_begin, 2u);
-  const LocalAlignment got = engine::local_align(a, b, matrix, g);
+  const LocalAlignment got = float_local(lanes(), a, b, matrix, g);
   expect_same_pairwise(ref, got, "local tie", 0);
   EXPECT_EQ(got.a_begin, 0u);
   EXPECT_EQ(got.b_begin, 2u);
@@ -208,14 +285,14 @@ TEST(EngineDifferential, LocalTieAcrossDiagonalsTakesRowMajorFirst) {
     for (auto& c : y) c = pair[rng.below(2)];
     const GapPenalties tg{static_cast<float>(4 + rng.below(12)), 1.0F};
     const LocalAlignment r = engine::reference::local_align(x, y, matrix, tg);
-    const LocalAlignment w = engine::local_align(x, y, matrix, tg);
+    const LocalAlignment w = float_local(lanes(), x, y, matrix, tg);
     expect_same_pairwise(r, w, "local low-complexity", trial);
     EXPECT_EQ(r.a_begin, w.a_begin) << "trial " << trial;
     EXPECT_EQ(r.b_begin, w.b_begin) << "trial " << trial;
   }
 }
 
-TEST(EngineDifferential, DegenerateInputsShareOneCodePath) {
+TEST(EngineDegenerate, DegenerateInputsShareOneCodePath) {
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{11.0F, 1.0F};
   const std::vector<std::uint8_t> a{1, 2, 3};
@@ -272,13 +349,22 @@ TEST(EngineMemory, ScoreOnlyTenKByTenKIsLinear) {
 }
 
 TEST(EngineKernel, LibraryAndHeadersAgreeOnLanes) {
-  // kernel_lanes() is VecF::kLanes as compiled into engine.cpp; the
-  // right-hand sides are what this TU's headers say. They differ when a
-  // build definition that picks the kernel types (SALIGN_ENGINE_FORCE_SCALAR)
-  // reaches the library's sources but not its users.
-  EXPECT_EQ(engine::kernel_lanes(), engine::VecF::kLanes);
-  EXPECT_STREQ(engine::kernel_name(),
-               engine::VecF::kLanes > 1 ? "vector" : "scalar");
+  // kernel_lanes() is the width engine.cpp dispatched: 8 exactly when the
+  // CPU has AVX2 (x86-64 vector builds), else VecF::kLanes, which is 1 in
+  // the release-scalar lane. The expectation is what this TU's headers
+  // say; the two differ when a build definition that picks the kernel
+  // types (SALIGN_ENGINE_FORCE_SCALAR) reaches the library's sources but
+  // not its users.
+#ifdef SALIGN_ENGINE_AVX2
+  const int want = __builtin_cpu_supports("avx2") ? 8 : engine::VecF::kLanes;
+#else
+  const int want = engine::VecF::kLanes;
+#endif
+  EXPECT_EQ(engine::kernel_lanes(), want);
+  EXPECT_TRUE(engine::kernel_lanes_supported(want));
+  EXPECT_TRUE(engine::kernel_lanes_supported(engine::VecF::kLanes));
+  EXPECT_FALSE(engine::kernel_lanes_supported(2));
+  EXPECT_STREQ(engine::kernel_name(), want > 1 ? "vector" : "scalar");
 }
 
 }  // namespace

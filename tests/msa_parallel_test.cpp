@@ -1,8 +1,10 @@
 // Invariance suites: (a) the wavefront profile DP (the library's one
-// profile-DP kernel, VecF lanes wide or one lane in scalar builds) must be
-// bit-identical to the row-major oracle (tests/oracles/profile_dp.hpp) on
-// randomized PSP profiles and T-Coffee-style dense score matrices, bands
-// and trace budgets; (b) the guide-tree task scheduler must produce
+// profile-DP kernel) must be bit-identical to the row-major oracle
+// (tests/oracles/profile_dp.hpp) on randomized PSP profiles and
+// T-Coffee-style dense score matrices, bands, trace budgets and shapes
+// around the row blocks, at every compiled width: VecF's (4 lanes, or 1 in
+// scalar builds) always, and 8 lanes when the CPU has AVX2 (skipped, with
+// the reason, when it does not); (b) the guide-tree task scheduler must produce
 // bit-identical alignments for every thread count, across every aligner
 // built on it and the full Sample-Align-D pipeline; (c) the shared thread
 // pool's fork-join primitive behaves under contention and nesting.
@@ -15,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "align/engine/engine.hpp"
+#include "align/engine/simd.hpp"
 #include "core/sample_align_d.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/clustalw_like.hpp"
@@ -147,11 +151,39 @@ ProfileAlignResult row_major(const Profile& a, const Profile& b,
   return reference::profile_dp(p, po);
 }
 
+/// align_profiles with the kernel `lanes` wide.
+ProfileAlignResult wavefront_at(int lanes, const Profile& a, const Profile& b,
+                                const ProfileAlignOptions& po) {
+  const detail::PspProblem p(a, b);
+  return detail::profile_dp_wavefront(a.num_cols(), b.num_cols(), p.scorer,
+                                      p.occ_a, p.occ_b, po, lanes);
+}
+
+/// Profile-DP widths under test: the parameter is a lane count. Cases of a
+/// width this build or CPU cannot run skip with the reason.
+class ProfileDpDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (!align::engine::kernel_lanes_supported(GetParam()))
+      GTEST_SKIP() << GetParam()
+                   << "-lane float kernel: needs an x86-64 vector build on "
+                      "a CPU with AVX2";
+  }
+  [[nodiscard]] int lanes() const { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Width, ProfileDpDifferential,
+    ::testing::Values(align::engine::VecF::kLanes, 8),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::to_string(info.param) + "Lanes";
+    });
+
 /// Randomized differential: random sub-families aligned into two profiles,
 /// random weights, random gap penalties, random band / trace budget; the
 /// wavefront and row-major kernels must agree on score bits and ops
 /// exactly, on the full-trace and the checkpointed traceback paths alike.
-TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
+TEST_P(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
   util::Rng rng(991);
   const MuscleAligner aligner;
   for (int rep = 0; rep < 60; ++rep) {
@@ -189,8 +221,9 @@ TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
       for (std::size_t budget : {drawn, std::size_t{0}, std::size_t{1},
                                  cells - 1, cells, cells + 1}) {
         po.max_trace_cells = budget;
-        const ProfileAlignResult got = wavefront ? align_profiles(pa, pb, po)
-                                                 : row_major(pa, pb, po);
+        const ProfileAlignResult got = wavefront
+                                           ? wavefront_at(lanes(), pa, pb, po)
+                                           : row_major(pa, pb, po);
         ASSERT_EQ(ref.score, got.score) << "rep " << rep << " budget "
                                         << budget;
         ASSERT_EQ(ref.ops, got.ops) << "rep " << rep << " budget " << budget;
@@ -198,7 +231,7 @@ TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
   }
 }
 
-TEST(ProfileDpDifferential, DegenerateShapes) {
+TEST_P(ProfileDpDifferential, DegenerateShapes) {
   const auto one = family(1, 1, 600, 77);
   const auto big = family(3, 90, 600, 78);
   const MuscleAligner aligner;
@@ -211,7 +244,7 @@ TEST(ProfileDpDifferential, DegenerateShapes) {
       ProfileAlignOptions po;
       po.gaps = B62().default_gaps();
       const ProfileAlignResult ref = row_major(pa, pb, po);
-      const ProfileAlignResult vec = align_profiles(pa, pb, po);
+      const ProfileAlignResult vec = wavefront_at(lanes(), pa, pb, po);
       EXPECT_EQ(ref.score, vec.score);
       EXPECT_EQ(ref.ops, vec.ops);
     }
@@ -221,7 +254,7 @@ TEST(ProfileDpDifferential, DegenerateShapes) {
 /// between match, open and extend moves everywhere; a profile aligned to
 /// itself adds ties between the diagonal and every gap detour. Tie-breaks
 /// must follow the scalar chains on both traceback paths.
-TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
+TEST_P(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
   using Rows = std::vector<std::pair<std::string, std::string>>;
   const Rows shapes = {
       {"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAAAAAAAAAAAAA"},
@@ -244,7 +277,8 @@ TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
           const ProfileAlignResult ref = row_major(pa, *other, po);
           for (std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
             po.max_trace_cells = budget;
-            const ProfileAlignResult vec = align_profiles(pa, *other, po);
+            const ProfileAlignResult vec =
+                wavefront_at(lanes(), pa, *other, po);
             EXPECT_EQ(ref.score, vec.score) << ta << " / " << tb;
             EXPECT_EQ(ref.ops, vec.ops)
                 << ta << " / " << tb << " open " << gaps.open << " band "
@@ -254,21 +288,70 @@ TEST(ProfileDpDifferential, ExactTiesFollowScalarOrder) {
   }
 }
 
-/// T-Coffee's row source: random sparse, non-negative, integer-valued dense
-/// score matrices (so exact ties between moves are common) times the
-/// 1/(|A||B|) merge scale, against the oracle on the per-cell product
-/// score(ca, cb) * scale. Gaps {4/1, 2/2, 0/0}, unbanded and banded, every
-/// budget around the full-trace boundary (a budget of one cell runs the
-/// checkpointed traceback's block reruns), and shapes with a one-column
-/// side. After 40 random shapes come the ones where the kernel's score
-/// tiles (kW x kW, transposed into its ring of diagonals) overhang the
-/// score block: last row blocks 1-3 rows past a multiple of 4 (m = 33..35,
-/// 37, 66, 67 and m < 8) and sides of 1 to 5 columns.
-TEST(ProfileDpDifferential, DenseRowsMatchRowMajor) {
+/// One random T-Coffee-style problem of m x n columns: a sparse,
+/// non-negative, integer-valued dense score matrix (so exact ties between
+/// moves are common) times a 1/(|A||B|)-like merge scale, against the
+/// oracle on the per-cell product score(ca, cb) * scale, with the kernel
+/// `lanes` wide. Gaps {4/1, 2/2, 0/0}, unbanded and banded, at the trace
+/// budgets `budgets(cells)` returns.
+template <typename Budgets>
+void expect_dense_matches(int lanes, util::Rng& rng, std::size_t m,
+                          std::size_t n, Budgets budgets,
+                          const std::string& label) {
+  util::Matrix<float> score(m, n, 0.0F);
+  const double density = rng.uniform(0.05, 0.6);
+  for (std::size_t ca = 0; ca < m; ++ca)
+    for (std::size_t cb = 0; cb < n; ++cb)
+      if (rng.chance(density))
+        score(ca, cb) = static_cast<float>(1 + rng.below(6));
+  const float scale = 1.0F / static_cast<float>(1 + rng.below(6)) /
+                      static_cast<float>(1 + rng.below(6));
+  std::vector<float> occ_a(m), occ_b(n);
+  for (auto& o : occ_a) o = rng.chance(0.7) ? 1.0F : 0.5F;
+  for (auto& o : occ_b) o = rng.chance(0.7) ? 1.0F : 0.5F;
+  const detail::DenseRowScorer rows{&score, scale};
+  const auto lambda = [&](std::size_t ca, std::size_t cb) {
+    return score(ca, cb) * scale;
+  };
+
+  for (const auto& gaps : {bio::GapPenalties{4.0F, 1.0F},
+                           bio::GapPenalties{2.0F, 2.0F},
+                           bio::GapPenalties{0.0F, 0.0F}})
+    for (std::size_t band : {std::size_t{0}, 1 + rng.below(12)}) {
+      ProfileAlignOptions po;
+      po.gaps = gaps;
+      po.band = band;
+      const ProfileAlignResult ref =
+          reference::profile_dp(m, n, lambda, occ_a, occ_b, po);
+      for (std::size_t budget : budgets((m + 1) * (n + 1))) {
+        po.max_trace_cells = budget;
+        const ProfileAlignResult got = detail::profile_dp_wavefront(
+            m, n, rows, occ_a, occ_b, po, lanes);
+        ASSERT_EQ(ref.score, got.score)
+            << label << " " << m << "x" << n << " open " << gaps.open
+            << " band " << band << " budget " << budget;
+        ASSERT_EQ(ref.ops, got.ops)
+            << label << " " << m << "x" << n << " open " << gaps.open
+            << " band " << band << " budget " << budget;
+      }
+    }
+}
+
+/// T-Coffee's row source (expect_dense_matches) at every budget around the
+/// full-trace boundary (a budget of one cell runs the checkpointed
+/// traceback's block reruns), and shapes with a one-column side. After 40
+/// random shapes come the ones where the kernel's score tiles (kW x kW,
+/// transposed into its ring of diagonals) overhang the score block: last
+/// row blocks 1-3 rows past a multiple of 4 (m = 33..35, 37, 66, 67 and
+/// m < 8) and sides of 1 to 5 columns.
+TEST_P(ProfileDpDifferential, DenseRowsMatchRowMajor) {
   util::Rng rng(5151);
   const std::vector<std::size_t> sides{1,  2,  3,  4,  5,  6,  7,
                                        9,  33, 34, 35, 37, 66, 67};
   const std::size_t random_reps = 40;
+  const auto around_full_trace = [](std::size_t cells) {
+    return std::vector<std::size_t>{0, 1, cells - 1, cells, cells + 1};
+  };
   for (std::size_t rep = 0; rep < random_reps + sides.size() * sides.size();
        ++rep) {
     std::size_t m = 0;
@@ -280,54 +363,35 @@ TEST(ProfileDpDifferential, DenseRowsMatchRowMajor) {
       m = sides[(rep - random_reps) / sides.size()];
       n = sides[(rep - random_reps) % sides.size()];
     }
-    util::Matrix<float> score(m, n, 0.0F);
-    const double density = rng.uniform(0.05, 0.6);
-    for (std::size_t ca = 0; ca < m; ++ca)
-      for (std::size_t cb = 0; cb < n; ++cb)
-        if (rng.chance(density))
-          score(ca, cb) = static_cast<float>(1 + rng.below(6));
-    const float scale = 1.0F / static_cast<float>(1 + rng.below(6)) /
-                        static_cast<float>(1 + rng.below(6));
-    std::vector<float> occ_a(m), occ_b(n);
-    for (auto& o : occ_a) o = rng.chance(0.7) ? 1.0F : 0.5F;
-    for (auto& o : occ_b) o = rng.chance(0.7) ? 1.0F : 0.5F;
-    const detail::DenseRowScorer rows{&score, scale};
-    const auto lambda = [&](std::size_t ca, std::size_t cb) {
-      return score(ca, cb) * scale;
-    };
-
-    const std::size_t cells = (m + 1) * (n + 1);
-    for (const auto& gaps : {bio::GapPenalties{4.0F, 1.0F},
-                             bio::GapPenalties{2.0F, 2.0F},
-                             bio::GapPenalties{0.0F, 0.0F}})
-      for (std::size_t band : {std::size_t{0}, 1 + rng.below(12)}) {
-        ProfileAlignOptions po;
-        po.gaps = gaps;
-        po.band = band;
-        const ProfileAlignResult ref =
-            reference::profile_dp(m, n, lambda, occ_a, occ_b, po);
-        for (std::size_t budget : {std::size_t{0}, std::size_t{1}, cells - 1,
-                                   cells, cells + 1}) {
-          po.max_trace_cells = budget;
-          const ProfileAlignResult got =
-              detail::profile_dp_wavefront(m, n, rows, occ_a, occ_b, po);
-          ASSERT_EQ(ref.score, got.score)
-              << "rep " << rep << " " << m << "x" << n << " open "
-              << gaps.open << " band " << band << " budget " << budget;
-          ASSERT_EQ(ref.ops, got.ops)
-              << "rep " << rep << " " << m << "x" << n << " open "
-              << gaps.open << " band " << band << " budget " << budget;
-        }
-      }
+    expect_dense_matches(lanes(), rng, m, n, around_full_trace,
+                         "rep " + std::to_string(rep));
   }
 }
 
-/// Past m = 1024 the checkpoint interval (~sqrt(m), rounded up to whole
-/// row blocks) spans several row blocks, so each traceback rerun fills and
-/// sweeps a score block taller than the forward pass's.
-TEST(ProfileDpDifferential, TallCheckpointBlocksMatchRowMajor) {
+/// Sides one row short of, at and past one and two row blocks of the
+/// widest kernel (64 rows at 8 lanes, 32 at 4), both ways round, on the
+/// full-trace path and the checkpointed one (a budget of one cell).
+TEST_P(ProfileDpDifferential, RowBlockEdgesMatchRowMajor) {
+  util::Rng rng(5353);
+  const std::size_t edges[] = {31, 32, 33, 63, 64, 65, 127, 128, 129};
+  const std::size_t others[] = {1, 5, 9, 66};
+  const auto full_and_checkpointed = [](std::size_t) {
+    return std::vector<std::size_t>{0, 1};
+  };
+  for (std::size_t e : edges)
+    for (std::size_t o : others) {
+      expect_dense_matches(lanes(), rng, e, o, full_and_checkpointed, "edge");
+      expect_dense_matches(lanes(), rng, o, e, full_and_checkpointed, "edge");
+    }
+}
+
+/// At m = 4500 the checkpoint interval (~sqrt(m) = 68 rows, rounded up to
+/// whole row blocks) spans three 32-row blocks at 4 lanes and two 64-row
+/// blocks at 8, so each traceback rerun sweeps several row blocks from one
+/// checkpoint, each seeded by the one before.
+TEST_P(ProfileDpDifferential, TallCheckpointBlocksMatchRowMajor) {
   util::Rng rng(5252);
-  const std::size_t m = 1500;
+  const std::size_t m = 4500;
   const std::size_t n = 40;
   util::Matrix<float> score(m, n, 0.0F);
   for (std::size_t ca = 0; ca < m; ++ca)
@@ -347,8 +411,8 @@ TEST(ProfileDpDifferential, TallCheckpointBlocksMatchRowMajor) {
     po.max_trace_cells = 1;
     const ProfileAlignResult ref =
         reference::profile_dp(m, n, lambda, occ_a, occ_b, po);
-    const ProfileAlignResult got =
-        detail::profile_dp_wavefront(m, n, rows, occ_a, occ_b, po);
+    const ProfileAlignResult got = detail::profile_dp_wavefront(
+        m, n, rows, occ_a, occ_b, po, lanes());
     ASSERT_EQ(ref.score, got.score) << "band " << band;
     ASSERT_EQ(ref.ops, got.ops) << "band " << band;
   }
