@@ -32,7 +32,9 @@ ArgParser make_parser() {
   p.option("threads", "t", "0",
            "worker threads per rank for the sequential aligner's parallel\n"
            "passes (distance matrices, progressive merges); 0 = auto:\n"
-           "hardware concurrency capped at 16. Never changes the output");
+           "hardware concurrency capped at 16. A rank that finishes its\n"
+           "bucket lends its worker to the merges of ranks still aligning.\n"
+           "Never changes the output");
   p.option("aligner", "name", "muscle",
            aligner_help());
   p.option("rank-mode", "mode", "globalized",

@@ -37,12 +37,15 @@ struct SampleAlignDConfig {
   /// Globalized (paper) vs local-only (predecessor [34]) ranking.
   RankMode rank_mode = RankMode::Globalized;
 
-  /// Worker threads available to EACH rank's local work (1 = the
-  /// historical serial behaviour). Flows into the default sequential
-  /// aligner's parallel passes — the guide-tree distance matrices and the
-  /// progressive merge schedule — which draw from the shared
-  /// util::ThreadPool, so ranks×threads share the host instead of
-  /// oversubscribing it. Any value produces bit-identical alignments. A
+  /// Worker threads of EACH rank's own local work (1 = one worker per
+  /// rank). Flows into the default sequential aligner's parallel passes —
+  /// the guide-tree distance matrices and the progressive merge schedule —
+  /// which draw from the shared util::ThreadPool, so ranks×threads share
+  /// the host instead of oversubscribing it. On top of its share, a rank
+  /// still aligning gets the workers of ranks that have finished: they run
+  /// its ready merges (msa::for_each_owner), so the run never holds more
+  /// than num_procs×threads workers but none of them idles while a bucket
+  /// is left. Any value produces bit-identical alignments. A
   /// caller-provided local_aligner configures its own thread count.
   unsigned threads = 1;
 

@@ -119,6 +119,11 @@ std::string PipelineStats::summary() const {
                      std::to_string(ph.runs) + " cached", "", "", "",
                      util::fmt("%.4f", ph.max_wall_seconds()), "", ""});
     }
+    if (s.merges.total > 0)
+      table.add_row({"  lent merges", "",
+                     std::to_string(s.merges.lent) + '/' +
+                         std::to_string(s.merges.total) + " merges",
+                     "", "", "", "", "", ""});
   }
   std::ostringstream os;
   os << "Sample-Align-D pipeline: N=" << num_sequences << " p=" << num_procs

@@ -44,6 +44,12 @@ struct AlignerPhase {
   [[nodiscard]] double max_wall_seconds() const;
 };
 
+/// Guide-tree merges of one stage: all of them, and the lent ones.
+struct MergeCount {
+  std::uint64_t lent = 0;
+  std::uint64_t total = 0;
+};
+
 /// One stage the StageRunner ran or resumed: its artifact provenance, the
 /// time its ranks computed and the messages they sent.
 struct StageStats {
@@ -52,11 +58,15 @@ struct StageStats {
   std::uint64_t artifact_bytes = 0;  ///< serialized artifact size
   bool resumed = false;  ///< loaded from the checkpoint, not computed
   double seconds = 0.0;  ///< wall time to compute (or load) the artifact
-  /// Per-rank CPU seconds the rank's own thread spent computing in this
-  /// stage, summed over the stage's segments; root-only segments charge
-  /// rank 0. Shared-pool workers a threaded stage borrows are not included
-  /// — wall time below is what shows their effect. A single-rank run
-  /// charges wall seconds here. All zero when the stage was resumed.
+  /// Per-rank CPU seconds of the rank's work in this stage, summed over
+  /// the stage's segments; root-only segments charge rank 0. That is the
+  /// rank's own thread, plus the CPU of every worker lent to the rank's
+  /// merge nodes by ranks that had finished (read once per lent stint),
+  /// so the row keeps meaning the time on a dedicated node however the
+  /// host shared its workers. Shared-pool workers a threaded stage borrows
+  /// are not included — wall time below is what shows their effect. A
+  /// single-rank run charges wall seconds here. All zero when the stage
+  /// was resumed.
   std::vector<double> rank_seconds;
   /// Per-rank wall-clock seconds of the stage. For compute stages run with
   /// SampleAlignDConfig::threads > 1 this is what shrinks; the per-stage
@@ -71,6 +81,10 @@ struct StageStats {
   /// first). Each rank's phase seconds lie inside its rank_wall_seconds.
   /// None when the stage was resumed.
   std::vector<AlignerPhase> phases;
+  /// Merge nodes of the guide-tree schedules the stage's ranks ran, and
+  /// how many of them ran on a worker lent by a rank that had finished
+  /// (msa::for_each_owner). Zero at p = 1 and when the stage was resumed.
+  MergeCount merges;
 
   [[nodiscard]] double max_seconds() const;
   [[nodiscard]] double max_wall_seconds() const;

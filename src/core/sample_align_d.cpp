@@ -15,9 +15,9 @@
 #include "msa/phase_log.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
+#include "msa/tree_schedule.hpp"
 #include "par/serialize.hpp"
 #include "util/artifact_cache.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace salign::core {
@@ -31,35 +31,41 @@ using stage::RankedPartition;
 using stage::RankedRef;
 
 /// Per-(stage, rank) accounting of the staged executor: CPU seconds of the
-/// worker that ran the rank's segment (immune to host oversubscription, but
-/// blind to shared-pool workers a threaded local aligner borrows), wall
-/// seconds, the aligner phases the segment ran, and the collectives a real
-/// cluster would run. The StageRunner knows nothing of ranks or bytes; a
-/// segment belongs to the stage being computed, which is record number
-/// runner.records().size() (the runner appends a stage's record once its
-/// compute returns), so row i pairs with record i. Resumed stages never
-/// execute their compute, so their rows stay zero — reflecting that no work
-/// was done.
+/// worker that ran the rank's segment and of the workers other ranks lent
+/// to its merges (immune to host oversubscription, but blind to shared-pool
+/// workers a threaded local aligner borrows), wall seconds, the aligner
+/// phases the segment ran, and the collectives a real cluster would run.
+/// The StageRunner knows nothing of ranks or bytes; a segment belongs to
+/// the stage being computed, which is record number runner.records().size()
+/// (the runner appends a stage's record once its compute returns), so row
+/// i pairs with record i. Resumed stages never execute their compute, so
+/// their rows stay zero — reflecting that no work was done.
 class RunStats {
  public:
   RunStats(const stage::StageRunner& runner, int p)
       : runner_(&runner), p_(static_cast<std::size_t>(p)) {}
 
-  /// Runs fn(rank) for every rank concurrently — one deterministic chunk
-  /// per rank, the staged executor's stand-in for p cluster nodes — timing
-  /// each as that rank's segment. fn must write only to per-rank slots;
-  /// chunk geometry never depends on scheduling, so neither do outputs.
+  /// Runs fn(rank) for every rank concurrently — the staged executor's
+  /// stand-in for p cluster nodes — timing each as that rank's segment. A
+  /// rank that finishes lends its worker to the merges of the ranks still
+  /// aligning (msa::for_each_owner); that worker's CPU is charged to the
+  /// rank whose merges it ran. fn must write only to per-rank slots; a
+  /// merge's result never depends on the worker that runs it, so neither
+  /// do outputs.
   void for_each_rank(const std::function<void(int)>& fn) {
     StageStats& row = current();
     std::vector<std::vector<msa::PhaseEntry>> phases(p_);
-    util::parallel_for(
-        p_,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r)
-            phases[r] = timed(row, r, [&] { fn(static_cast<int>(r)); });
-        },
-        static_cast<unsigned>(p_));
-    for (std::size_t r = 0; r < p_; ++r) add_phases(row, r, phases[r]);
+    const msa::LendingReport lent =
+        msa::for_each_owner(p_, [&](std::size_t r) {
+          util::poll_budget("rank segment");
+          phases[r] = timed(row, r, [&] { fn(static_cast<int>(r)); });
+        });
+    for (std::size_t r = 0; r < p_; ++r) {
+      row.rank_seconds[r] += lent.lent_cpu_seconds[r];
+      add_phases(row, r, phases[r]);
+    }
+    row.merges.lent += lent.lent_merges;
+    row.merges.total += lent.merges;
   }
 
   /// Root-only segment (pivot selection, global-ancestor alignment, glue,

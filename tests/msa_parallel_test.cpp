@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -23,6 +26,7 @@
 #include "kmer/kmer_rank.hpp"
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
+#include "msa/msa_algorithm.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
@@ -30,6 +34,7 @@
 #include "msa/tcoffee_like.hpp"
 #include "msa/tree_schedule.hpp"
 #include "oracles/profile_dp.hpp"
+#include "util/budget.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -487,20 +492,117 @@ TEST(AlignerThreads, ScoreGuideTreeModeIsThreadInvariant) {
 
 // ---- full pipeline thread invariance ---------------------------------------
 
+/// A family whose buckets are deliberately uneven: `copies` renamed copies
+/// of one sequence share one rank key, so they all land in one bucket.
+std::vector<Sequence> skewed_family(std::size_t copies) {
+  std::vector<Sequence> seqs = family(20, 40, 700, 314159);
+  const Sequence base = seqs.front();
+  for (std::size_t i = 0; i < copies; ++i)
+    seqs.emplace_back("copy" + std::to_string(i),
+                      std::vector<std::uint8_t>(base.codes().begin(),
+                                                base.codes().end()),
+                      base.alphabet_kind());
+  return seqs;
+}
+
+/// The bucket-align row's merge counts: MiniMuscle merges each bucket of n
+/// sequences twice, n - 1 merges per pass; no other stage opens a lendable
+/// schedule.
+void expect_merge_counts(const core::PipelineStats& stats) {
+  std::uint64_t merges = 0;
+  for (std::size_t b : stats.bucket_sizes)
+    merges += b >= 1 ? 2 * (b - 1) : 0;
+  for (const core::StageStats& row : stats.stages) {
+    const std::uint64_t want =
+        row.name == "bucket-align" && stats.num_procs > 1 ? merges : 0;
+    EXPECT_EQ(row.merges.total, want) << row.name;
+    EXPECT_LE(row.merges.lent, row.merges.total) << row.name;
+  }
+}
+
 TEST(PipelineThreads, SampleAlignDBitIdenticalAcrossThreads) {
-  const auto seqs = family(24, 40, 700, 271828);
-  const auto run = [&](unsigned threads) {
-    core::SampleAlignDConfig cfg;
-    cfg.num_procs = 3;
-    cfg.threads = threads;
-    core::PipelineStats stats;
-    const Alignment a = core::SampleAlignD(cfg).align(seqs, &stats);
-    EXPECT_EQ(stats.threads, threads);
-    return fingerprint(a);
-  };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, run(2));
-  EXPECT_EQ(serial, run(8));
+  // The skewed input keeps one rank aligning long after the others, so
+  // their workers are lent to its merges.
+  const auto uniform = family(24, 40, 700, 271828);
+  const auto skewed = skewed_family(28);
+  for (const auto& [seqs, p] :
+       {std::pair{&uniform, 3}, std::pair{&skewed, 4}, std::pair{&skewed, 8}}) {
+    SCOPED_TRACE(::testing::Message() << seqs->size() << " seqs, p=" << p);
+    const auto run = [&](unsigned threads) {
+      core::SampleAlignDConfig cfg;
+      cfg.num_procs = p;
+      cfg.threads = threads;
+      core::PipelineStats stats;
+      const Alignment a = core::SampleAlignD(cfg).align(*seqs, &stats);
+      EXPECT_EQ(stats.threads, threads);
+      expect_merge_counts(stats);
+      if (seqs == &skewed) {
+        EXPECT_GE(*std::max_element(stats.bucket_sizes.begin(),
+                                    stats.bucket_sizes.end()),
+                  28u);
+      }
+      return fingerprint(a);
+    };
+    const std::string serial = run(1);
+    EXPECT_EQ(serial, run(2));
+    EXPECT_EQ(serial, run(8));
+  }
+}
+
+/// MiniMuscle that requests cancellation of the run once the first bucket
+/// it aligned is done: the other ranks stop at their next merge boundary
+/// while the finished rank's worker is lent to them. Hashes like the
+/// plain default aligner, so a resume without it matches the checkpoint.
+class CancelAfterFirstBucket : public MsaAlgorithm {
+ public:
+  explicit CancelAfterFirstBucket(std::shared_ptr<util::CancelToken> token)
+      : token_(std::move(token)) {}
+
+  [[nodiscard]] Alignment align(
+      std::span<const Sequence> seqs) const override {
+    Alignment a = inner_->align(seqs);
+    token_->request();
+    return a;
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void hash_config(util::StableHash& h) const override {
+    inner_->hash_config(h);
+  }
+
+ private:
+  std::shared_ptr<const MsaAlgorithm> inner_ = make_default_aligner(1);
+  std::shared_ptr<util::CancelToken> token_;
+};
+
+TEST(PipelineThreads, CancelWhileLendingResumesBitIdentical) {
+  const auto seqs = skewed_family(28);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("salign_lend_cancel_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
+          .string();
+  core::SampleAlignDConfig cfg;
+  cfg.num_procs = 4;
+  const std::string fresh = fingerprint(core::SampleAlignD(cfg).align(seqs));
+
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    std::filesystem::remove_all(dir);
+    core::SampleAlignDConfig cut = cfg;
+    cut.checkpoint.dir = dir;
+    cut.cancel = std::make_shared<util::CancelToken>();
+    cut.local_aligner = std::make_shared<CancelAfterFirstBucket>(cut.cancel);
+    // The bucket that finishes first cancels the others mid-merge; the
+    // ancestor stage then stops at its first poll, whatever the timing.
+    EXPECT_THROW((void)core::SampleAlignD(cut).align(seqs),
+                 util::CancelledError);
+
+    core::SampleAlignDConfig resume = cfg;
+    resume.checkpoint.dir = dir;
+    resume.checkpoint.resume = true;
+    EXPECT_EQ(fingerprint(core::SampleAlignD(resume).align(seqs)), fresh);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

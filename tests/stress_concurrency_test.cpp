@@ -1,6 +1,7 @@
 // Deterministic high-contention stress drills for every shared concurrent
 // structure: nested ThreadPool fork-join, the dependency-counting guide-
-// tree scheduler on degenerate and wide trees, Daemon::stop() racing
+// tree scheduler on degenerate and wide trees, workers lent across
+// schedules (throws and cancellation included), Daemon::stop() racing
 // run(), and ArtifactCache churn. The assertions are exact (every unit of
 // work exactly once, children strictly before parents), so the suite is
 // meaningful in every preset; under the tsan preset these tests are the
@@ -10,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "msa/tree_schedule.hpp"
 #include "serve/daemon.hpp"
 #include "util/artifact_cache.hpp"
+#include "util/budget.hpp"
 #include "util/stable_hash.hpp"
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
@@ -155,31 +160,71 @@ msa::GuideTree make_balanced(int leaves) {
                                     level[0]);
 }
 
-/// Runs schedule_tree and checks the two scheduler invariants exactly:
-/// every node exactly once, and every internal node strictly after both of
-/// its children. Per-node stamps are written once by whichever thread runs
-/// the node and read only after the schedule joins.
-void drill_schedule(const msa::GuideTree& tree, unsigned threads) {
-  const std::size_t n = tree.num_nodes();
-  std::vector<int> stamp(n, -1);
-  std::vector<std::atomic<int>> runs(n);
-  for (auto& r : runs) r.store(0);
-  std::atomic<int> clock{0};
-  msa::schedule_tree(tree, threads, [&](int id) {
-    const auto i = static_cast<std::size_t>(id);
-    runs[i].fetch_add(1, std::memory_order_relaxed);
-    stamp[i] = clock.fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(runs[i].load(), 1) << "node " << i;
-    if (!tree.is_leaf(i)) {
-      const auto& node = tree.node(i);
-      EXPECT_GT(stamp[i], stamp[static_cast<std::size_t>(node.left)])
-          << "node " << i << " ran before its left child";
-      EXPECT_GT(stamp[i], stamp[static_cast<std::size_t>(node.right)])
-          << "node " << i << " ran before its right child";
+/// One schedule_tree run, logged per node: how often the node ran, a stamp
+/// from a clock shared by every schedule of the test, and whether it ran
+/// off the thread that called schedule_tree. Each node's slots are written
+/// once by whichever worker runs it and read only after the run joins.
+struct NodeLog {
+  explicit NodeLog(const msa::GuideTree& t)
+      : tree(&t), runs(t.num_nodes()), stamp(t.num_nodes(), -1),
+        off_caller(t.num_nodes(), 0) {
+    for (auto& r : runs) r.store(0);
+  }
+
+  /// Runs the schedule; `hook(id, off_caller)` runs inside every node after
+  /// it is logged.
+  void run(unsigned threads, std::atomic<int>& clock,
+           const std::function<void(int, bool)>& hook = {}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    msa::schedule_tree(*tree, threads, [&](int id) {
+      const auto i = static_cast<std::size_t>(id);
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+      stamp[i] = clock.fetch_add(1, std::memory_order_relaxed);
+      off_caller[i] = std::this_thread::get_id() != caller ? 1 : 0;
+      if (hook) hook(id, off_caller[i] != 0);
+    });
+  }
+
+  /// The two scheduler invariants, exactly: every node exactly once, and
+  /// every internal node strictly after both of its children.
+  void expect_complete() const {
+    for (std::size_t i = 0; i < tree->num_nodes(); ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "node " << i;
+      if (!tree->is_leaf(i)) {
+        const auto& node = tree->node(i);
+        EXPECT_GT(stamp[i], stamp[static_cast<std::size_t>(node.left)])
+            << "node " << i << " ran before its left child";
+        EXPECT_GT(stamp[i], stamp[static_cast<std::size_t>(node.right)])
+            << "node " << i << " ran before its right child";
+      }
     }
   }
+
+  void expect_none_twice() const {
+    for (std::size_t i = 0; i < tree->num_nodes(); ++i)
+      EXPECT_LE(runs[i].load(), 1) << "node " << i << " ran twice";
+  }
+
+  /// Merge nodes that ran off the caller's thread.
+  [[nodiscard]] std::uint64_t off_caller_merges() const {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < tree->num_nodes(); ++i)
+      n += !tree->is_leaf(i) && off_caller[i] != 0 ? 1 : 0;
+    return n;
+  }
+
+  const msa::GuideTree* tree;
+  std::vector<std::atomic<int>> runs;
+  std::vector<int> stamp;
+  std::vector<char> off_caller;
+};
+
+/// Runs schedule_tree alone and checks the scheduler invariants.
+void drill_schedule(const msa::GuideTree& tree, unsigned threads) {
+  NodeLog log(tree);
+  std::atomic<int> clock{0};
+  log.run(threads, clock);
+  log.expect_complete();
 }
 
 TEST(TreeScheduleStress, CaterpillarTreeAtManyThreadCounts) {
@@ -217,6 +262,182 @@ TEST(TreeScheduleStress, ThrowingNodeAbortsWithoutHangOrRerun) {
         std::runtime_error);
     for (std::size_t i = 0; i < tree.num_nodes(); ++i)
       EXPECT_LE(runs[i].load(), 1) << "node " << i << " ran twice";
+  }
+}
+
+// ---- lending across schedules (msa::for_each_owner) -------------------------
+//
+// Owners run at threads = 1 here, so a node that runs off its owner's
+// thread ran on a lent worker.
+
+/// Blocks the calling thread until `flag` is set, for at most a minute
+/// (a lending bug then fails the test instead of hanging it).
+void hold_until(const std::atomic<bool>& flag) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!flag.load() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+std::uint64_t merges_of(const msa::GuideTree& tree) {
+  return tree.num_nodes() - tree.num_leaves();
+}
+
+TEST(LendingStress, FinishedOwnerRunsTheLongerScheduleOnce) {
+  // Owner 0's schedule is tiny, owner 1's long; owner 1 holds its first
+  // node until a lent worker has run one of its merges. Every node of both
+  // still runs exactly once, after its children.
+  const msa::GuideTree small = make_balanced(4);
+  const msa::GuideTree large = make_balanced(128);
+  util::ThreadPool pool(1);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    NodeLog a(small);
+    NodeLog b(large);
+    std::atomic<int> clock{0};
+    std::atomic<bool> lent_merge{false};
+    std::atomic<bool> held{false};
+    const msa::LendingReport report = msa::for_each_owner(
+        2,
+        [&](std::size_t owner) {
+          if (owner == 0) {
+            a.run(1, clock);
+            return;
+          }
+          b.run(1, clock, [&](int id, bool lent) {
+            if (lent && !large.is_leaf(static_cast<std::size_t>(id)))
+              lent_merge.store(true);
+            if (!lent && !held.exchange(true)) hold_until(lent_merge);
+          });
+        },
+        pool);
+    a.expect_complete();
+    b.expect_complete();
+    EXPECT_TRUE(lent_merge.load());
+    EXPECT_EQ(a.off_caller_merges(), 0u);
+    EXPECT_EQ(report.merges, merges_of(small) + merges_of(large));
+    EXPECT_EQ(report.lent_merges, b.off_caller_merges());
+    EXPECT_GE(report.lent_merges, 1u);
+    ASSERT_EQ(report.lent_cpu_seconds.size(), 2u);
+    EXPECT_EQ(report.lent_cpu_seconds[0], 0.0);
+    EXPECT_GE(report.lent_cpu_seconds[1], 0.0);
+  }
+}
+
+TEST(LendingStress, MoreOwnersThanPoolWorkersComplete) {
+  // 8 and 16 owners of skewed trees on a pool of 3 workers: a worker lends
+  // only once every owner has started, so no owner waits for a worker that
+  // is lending. threads = 2 adds each schedule's own shared-pool workers.
+  std::vector<msa::GuideTree> trees;
+  for (int leaves : {2, 4, 8, 16, 32}) trees.push_back(make_balanced(leaves));
+  util::ThreadPool pool(3);
+  for (const std::size_t owners : {std::size_t{8}, std::size_t{16}}) {
+    for (const unsigned threads : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << owners << " owners, " << threads
+                                        << " threads");
+      std::vector<NodeLog> logs;
+      logs.reserve(owners);
+      std::uint64_t merges = 0;
+      for (std::size_t o = 0; o < owners; ++o) {
+        logs.emplace_back(trees[o % trees.size()]);
+        merges += merges_of(trees[o % trees.size()]);
+      }
+      std::atomic<int> clock{0};
+      const msa::LendingReport report = msa::for_each_owner(
+          owners, [&](std::size_t o) { logs[o].run(threads, clock); }, pool);
+      for (const NodeLog& log : logs) log.expect_complete();
+      EXPECT_EQ(report.merges, merges);
+      EXPECT_LE(report.lent_merges, merges);
+      EXPECT_EQ(report.lent_cpu_seconds.size(), owners);
+    }
+  }
+}
+
+TEST(LendingStress, ThrowOnLentWorkerAbortsOnlyItsOwner) {
+  // Owner 1's first node run by a lent worker throws. Owner 1's schedule
+  // drains and owner 1 rethrows; owners 0 and 2 complete. Owner 1 holds
+  // its first node until the throw, and its tree is the largest, so the
+  // first lent worker picks it.
+  const msa::GuideTree small = make_balanced(4);
+  const msa::GuideTree doomed_tree = make_balanced(256);
+  const msa::GuideTree other_tree = make_balanced(64);
+  util::ThreadPool pool(2);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    NodeLog a(small);
+    NodeLog doomed(doomed_tree);
+    NodeLog other(other_tree);
+    std::atomic<int> clock{0};
+    std::atomic<bool> thrown{false};
+    std::atomic<bool> held{false};
+    std::string caught;
+    const msa::LendingReport report = msa::for_each_owner(
+        3,
+        [&](std::size_t owner) {
+          if (owner == 0) return a.run(1, clock);
+          if (owner == 2) return other.run(1, clock);
+          try {
+            doomed.run(1, clock, [&](int, bool lent) {
+              if (lent && !thrown.exchange(true))
+                throw std::runtime_error("lent node");
+              if (!lent && !held.exchange(true)) hold_until(thrown);
+            });
+          } catch (const std::runtime_error& e) {
+            caught = e.what();
+          }
+        },
+        pool);
+    EXPECT_EQ(caught, "lent node");
+    a.expect_complete();
+    other.expect_complete();
+    doomed.expect_none_twice();
+    EXPECT_EQ(doomed.runs[static_cast<std::size_t>(doomed_tree.root())].load(),
+              0);
+    EXPECT_LE(report.lent_merges, report.merges);
+  }
+}
+
+TEST(LendingStress, CancelDuringLendingStopsCooperatively) {
+  // Owner 1 holds its first node until a lent worker has run one of its
+  // nodes, then cancels the run; lent nodes wait for that hold, so the
+  // cancel always lands while a worker is lent. Both owner 1's thread and
+  // the lent worker poll the budget before their next node; for_each_owner
+  // rethrows the cancellation and no node ran twice.
+  const msa::GuideTree small = make_balanced(4);
+  const msa::GuideTree large = make_balanced(256);
+  util::ThreadPool pool(1);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    auto token = std::make_shared<util::CancelToken>();
+    const util::Budget budget(0.0, token);
+    const util::ScopedBudget scoped(&budget);
+    NodeLog a(small);
+    NodeLog b(large);
+    std::atomic<int> clock{0};
+    std::atomic<bool> lent{false};
+    std::atomic<bool> held{false};
+    EXPECT_THROW(
+        (void)msa::for_each_owner(
+            2,
+            [&](std::size_t owner) {
+              if (owner == 0) return a.run(1, clock);
+              b.run(1, clock, [&](int, bool off_owner) {
+                if (off_owner) {
+                  lent.store(true);
+                  hold_until(held);
+                }
+                if (!off_owner && !held.exchange(true)) {
+                  hold_until(lent);
+                  token->request();
+                }
+              });
+            },
+            pool),
+        util::CancelledError);
+    EXPECT_TRUE(lent.load());
+    a.expect_complete();
+    b.expect_none_twice();
+    EXPECT_EQ(b.runs[static_cast<std::size_t>(large.root())].load(), 0);
   }
 }
 
